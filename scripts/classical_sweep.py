@@ -2,17 +2,17 @@
 """Sweep the classical-laser sequence observables for a few lattice states.
 
 For each state, writes delta_t, sigma_z and the metastable population of the
-reversed small-angle sequence (rotation_out = -rotation_in).
+reversed small-angle sequence (rotation_out = -rotation_in) by running
+`dickeprobe classical`, so each file is byte-identical to that command.
 """
 
 import argparse
 import pathlib
+import sys
 
-import numpy as np
-
-from dickeprobe.classical import DriveParameters, expected_sigma_z, mean_excitations, metastable_population
-from dickeprobe.distributions import bose_einstein, partial_condensation, superfluid, uniform
-from dickeprobe.lattice import LatticeSpec, Mode
+from dickeprobe.classical import mean_excitations
+from dickeprobe.cli import main as dickeprobe
+from dickeprobe.lattice import LatticeSpec
 
 
 def main():
@@ -25,33 +25,30 @@ def main():
     parser.add_argument("--kappa", default="1,1", metavar="N,M")
     args = parser.parse_args()
 
-    spec = LatticeSpec(L=args.L)
-    n, m = (int(p) for p in args.kappa.split(","))
-    kappa = Mode(n, m)
-    grid = np.linspace(0.0, args.tmax, args.steps)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    N = spec.sites
-    nbar = mean_excitations(spec, args.alpha)
-    states = [
-        ("condensate", superfluid(spec)),
-        ("half_condensed", partial_condensation(spec, N / 2, N / 2)),
-        ("distributed", uniform(spec)),
-        ("thermal_bJ1", bose_einstein(spec, 1.0)),
+    half = args.L * args.L / 2
+    states = {
+        "condensate": "superfluid",
+        "half_condensed": f"partial:{half},{half}",
+        "distributed": "uniform",
+        "thermal_bJ1": "thermal:1",
+    }
+    common = [
+        "--L", str(args.L), "--tmax", str(args.tmax), "--steps", str(args.steps),
+        f"--alpha={args.alpha}", f"--kappa={args.kappa}",
     ]
-    for stem, dist in states:
+    for stem, state in states.items():
         path = outdir / f"{stem}.csv"
-        with open(path, "w", newline="") as handle:
-            handle.write("delta_t,sigma_z,n_meta\n")
-            for t in grid:
-                drive = DriveParameters(args.alpha, -args.alpha, kappa, t)
-                sigma_z = expected_sigma_z(dist, drive, spec)
-                n_meta = metastable_population(dist, nbar, kappa, t, spec)
-                handle.write(f"{t:.12f},{sigma_z:.12f},{n_meta:.12f}\n")
+        argv = ["classical", "--statistics", "bose", "--state", state, *common]
+        code = dickeprobe([*argv, "-o", str(path)])
+        if code:
+            return code
         print(f"wrote {path}")
+    nbar = mean_excitations(LatticeSpec(L=args.L), args.alpha)
     print(f"mean excitations per pulse: {nbar:.4f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

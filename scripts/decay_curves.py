@@ -1,27 +1,24 @@
 #!/usr/bin/env python3
 """Generate the standard catalog of normalized emission-peak curves as CSV files.
 
-Writes one file per scenario into --outdir and prints a short summary with
-the location of the first envelope zero.  Bosonic set: superfluid, half
-condensed, fully distributed, thermal at several inverse temperatures, quench
-and adiabatic transitions.  Fermionic set: metallic, thermal, quench and
-adiabatic.
+Writes one file per scenario into --outdir by running the `dickeprobe` CLI,
+so each file is byte-identical to the matching `dickeprobe` command, and
+prints a short summary with the location of the first envelope zero.
+Bosonic set: superfluid, half condensed, fully distributed, thermal at
+several inverse temperatures, quench and adiabatic transitions.  Fermionic
+set: metallic, thermal, quench and adiabatic.
 """
 
 import argparse
 import pathlib
+import sys
 
 import numpy as np
 
-from dickeprobe.emission import ProbeGeometry, emission_curve, phase_sum
-from dickeprobe.lattice import LatticeSpec, Mode
-
-
-def write_curve(path, curve):
-    with open(path, "w", newline="") as handle:
-        handle.write("delta_t,normalized_peak\n")
-        for t, v in zip(curve.times, curve.values):
-            handle.write(f"{t:.12f},{v:.12f}\n")
+from dickeprobe.cli import _parse_kappa, _time_grid
+from dickeprobe.cli import main as dickeprobe
+from dickeprobe.emission import phase_sum
+from dickeprobe.lattice import LatticeSpec
 
 
 def main():
@@ -33,47 +30,44 @@ def main():
     parser.add_argument("--kappa", default="1,1", metavar="N,M")
     args = parser.parse_args()
 
-    spec = LatticeSpec(L=args.L)
-    n, m = (int(p) for p in args.kappa.split(","))
-    kappa = Mode(n, m)
-    geometry = ProbeGeometry(kappa, kappa)
-    grid = np.linspace(0.0, args.tmax, args.steps)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    N = spec.sites
-    runs = [
-        ("bose_superfluid", "superfluid", {}),
-        ("bose_half_condensed", "partial", {"n_condensed": N / 2, "n_distributed": N / 2}),
-        ("bose_distributed", "uniform", {"statistics": "bose"}),
-        ("bose_thermal_bJ0.01", "thermal", {"statistics": "bose", "inverse_temperature": 0.01}),
-        ("bose_thermal_bJ0.1", "thermal", {"statistics": "bose", "inverse_temperature": 0.1}),
-        ("bose_thermal_bJ1", "thermal", {"statistics": "bose", "inverse_temperature": 1.0}),
-        ("bose_quench", "quench", {"statistics": "bose"}),
-        ("bose_adiabatic", "adiabatic", {"statistics": "bose"}),
-        ("fermi_metallic", "metallic", {"statistics": "fermi"}),
-        ("fermi_thermal_bJ0.01", "thermal", {"statistics": "fermi", "inverse_temperature": 0.01}),
-        ("fermi_thermal_bJ1", "thermal", {"statistics": "fermi", "inverse_temperature": 1.0}),
-        ("fermi_thermal_bJ100", "thermal", {"statistics": "fermi", "inverse_temperature": 100.0}),
-        ("fermi_quench", "quench", {"statistics": "fermi"}),
-        ("fermi_adiabatic", "adiabatic", {"statistics": "fermi"}),
-    ]
-    for stem, scenario, kwargs in runs:
-        curve = emission_curve(scenario, grid, spec, geometry, **kwargs)
+    half = args.L * args.L / 2
+    runs = {
+        "bose_superfluid": ["curve", "--statistics", "bose", "--state", "superfluid"],
+        "bose_half_condensed": [
+            "curve", "--statistics", "bose", "--state", f"partial:{half},{half}"
+        ],
+        "bose_distributed": ["curve", "--statistics", "bose", "--state", "uniform"],
+        "bose_thermal_bJ0.01": ["curve", "--statistics", "bose", "--state", "thermal:0.01"],
+        "bose_thermal_bJ0.1": ["curve", "--statistics", "bose", "--state", "thermal:0.1"],
+        "bose_thermal_bJ1": ["curve", "--statistics", "bose", "--state", "thermal:1"],
+        "bose_quench": ["quench", "--statistics", "bose"],
+        "bose_adiabatic": ["adiabatic", "--statistics", "bose"],
+        "fermi_metallic": ["curve", "--statistics", "fermi", "--state", "metallic"],
+        "fermi_thermal_bJ0.01": ["curve", "--statistics", "fermi", "--state", "thermal:0.01"],
+        "fermi_thermal_bJ1": ["curve", "--statistics", "fermi", "--state", "thermal:1"],
+        "fermi_thermal_bJ100": ["curve", "--statistics", "fermi", "--state", "thermal:100"],
+        "fermi_quench": ["quench", "--statistics", "fermi"],
+        "fermi_adiabatic": ["adiabatic", "--statistics", "fermi"],
+    }
+    common = ["--L", str(args.L), "--tmax", str(args.tmax), "--steps", str(args.steps)]
+    for stem, argv in runs.items():
         path = outdir / f"{stem}.csv"
-        write_curve(path, curve)
-        tag = " (approximate)" if curve.approximate else ""
-        print(f"wrote {path}{tag}")
+        code = dickeprobe([*argv, *common, f"--kappa={args.kappa}", "-o", str(path)])
+        if code:
+            return code
+        print(f"wrote {path}")
 
-    envelope = np.array([phase_sum(spec, kappa, t) for t in grid])
-    idx = next(
-        (i for i in range(1, len(grid) - 1)
-         if abs(envelope[i]) < abs(envelope[i - 1]) and abs(envelope[i]) <= abs(envelope[i + 1])),
-        None,
-    )
-    if idx is not None:
-        print(f"first envelope zero near delta_t = {grid[idx]:.2f} tunneling times")
+    # the CLI runs above have already rejected a bad --kappa or time grid
+    spec = LatticeSpec(L=args.L)
+    grid = _time_grid(args)
+    envelope = np.abs(phase_sum(spec, _parse_kappa(args.kappa, spec.L), grid))
+    dips = np.flatnonzero((envelope[1:-1] < envelope[:-2]) & (envelope[1:-1] <= envelope[2:]))
+    if dips.size:
+        print(f"first envelope zero near delta_t = {grid[dips[0] + 1]:.2f} tunneling times")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

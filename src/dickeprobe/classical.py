@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import MomentumDistribution
-from .emission import phase_sum
-from .lattice import LatticeSpec, Mode, condensate_phase, dephasing_rates
+from .emission import coherent_amplitude, phase_sum
+from .lattice import LatticeSpec, Mode, condensate_phase
 
 __all__ = [
     "DriveParameters",
@@ -28,12 +28,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DriveParameters:
-    """Pulse angles, probed mode kappa = k1 - k2, and waiting time."""
+    """Pulse angles, probed mode kappa = k1 - k2, and waiting time (scalar or 1-d array)."""
 
     rotation_in: float
     rotation_out: float
     kappa: Mode
-    dt: float
+    dt: float | np.ndarray
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rotation_in) and math.isfinite(self.rotation_out)):
@@ -45,24 +45,21 @@ def mean_excitations(spec: LatticeSpec, rotation_in: float) -> float:
     return spec.sites * rotation_in**2 / 4.0
 
 
-def _cosine_sum(dist: MomentumDistribution, kappa, dt: float, spec: LatticeSpec) -> float:
-    """sum_{p,s} n_s(p - kappa) cos(phi_p^kappa(dt))."""
-    weights = dist.shifted_occupation_sum(kappa)
-    rates = dephasing_rates(spec, kappa)
-    return float(np.sum(weights * np.cos(rates * dt)))
+def _cosine_sum(dist: MomentumDistribution, kappa, dt, spec: LatticeSpec):
+    """sum_{p,s} n_s(p - kappa) cos(phi_p^kappa(dt)) = total Re C(dt)."""
+    return dist.total() * coherent_amplitude(dist, kappa, dt, spec).real
 
 
-def expected_sigma_z(
-    dist: MomentumDistribution, params: DriveParameters, spec: LatticeSpec
-) -> float:
+def expected_sigma_z(dist: MomentumDistribution, params: DriveParameters, spec: LatticeSpec):
     """<Sigma^z> after the full rotate / tunnel / rotate sequence.
 
     Equals -(N/2) cos(a) cos(b) + (1/2) sin(a) sin(b)
     sum_{p,s} n_s(p-kappa) cos(phi_p^kappa(dt)) for any excitation-free
-    initial state with the given momentum occupations.
+    initial state with the given momentum occupations, N being the
+    distribution's atom total.  params.dt may be a scalar or a 1-d array.
     """
     a, b = params.rotation_in, params.rotation_out
-    N = spec.sites
+    N = dist.total_target
     S = _cosine_sum(dist, params.kappa, params.dt, spec)
     return -(N / 2.0) * math.cos(a) * math.cos(b) + 0.5 * math.sin(a) * math.sin(b) * S
 
@@ -71,17 +68,18 @@ def metastable_population(
     dist: MomentumDistribution,
     nbar: float,
     kappa: tuple[int, int],
-    dt: float,
+    dt,
     spec: LatticeSpec,
-) -> float:
+):
     """Atoms left in the metastable level after a reversed small-angle sequence.
 
-    2 nbar (1 - (1/N) sum_{p,s} n_s(p-kappa) cos(phi_p^kappa(dt))), valid for
-    rotation_out = -rotation_in and nbar = N alpha^2 / 4 << N.  Bounded by
-    [0, 4 nbar]; exactly 0 at dt = 0 or J = 0 (perfect back-rotation).
+    2 nbar (1 - (1/N) sum_{p,s} n_s(p-kappa) cos(phi_p^kappa(dt))) with N the
+    distribution's atom total, valid for rotation_out = -rotation_in and
+    nbar = N alpha^2 / 4 << N.  Bounded by [0, 4 nbar]; 0 at dt = 0 or
+    J = 0 (perfect back-rotation).  dt may be a scalar or a 1-d array.
     """
     S = _cosine_sum(dist, kappa, dt, spec)
-    return 2.0 * nbar * (1.0 - S / spec.sites)
+    return 2.0 * nbar * (1.0 - S / dist.total_target)
 
 
 def metastable_population_partial_condensation(

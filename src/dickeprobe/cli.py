@@ -9,27 +9,20 @@ so repeated runs are byte-identical.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from .classical import DriveParameters, expected_sigma_z, mean_excitations, metastable_population
-from .distributions import (
-    Statistics,
-    bose_einstein,
-    fermi_dirac,
-    metallic,
-    partial_condensation,
-    superfluid,
-    uniform,
-)
-from .emission import ProbeGeometry, emission_curve
+from .distributions import Statistics
+from .emission import ProbeGeometry, _build_distribution, emission_curve
 from .lattice import LatticeSpec, Mode, validate_mode
 from .oracle import verification_suite
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
-_FMT = "{:.12f}"
+_FMT = "%.12f"
 
 _BOSE_STATES = ("superfluid", "partial", "thermal", "uniform", "mott")
 _FERMI_STATES = ("metallic", "thermal", "uniform", "neel")
@@ -105,7 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
         "classical", help="classical-laser sequence: sigma_z and metastable population"
     )
     classical.add_argument("--statistics", choices=["bose", "fermi"], required=True)
-    classical.add_argument("--state", required=True, help="same selectors as `curve`")
+    classical.add_argument(
+        "--state", required=True, help="same selectors as `curve` except mott and neel"
+    )
     classical.add_argument(
         "--alpha", type=float, default=0.01, help="first pulse angle, default 0.01"
     )
@@ -140,9 +135,24 @@ def _parse_kappa(text: str, L: int) -> Mode:
         raise _UsageError(str(exc)) from None
 
 
-def _parse_state(text: str):
+def _parse_state(text: str, statistics: Statistics) -> tuple[str, dict]:
+    """Split a `--state` selector into a scenario name and its keyword arguments."""
     name, _, params = text.partition(":")
-    return name, params
+    allowed = _BOSE_STATES if statistics is Statistics.BOSE else _FERMI_STATES
+    if name not in allowed:
+        raise _UsageError(f"state {name!r} is not available for {statistics.value} statistics")
+    if name == "partial":
+        try:
+            n1, n2 = (float(p) for p in params.split(","))
+        except ValueError:
+            raise _UsageError("partial state needs parameters 'partial:N1,N2'") from None
+        return name, {"n_condensed": n1, "n_distributed": n2}
+    if name == "thermal":
+        try:
+            return name, {"inverse_temperature": float(params)}
+        except ValueError:
+            raise _UsageError("thermal state needs 'thermal:inverse_temperature'") from None
+    return name, {}
 
 
 def _build_spec(args) -> LatticeSpec:
@@ -155,91 +165,36 @@ def _build_spec(args) -> LatticeSpec:
 def _time_grid(args) -> np.ndarray:
     if args.steps < 2:
         raise _UsageError("--steps must be at least 2")
-    if args.tmax <= 0:
-        raise _UsageError("--tmax must be positive")
+    if not (math.isfinite(args.tmax) and args.tmax > 0):
+        raise _UsageError("--tmax must be finite and positive")
     return np.linspace(0.0, args.tmax, args.steps)
 
 
-def _state_distribution(name: str, params: str, statistics: Statistics, spec: LatticeSpec):
-    allowed = _BOSE_STATES if statistics is Statistics.BOSE else _FERMI_STATES
-    if name not in allowed:
-        raise _UsageError(
-            f"state {name!r} is not available for {statistics.value} statistics"
-        )
-    if name == "superfluid":
-        return superfluid(spec)
-    if name == "uniform":
-        return uniform(spec, statistics)
-    if name == "metallic":
-        return metallic(spec)
-    if name == "partial":
-        try:
-            n1, n2 = (float(p) for p in params.split(","))
-        except ValueError:
-            raise _UsageError("partial state needs parameters 'partial:N1,N2'") from None
-        return partial_condensation(spec, n1, n2)
-    if name == "thermal":
-        try:
-            beta_inv = float(params)
-        except ValueError:
-            raise _UsageError(
-                "thermal state needs 'thermal:inverse_temperature'"
-            ) from None
-        if statistics is Statistics.BOSE:
-            return bose_einstein(spec, beta_inv)
-        return fermi_dirac(spec, beta_inv)
-    raise _UsageError(f"state {name!r} has no momentum distribution")
-
-
-def _write_rows(path: str, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(_FMT.format(value) for value in row) for row in rows)
-    payload = "\n".join(lines) + "\n"
+def _write_columns(path: str, header: str, *columns: np.ndarray) -> None:
+    table = np.column_stack(columns)
+    options = {"fmt": _FMT, "delimiter": ",", "header": header, "comments": ""}
     if path == "-":
-        sys.stdout.write(payload)
+        np.savetxt(sys.stdout, table, **options)
     else:
         with open(path, "w", newline="") as handle:
-            handle.write(payload)
+            np.savetxt(handle, table, **options)
 
 
 def _run_curve(args) -> int:
+    """`curve`, `quench` and `adiabatic`: one normalized-peak column."""
     spec = _build_spec(args)
     kappa = _parse_kappa(args.kappa, spec.L)
-    geometry = ProbeGeometry(kappa, kappa)
     grid = _time_grid(args)
     statistics = Statistics(args.statistics)
-    name, params = _parse_state(args.state)
-    allowed = _BOSE_STATES if statistics is Statistics.BOSE else _FERMI_STATES
-    if name not in allowed:
-        raise _UsageError(f"state {name!r} is not available for {statistics.value} statistics")
-
-    kwargs = {}
-    if name == "partial":
-        try:
-            n1, n2 = (float(p) for p in params.split(","))
-        except ValueError:
-            raise _UsageError("partial state needs parameters 'partial:N1,N2'") from None
-        kwargs = {"n_condensed": n1, "n_distributed": n2}
-    elif name == "thermal":
-        try:
-            kwargs = {"inverse_temperature": float(params)}
-        except ValueError:
-            raise _UsageError("thermal state needs 'thermal:inverse_temperature'") from None
-
-    curve = emission_curve(name, grid, spec, geometry, statistics=statistics, **kwargs)
-    _write_rows(args.output, "delta_t,normalized_peak", zip(curve.times, curve.values))
-    return 0
-
-
-def _run_transition(args, scenario: str) -> int:
-    spec = _build_spec(args)
-    kappa = _parse_kappa(args.kappa, spec.L)
+    if args.command == "curve":
+        name, kwargs = _parse_state(args.state, statistics)
+    else:
+        name, kwargs = args.command, {}
     geometry = ProbeGeometry(kappa, kappa)
-    grid = _time_grid(args)
-    curve = emission_curve(scenario, grid, spec, geometry, statistics=args.statistics)
+    curve = emission_curve(name, grid, spec, geometry, statistics=statistics, **kwargs)
     if curve.approximate:
         print(f"note: {curve.note}", file=sys.stderr)
-    _write_rows(args.output, "delta_t,normalized_peak", zip(curve.times, curve.values))
+    _write_columns(args.output, "delta_t,normalized_peak", curve.times, curve.values)
     return 0
 
 
@@ -248,22 +203,14 @@ def _run_classical(args) -> int:
     kappa = _parse_kappa(args.kappa, spec.L)
     grid = _time_grid(args)
     statistics = Statistics(args.statistics)
-    name, params = _parse_state(args.state)
-    dist = _state_distribution(name, params, statistics, spec)
+    name, kwargs = _parse_state(args.state, statistics)
+    dist = _build_distribution(name, spec, statistics, **kwargs)
     alpha = args.alpha
     beta_rot = -alpha if args.beta_rot is None else args.beta_rot
-    nbar = mean_excitations(spec, alpha)
-    rows = []
-    for t in grid:
-        drive = DriveParameters(alpha, beta_rot, kappa, t)
-        rows.append(
-            (
-                t,
-                expected_sigma_z(dist, drive, spec),
-                metastable_population(dist, nbar, kappa, t, spec),
-            )
-        )
-    _write_rows(args.output, "delta_t,sigma_z,n_meta", rows)
+    drive = DriveParameters(alpha, beta_rot, kappa, grid)
+    sigma_z = expected_sigma_z(dist, drive, spec)
+    n_meta = metastable_population(dist, mean_excitations(spec, alpha), kappa, grid, spec)
+    _write_columns(args.output, "delta_t,sigma_z,n_meta", grid, sigma_z, n_meta)
     return 0
 
 
@@ -292,12 +239,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "curve":
+        if args.command in ("curve", "quench", "adiabatic"):
             return _run_curve(args)
-        if args.command == "quench":
-            return _run_transition(args, "quench")
-        if args.command == "adiabatic":
-            return _run_transition(args, "adiabatic")
         if args.command == "classical":
             return _run_classical(args)
         if args.command == "oracle":

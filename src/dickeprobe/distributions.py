@@ -7,6 +7,7 @@ potential by bounded bisection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -64,10 +65,14 @@ class MomentumDistribution:
             raise ValueError(
                 f"occupations must have shape ({channels}, L, L), got {occ.shape}"
             )
+        if not np.all(np.isfinite(occ)):
+            raise ValueError("occupations must be finite")
         if np.any(occ < 0):
             raise ValueError("occupations must be nonnegative")
         if self.statistics is Statistics.FERMI and np.any(occ > 1.0 + 1e-12):
             raise ValueError("fermionic occupations may not exceed 1")
+        if not math.isfinite(self.total_target):
+            raise ValueError(f"total_target must be finite, got {self.total_target}")
         total = float(occ.sum())
         scale = max(abs(self.total_target), 1.0)
         if abs(total - self.total_target) > _TOTAL_RTOL * scale:
@@ -116,6 +121,8 @@ def partial_condensation(
 ) -> MomentumDistribution:
     """n_condensed bosons at k = 0 plus n_distributed spread evenly over all modes."""
     N = spec.sites
+    if not (math.isfinite(n_condensed) and math.isfinite(n_distributed)):
+        raise ValueError("atom counts must be finite")
     if n_condensed < 0 or n_distributed < 0:
         raise ValueError("atom counts must be nonnegative")
     if abs(n_condensed + n_distributed - N) > _TOTAL_RTOL * N:
@@ -191,8 +198,8 @@ def bose_einstein(
     E_min - 1e-12 J cannot hold all atoms thermally, mu stays pinned and the
     remainder is placed at k = 0 as an explicit condensate.
     """
-    if inverse_temperature <= 0:
-        raise ValueError("inverse_temperature must be positive")
+    if not (inverse_temperature > 0 and math.isfinite(inverse_temperature)):
+        raise ValueError("inverse_temperature must be finite and positive")
     N = spec.sites
     if total is None:
         total = float(N)
@@ -244,8 +251,8 @@ def fermi_dirac(
     spec: LatticeSpec, inverse_temperature: float, total: float | None = None
 ) -> MomentumDistribution:
     """Fermi-Dirac occupations 1/(exp(beta (E(k) - mu)) + 1), equal in both spins."""
-    if inverse_temperature <= 0:
-        raise ValueError("inverse_temperature must be positive")
+    if not (inverse_temperature > 0 and math.isfinite(inverse_temperature)):
+        raise ValueError("inverse_temperature must be finite and positive")
     N = spec.sites
     if total is None:
         total = float(N)

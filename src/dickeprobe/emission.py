@@ -4,9 +4,11 @@ The peak equals |C(dt)|^2 with the coherent amplitude
 
     C(dt) = (1/N_atoms) sum_{p,s} n_s(p - kappa) exp{i (J/Z) (T(p) - T(p-kappa)) dt},
 
-a single O(N) sum per time point.  The incoherent O(N) background and any
-emission with kappa_out != kappa_in are outside the normalized-peak contract
-and reported as 0.
+evaluated for a scalar dt or a whole 1-d dt array at once.  The rate splits
+into an x part and a y part, so C on a grid of T times is a (T x L)(L x L)
+product, taken row by row, and a row-wise dot.  The incoherent O(N)
+background and any emission with kappa_out != kappa_in are outside the
+normalized-peak contract and reported as 0.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ from .distributions import (
     superfluid,
     uniform,
 )
-from .lattice import LatticeSpec, Mode, canonical_mode, dephasing_rates, mode_sub, validate_mode
+from .lattice import (
+    LatticeSpec,
+    Mode,
+    _dephasing_factors,
+    canonical_mode,
+    mode_sub,
+    validate_mode,
+)
 
 __all__ = [
     "EmissionCurve",
@@ -70,34 +79,52 @@ class EmissionCurve:
     note: str = ""
 
 
-def _weights_and_rates(
-    dist: MomentumDistribution, kappa: tuple[int, int], spec: LatticeSpec
-) -> tuple[np.ndarray, np.ndarray]:
+def _coherent_sum(
+    weights: np.ndarray, total: float, kappa: tuple[int, int], dt, spec: LatticeSpec
+):
+    """(1/total) sum_p weights(p) exp(i (J/Z)(T(p) - T(p-kappa)) dt) for scalar or 1-d dt.
+
+    With the rate split a(p_x) + b(p_y) this is e_a(dt)^T W e_b(dt): the
+    temporaries are (T, L) arrays, never (T, L, L).  A scalar dt returns a
+    Python complex, a 1-d dt an array of the same length.
+    """
+    t = np.asarray(dt, dtype=float)
+    if t.ndim > 1:
+        raise ValueError("dt must be a scalar or a 1-d array")
+    a, b = _dephasing_factors(spec, kappa)
+    times = t.reshape(-1, 1)
+    # A stack of T (1 x L)(L x L) products rather than one (T x L)(L x L)
+    # product: BLAS sums a single row in another order than a block of rows,
+    # and the stack keeps every time's value independent of the grid it is in.
+    projected = (np.exp(1j * a * times)[:, None, :] @ weights)[:, 0, :]
+    values = np.einsum("ti,ti->t", projected, np.exp(1j * b * times)) / total
+    return complex(values[0]) if t.ndim == 0 else values
+
+
+def coherent_amplitude(
+    dist: MomentumDistribution, kappa: tuple[int, int], dt, spec: LatticeSpec
+):
+    """Occupation-weighted dephasing sum C(dt); |C| <= 1 and C(0) = 1.
+
+    Normalized by the distribution's atom total, so the metallic state
+    (which holds N - 2(L-1) atoms by construction) also starts at 1.
+    Accepts scalar dt (returns complex) or a 1-d array (returns an array).
+    """
     if dist.L != spec.L:
         raise ValueError("distribution grid does not match the lattice spec")
     weights = dist.shifted_occupation_sum(kappa)
     total = weights.sum()
     if total <= 0:
         raise ValueError("distribution holds no atoms")
-    return (weights / total).ravel(), dephasing_rates(spec, kappa).ravel()
+    return _coherent_sum(weights, total, kappa, dt, spec)
 
 
-def coherent_amplitude(
-    dist: MomentumDistribution, kappa: tuple[int, int], dt: float, spec: LatticeSpec
-) -> complex:
-    """Occupation-weighted dephasing sum C(dt); |C| <= 1 and C(0) = 1.
+def phase_sum(spec: LatticeSpec, kappa: tuple[int, int], dt):
+    """Uniform-weight coherent amplitude, real by the p -> kappa - p symmetry.
 
-    Normalized by the distribution's atom total, so the metallic state
-    (which holds N - 2(L-1) atoms by construction) also starts at 1.
+    Accepts scalar dt (returns float) or a 1-d array (returns an array).
     """
-    w, rates = _weights_and_rates(dist, kappa, spec)
-    return complex(np.sum(w * np.exp(1j * rates * dt)))
-
-
-def phase_sum(spec: LatticeSpec, kappa: tuple[int, int], dt: float) -> float:
-    """Uniform-weight coherent amplitude, real by the p -> kappa - p symmetry."""
-    rates = dephasing_rates(spec, kappa)
-    return float(np.exp(1j * rates * dt).mean().real)
+    return _coherent_sum(np.ones((spec.L, spec.L)), spec.sites, kappa, dt, spec).real
 
 
 def bessel_envelope(kappa: tuple[int, int], dt, spec: LatticeSpec):
@@ -138,25 +165,24 @@ def separable_peak(site_occupations: np.ndarray, geometry: ProbeGeometry) -> flo
     return abs(np.sum(phase * occ)) ** 2 / N**2
 
 
-def quench_peak(spec: LatticeSpec, kappa: tuple[int, int], dt: float) -> float:
+def quench_peak(spec: LatticeSpec, kappa: tuple[int, int], dt):
     """Peak after the sudden interaction switch-off: |phase_sum(dt)|^2.
 
     The same expression holds for the bosonic Mott and the fermionic
-    Mott-Neel initial state.
+    Mott-Neel initial state.  Accepts scalar or 1-d array dt.
     """
     return phase_sum(spec, kappa, dt) ** 2
 
 
-def adiabatic_peak(
-    statistics: Statistics, spec: LatticeSpec, kappa: tuple[int, int], dt: float
-) -> float:
+def adiabatic_peak(statistics: Statistics, spec: LatticeSpec, kappa: tuple[int, int], dt):
     """Peak after a slow interaction ramp: 1 for bosons, |phase_sum|^2 for fermions.
 
     The fermionic branch rests on the small-wave-number commutator argument
-    and is tagged approximate by emission_curve.
+    and is tagged approximate by emission_curve.  Accepts scalar or 1-d
+    array dt.
     """
     if Statistics(statistics) is Statistics.BOSE:
-        return 1.0
+        return 1.0 if np.ndim(dt) == 0 else np.ones(np.shape(dt))
     return quench_peak(spec, kappa, dt)
 
 
@@ -171,11 +197,7 @@ def peak_curve(
     dts = _check_grid(dt_grid)
     if not geometry.is_forward(spec.L):
         return np.zeros_like(dts)
-    w, rates = _weights_and_rates(dist, geometry.kappa_in, spec)
-    values = np.empty_like(dts)
-    for i, t in enumerate(dts):
-        values[i] = abs(np.sum(w * np.exp(1j * rates * t))) ** 2
-    return values
+    return np.abs(coherent_amplitude(dist, geometry.kappa_in, dts, spec)) ** 2
 
 
 def _check_grid(dt_grid) -> np.ndarray:
@@ -215,23 +237,20 @@ def emission_curve(
     stats = None if statistics is None else Statistics(statistics)
     forward = geometry.is_forward(spec.L)
     label = scenario if stats is None else f"{scenario}-{stats.value}"
-    approximate = False
-    note = ""
+    if scenario in ("quench", "adiabatic"):
+        _require(stats is not None, f"{scenario} needs statistics")
+    approximate = scenario == "adiabatic" and stats is Statistics.FERMI
+    note = _FERMI_ADIABATIC_NOTE if approximate else ""
 
-    if scenario in ("mott", "neel"):
+    if scenario in ("mott", "neel", "quench", "adiabatic") and not forward:
+        values = np.zeros_like(dts)
+    elif scenario in ("mott", "neel"):
         # unit filling: the site Fourier sum is exactly N delta_{kin,kout}
-        values = np.full_like(dts, 1.0) if forward else np.zeros_like(dts)
+        values = np.ones_like(dts)
     elif scenario == "quench":
-        _require(stats is not None, "quench needs statistics")
-        values = _formula_curve(quench_peak, spec, geometry, dts, forward)
+        values = quench_peak(spec, geometry.kappa_in, dts)
     elif scenario == "adiabatic":
-        _require(stats is not None, "adiabatic needs statistics")
-        if stats is Statistics.BOSE:
-            values = np.full_like(dts, 1.0) if forward else np.zeros_like(dts)
-        else:
-            values = _formula_curve(quench_peak, spec, geometry, dts, forward)
-            approximate = True
-            note = _FERMI_ADIABATIC_NOTE
+        values = adiabatic_peak(stats, spec, geometry.kappa_in, dts)
     else:
         dist = _build_distribution(
             scenario,
@@ -246,12 +265,6 @@ def emission_curve(
     return EmissionCurve(label, dts, values, approximate=approximate, note=note)
 
 
-def _formula_curve(fn, spec, geometry, dts, forward) -> np.ndarray:
-    if not forward:
-        return np.zeros_like(dts)
-    return np.array([fn(spec, geometry.kappa_in, t) for t in dts])
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
@@ -262,9 +275,9 @@ def _build_distribution(
     spec: LatticeSpec,
     stats: Statistics | None,
     *,
-    inverse_temperature: float | None,
-    n_condensed: float | None,
-    n_distributed: float | None,
+    inverse_temperature: float | None = None,
+    n_condensed: float | None = None,
+    n_distributed: float | None = None,
 ) -> MomentumDistribution:
     if scenario == "superfluid":
         return superfluid(spec)
@@ -284,4 +297,4 @@ def _build_distribution(
         if stats is Statistics.BOSE:
             return bose_einstein(spec, inverse_temperature)
         return fermi_dirac(spec, inverse_temperature)
-    raise ValueError(f"unknown scenario {scenario!r}")
+    raise ValueError(f"scenario {scenario!r} has no momentum distribution")

@@ -62,12 +62,12 @@ class LatticeSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.L, int) or self.L < 2 or self.L % 2:
             raise ValueError(f"L must be an even integer >= 2, got {self.L!r}")
-        if self.ell <= 0:
-            raise ValueError("lattice spacing ell must be positive")
-        if self.J < 0:
-            raise ValueError("tunneling rate J must be nonnegative")
-        if self.U < 0:
-            raise ValueError("on-site interaction U must be nonnegative")
+        if not (math.isfinite(self.ell) and self.ell > 0):
+            raise ValueError("lattice spacing ell must be finite and positive")
+        if not (math.isfinite(self.J) and self.J >= 0):
+            raise ValueError("tunneling rate J must be finite and nonnegative")
+        if not (math.isfinite(self.U) and self.U >= 0):
+            raise ValueError("on-site interaction U must be finite and nonnegative")
         if self.Z != 4:
             raise ValueError("coordination number is fixed at 4 for the square lattice")
 
@@ -171,16 +171,30 @@ def condensate_phase(kappa: tuple[int, int], t: float, spec: LatticeSpec) -> flo
     return -hopping_phase(kappa, kappa, t, spec)
 
 
+def _dephasing_factors(
+    spec: LatticeSpec, kappa: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y parts a(p_x), b(p_y) of the dephasing rate, each of length L.
+
+    With c(n) = cos(2 pi n / L), T(p) = 2 (c(p_x) + c(p_y)) makes the rate
+    (J/Z)(T(p) - T(p-kappa)) = a(p_x) + b(p_y) exactly, with
+    a = (2J/Z)(c - roll(c, kappa_x)) and b the same with kappa_y.
+    """
+    kappa = canonical_mode(kappa, spec.L)
+    idx = np.arange(spec.L) + _index_floor(spec.L)
+    c = np.cos(2.0 * np.pi * idx / spec.L)
+    scale = 2.0 * spec.J / spec.Z
+    return scale * (c - np.roll(c, kappa.n)), scale * (c - np.roll(c, kappa.m))
+
+
 def dephasing_rates(spec: LatticeSpec, kappa: tuple[int, int]) -> np.ndarray:
     """(J/Z)(T(p) - T(p-kappa)) over the mode grid.
 
     exp(i * rates * dt) is the dephasing factor entering coherent sums;
     it equals exp(-i * phi_p^kappa(dt)) mode by mode.
     """
-    kappa = canonical_mode(kappa, spec.L)
-    T = adjacency_fourier_grid(spec)
-    T_shifted = np.roll(T, shift=(kappa.n, kappa.m), axis=(0, 1))
-    return (spec.J / spec.Z) * (T - T_shifted)
+    a, b = _dephasing_factors(spec, kappa)
+    return a[:, None] + b[None, :]
 
 
 def site_coordinates(spec: LatticeSpec) -> np.ndarray:

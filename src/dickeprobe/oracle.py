@@ -900,13 +900,13 @@ def verification_suite() -> list[CheckResult]:
     dev = 0.0
     for kap in (kappa, kappa_diag):
         curve = exact_peak_curve(mott_state(bose), kap, kap, dts, bose, spec)
-        target = np.array([quench_peak(spec, kap, t) for t in dts])
+        target = quench_peak(spec, kap, dts)
         dev = max(dev, float(np.abs(curve - target).max()))
     results.append(CheckResult("quench-dephasing-bose", dev, 1e-8))
 
     dts_f = np.array([0.0, 0.9, 2.3])
     curve = exact_peak_curve(neel_state(fermi), kappa, kappa, dts_f, fermi, spec)
-    target = np.array([quench_peak(spec, kappa, t) for t in dts_f])
+    target = quench_peak(spec, kappa, dts_f)
     results.append(
         CheckResult("quench-dephasing-fermi", float(np.abs(curve - target).max()), 1e-8)
     )

@@ -89,11 +89,28 @@ class TestMetastablePopulation:
             value = metastable_population(uniform(spec), nbar, Mode(5, 5), t, spec)
             assert 0.0 - 1e-12 <= value <= 4.0 * nbar + 1e-12
 
-    def test_metallic_distribution_accepted(self):
+    def test_metallic_normalized_by_atom_total(self):
+        # the half-filled diamond at L = 10 holds 82 atoms, not N = 100
         spec = LatticeSpec(L=10)
+        dist = metallic(spec)
         nbar = mean_excitations(spec, 0.01)
-        value = metastable_population(metallic(spec), nbar, Mode(1, 1), 1.0, spec)
-        assert np.isfinite(value)
+        assert metastable_population(dist, nbar, Mode(1, 1), 0.0, spec) == pytest.approx(
+            0.0, abs=1e-15
+        )
+        params = DriveParameters(0.0, 0.0, Mode(1, 1), 1.0)
+        assert expected_sigma_z(dist, params, spec) == pytest.approx(-41.0, abs=1e-12)
+
+    def test_grid_matches_pointwise(self):
+        spec = LatticeSpec(L=10)
+        grid = np.linspace(0.0, 30.0, 13)
+        nbar = mean_excitations(spec, 0.05)
+        for dist in (metallic(spec), bose_einstein(spec, 0.5)):
+            batched = metastable_population(dist, nbar, Mode(2, -1), grid, spec)
+            sigma_z = expected_sigma_z(dist, DriveParameters(0.3, -0.2, Mode(2, -1), grid), spec)
+            for i, t in enumerate(grid):
+                assert batched[i] == metastable_population(dist, nbar, Mode(2, -1), t, spec)
+                params = DriveParameters(0.3, -0.2, Mode(2, -1), t)
+                assert sigma_z[i] == expected_sigma_z(dist, params, spec)
 
 
 class TestPartialCondensationForm:

@@ -148,6 +148,31 @@ class TestErrors:
                   "--L", "10", "--steps", "1"]) == 1
         )
 
+    def test_classical_state_without_distribution(self):
+        assert main(["classical", "--statistics", "bose", "--state", "mott", "--L", "10"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--statistics", "bose", "--state", "uniform", "--tmax", "nan"],
+            ["quench", "--statistics", "fermi", "--tmax", "inf"],
+            ["curve", "--statistics", "bose", "--state", "uniform", "--J", "nan"],
+            ["curve", "--statistics", "bose", "--state", "uniform", "--ell", "nan"],
+            ["curve", "--statistics", "bose", "--state", "uniform", "--U", "inf"],
+            ["curve", "--statistics", "bose", "--state", "thermal:nan"],
+            ["curve", "--statistics", "fermi", "--state", "thermal:inf"],
+            ["curve", "--statistics", "bose", "--state", "partial:nan,16"],
+            ["classical", "--statistics", "bose", "--state", "thermal:nan"],
+            ["classical", "--statistics", "bose", "--state", "partial:nan,16"],
+            ["classical", "--statistics", "bose", "--state", "uniform", "--alpha", "nan"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_non_finite_input(self, argv, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--L", "4", "-o", str(out)]) == 1
+        assert not out.exists()
+
     def test_bad_thermal_parameter(self):
         assert (
             main(["curve", "--statistics", "bose", "--state", "thermal:-2",

@@ -26,7 +26,7 @@ from dickeprobe.emission import (
     quench_peak,
     separable_peak,
 )
-from dickeprobe.lattice import LatticeSpec, Mode, condensate_phase, mode_grid
+from dickeprobe.lattice import LatticeSpec, Mode, condensate_phase, dephasing_rates, mode_grid
 
 
 def forward(kappa):
@@ -159,6 +159,48 @@ class TestCoherentAmplitude:
             dist = MomentumDistribution(Statistics.BOSE, occ, float(spec100.sites))
             for t in rng.uniform(0.0, 100.0, size=3):
                 assert abs(coherent_amplitude(dist, Mode(3, 1), t, spec100)) <= 1.0 + 1e-9
+
+
+class TestBatchedKernel:
+    """The x/y-split kernel against the direct sum over the (L, L) rate grid."""
+
+    @pytest.mark.parametrize("L", [2, 4, 10])
+    @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
+    def test_matches_direct_sum(self, L, statistics, rng):
+        spec = LatticeSpec(L=L, J=0.9)
+        channels = 1 if statistics is Statistics.BOSE else 2
+        occ = rng.uniform(0.0, 1.0, size=(channels, L, L))
+        dist = MomentumDistribution(statistics, occ, float(occ.sum()))
+        grid = np.linspace(0.0, 40.0, 33)
+        for kappa in ((1, 2), (-3, 5), (L // 2, 1)):
+            w = dist.shifted_occupation_sum(kappa)
+            w = w / w.sum()
+            rates = dephasing_rates(spec, kappa)
+            reference = np.array([np.sum(w * np.exp(1j * rates * t)) for t in grid])
+            batched = coherent_amplitude(dist, kappa, grid, spec)
+            assert np.abs(batched - reference).max() < 1e-13
+            scalar = [coherent_amplitude(dist, kappa, t, spec) for t in grid]
+            assert all(type(value) is complex for value in scalar)
+            assert np.array_equal(batched, scalar)
+
+    def test_formulas_take_grids(self, spec100):
+        grid = np.linspace(0.0, 80.0, 21)
+        kappa = Mode(2, -1)
+        for fn in (
+            lambda t: phase_sum(spec100, kappa, t),
+            lambda t: quench_peak(spec100, kappa, t),
+            lambda t: adiabatic_peak(Statistics.BOSE, spec100, kappa, t),
+            lambda t: adiabatic_peak(Statistics.FERMI, spec100, kappa, t),
+        ):
+            batched = fn(grid)
+            scalar = [fn(t) for t in grid]
+            assert all(type(value) is float for value in scalar)
+            assert batched.shape == grid.shape
+            assert np.array_equal(batched, scalar)
+
+    def test_rejects_2d_times(self, spec100):
+        with pytest.raises(ValueError):
+            phase_sum(spec100, Mode(1, 1), np.zeros((2, 2)))
 
 
 class TestNormalizedPeak:
