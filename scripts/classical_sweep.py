@@ -12,6 +12,7 @@ import sys
 
 from dickeprobe.classical import mean_excitations
 from dickeprobe.cli import main as dickeprobe
+from dickeprobe.distributions import superfluid
 from dickeprobe.lattice import LatticeSpec
 
 
@@ -45,7 +46,8 @@ def main():
         if code:
             return code
         print(f"wrote {path}")
-    nbar = mean_excitations(LatticeSpec(L=args.L), args.alpha)
+    # every state above holds N = L^2 atoms, as the condensate does
+    nbar = mean_excitations(superfluid(LatticeSpec(L=args.L)), args.alpha)
     print(f"mean excitations per pulse: {nbar:.4f}")
     return 0
 

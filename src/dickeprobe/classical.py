@@ -40,9 +40,13 @@ class DriveParameters:
             raise ValueError("rotation angles must be finite")
 
 
-def mean_excitations(spec: LatticeSpec, rotation_in: float) -> float:
-    """Excitations created by the first pulse to second order: N alpha^2 / 4."""
-    return spec.sites * rotation_in**2 / 4.0
+def mean_excitations(dist: MomentumDistribution, rotation_in: float) -> float:
+    """Excitations created by the first pulse to second order: N alpha^2 / 4.
+
+    N is the distribution's atom total, the N that metastable_population
+    normalizes by; the lattice site count differs from it for metallic.
+    """
+    return dist.total_target * rotation_in**2 / 4.0
 
 
 def _cosine_sum(dist: MomentumDistribution, kappa, dt, spec: LatticeSpec):

@@ -18,7 +18,6 @@ from .classical import DriveParameters, expected_sigma_z, mean_excitations, meta
 from .distributions import Statistics
 from .emission import ProbeGeometry, _build_distribution, emission_curve
 from .lattice import LatticeSpec, Mode, validate_mode
-from .oracle import verification_suite
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
@@ -137,7 +136,7 @@ def _parse_kappa(text: str, L: int) -> Mode:
 
 def _parse_state(text: str, statistics: Statistics) -> tuple[str, dict]:
     """Split a `--state` selector into a scenario name and its keyword arguments."""
-    name, _, params = text.partition(":")
+    name, colon, params = text.partition(":")
     allowed = _BOSE_STATES if statistics is Statistics.BOSE else _FERMI_STATES
     if name not in allowed:
         raise _UsageError(f"state {name!r} is not available for {statistics.value} statistics")
@@ -152,6 +151,8 @@ def _parse_state(text: str, statistics: Statistics) -> tuple[str, dict]:
             return name, {"inverse_temperature": float(params)}
         except ValueError:
             raise _UsageError("thermal state needs 'thermal:inverse_temperature'") from None
+    if colon:
+        raise _UsageError(f"state {name!r} takes no parameters, got {text!r}")
     return name, {}
 
 
@@ -209,12 +210,15 @@ def _run_classical(args) -> int:
     beta_rot = -alpha if args.beta_rot is None else args.beta_rot
     drive = DriveParameters(alpha, beta_rot, kappa, grid)
     sigma_z = expected_sigma_z(dist, drive, spec)
-    n_meta = metastable_population(dist, mean_excitations(spec, alpha), kappa, grid, spec)
+    n_meta = metastable_population(dist, mean_excitations(dist, alpha), kappa, grid, spec)
     _write_columns(args.output, "delta_t,sigma_z,n_meta", grid, sigma_z, n_meta)
     return 0
 
 
 def _run_oracle(args) -> int:
+    # Only this subcommand needs the oracle and the scipy.sparse it imports.
+    from .oracle import verification_suite
+
     results = verification_suite()
     width = max(len(result.name) for result in results)
     lines = []

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0
 
 from .distributions import (
     MomentumDistribution,
@@ -133,6 +132,10 @@ def bessel_envelope(kappa: tuple[int, int], dt, spec: LatticeSpec):
     Accurate for |kappa| ell << 1 and L >> 1; degrades gracefully otherwise.
     Accepts scalar or array dt.
     """
+    # scipy is imported here, not at module level: no CLI command needs it,
+    # and importing scipy.special would make up most of their start-up time.
+    from scipy.special import j0
+
     kx_ell = 2.0 * np.pi * kappa[0] / spec.L
     ky_ell = 2.0 * np.pi * kappa[1] / spec.L
     scale = 2.0 * spec.J / spec.Z

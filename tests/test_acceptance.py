@@ -311,7 +311,7 @@ def test_criterion_7e_vanishing_correlator_cases(spec2, oracle_setup, rng):
 def test_criterion_8_classical_drive(spec2, spec100, oracle_setup):
     # perfect reversal at dt = 0 and at J = 0
     dist = uniform(spec100)
-    nbar = mean_excitations(spec100, 0.01)
+    nbar = mean_excitations(dist, 0.01)
     dev = abs(metastable_population(dist, nbar, KAPPA, 0.0, spec100))
     frozen = LatticeSpec(L=100, J=0.0)
     for t in (0.0, 5.0, 60.0):
@@ -320,7 +320,7 @@ def test_criterion_8_classical_drive(spec2, spec100, oracle_setup):
 
     # small-angle agreement between the exact expectation and the quadratic form
     alpha = 0.01
-    nbar = mean_excitations(spec100, alpha)
+    nbar = mean_excitations(dist, alpha)
     rel_dev = 0.0
     for t in (0.5, 2.0, 7.0, 20.0):
         params = DriveParameters(alpha, -alpha, KAPPA, t)

@@ -60,14 +60,14 @@ class TestExpectedSigmaZ:
 class TestMetastablePopulation:
     def test_zero_wait(self):
         spec = LatticeSpec(L=10)
-        nbar = mean_excitations(spec, 0.01)
+        nbar = mean_excitations(uniform(spec), 0.01)
         assert metastable_population(uniform(spec), nbar, Mode(1, 1), 0.0, spec) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_no_tunneling_is_perfectly_reversed(self):
         spec = LatticeSpec(L=10, J=0.0)
-        nbar = mean_excitations(spec, 0.01)
+        nbar = mean_excitations(uniform(spec), 0.01)
         for t in (0.0, 5.0, 50.0):
             assert metastable_population(
                 uniform(spec), nbar, Mode(1, 1), t, spec
@@ -75,7 +75,7 @@ class TestMetastablePopulation:
 
     def test_L2_closed_form(self):
         spec = LatticeSpec(L=2)
-        nbar = mean_excitations(spec, 0.02)
+        nbar = mean_excitations(uniform(spec), 0.02)
         for t in (0.3, 1.0, 2.4):
             expected = 2.0 * nbar * (1.0 - np.cos(t))
             assert metastable_population(
@@ -84,7 +84,7 @@ class TestMetastablePopulation:
 
     def test_upper_bound(self):
         spec = LatticeSpec(L=10)
-        nbar = mean_excitations(spec, 0.05)
+        nbar = mean_excitations(uniform(spec), 0.05)
         for t in np.linspace(0, 40, 60):
             value = metastable_population(uniform(spec), nbar, Mode(5, 5), t, spec)
             assert 0.0 - 1e-12 <= value <= 4.0 * nbar + 1e-12
@@ -93,7 +93,7 @@ class TestMetastablePopulation:
         # the half-filled diamond at L = 10 holds 82 atoms, not N = 100
         spec = LatticeSpec(L=10)
         dist = metallic(spec)
-        nbar = mean_excitations(spec, 0.01)
+        nbar = mean_excitations(dist, 0.01)
         assert metastable_population(dist, nbar, Mode(1, 1), 0.0, spec) == pytest.approx(
             0.0, abs=1e-15
         )
@@ -103,7 +103,7 @@ class TestMetastablePopulation:
     def test_grid_matches_pointwise(self):
         spec = LatticeSpec(L=10)
         grid = np.linspace(0.0, 30.0, 13)
-        nbar = mean_excitations(spec, 0.05)
+        nbar = mean_excitations(uniform(spec), 0.05)
         for dist in (metallic(spec), bose_einstein(spec, 0.5)):
             batched = metastable_population(dist, nbar, Mode(2, -1), grid, spec)
             sigma_z = expected_sigma_z(dist, DriveParameters(0.3, -0.2, Mode(2, -1), grid), spec)
@@ -116,7 +116,7 @@ class TestMetastablePopulation:
 class TestPartialCondensationForm:
     def test_matches_general_formula(self):
         spec = LatticeSpec(L=10)
-        nbar = mean_excitations(spec, 0.01)
+        nbar = mean_excitations(uniform(spec), 0.01)
         n1, n2 = 60.0, 40.0
         dist = partial_condensation(spec, n1, n2)
         for kappa in (Mode(1, 0), Mode(1, 1), Mode(3, 2)):
@@ -163,7 +163,7 @@ class TestSmallAngleAgreement:
         # mismatch is the O(alpha^2) factor sin^2(a)/a^2 - 1 ~ a^2/3
         spec = LatticeSpec(L=10)
         alpha = 0.01
-        nbar = mean_excitations(spec, alpha)
+        nbar = mean_excitations(uniform(spec), alpha)
         dist = uniform(spec)
         for t in (0.5, 2.0, 7.0, 20.0):
             params = DriveParameters(alpha, -alpha, Mode(1, 1), t)

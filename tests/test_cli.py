@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dickeprobe.cli import main
@@ -102,6 +103,26 @@ class TestClassicalCommand:
         assert rows[0][2] == pytest.approx(0.0, abs=1e-12)
         assert all(v[2] >= -1e-12 for v in rows)
 
+    def test_metallic_nbar_from_atom_total(self, tmp_path):
+        # The half-filled diamond at L = 10 holds N = 82 atoms, not 100.  For
+        # the reversed sequence sigma_z + N/2 = (sin^2 a / 2)(N - S) and
+        # n_meta = 2 nbar (1 - S/N) = (a^2 / 2)(N - S), so the two columns
+        # agree up to the exact factor (a / sin a)^2; with nbar taken from
+        # the lattice they would differ by 100/82.
+        out = tmp_path / "metallic.csv"
+        alpha = 0.1
+        code = main(
+            ["classical", "--statistics", "fermi", "--state", "metallic",
+             "--L", "10", "--alpha", str(alpha), "--steps", "7", "--tmax", "50",
+             "-o", str(out)]
+        )
+        assert code == 0
+        _, sigma_z, n_meta = np.loadtxt(out, delimiter=",", skiprows=1).T
+        shifted = (sigma_z + 82 / 2) * (alpha / np.sin(alpha)) ** 2
+        # both columns are printed to 12 decimals, 5e-13 of rounding each
+        np.testing.assert_allclose(n_meta, shifted, rtol=0, atol=1e-12)
+        assert n_meta.max() > 0.1
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -169,6 +190,25 @@ class TestErrors:
         ids=lambda argv: " ".join(argv),
     )
     def test_non_finite_input(self, argv, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--L", "4", "-o", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--statistics", "bose", "--state", "uniform:garbage"],
+            ["curve", "--statistics", "bose", "--state", "superfluid:7"],
+            ["curve", "--statistics", "bose", "--state", "mott:1"],
+            ["curve", "--statistics", "fermi", "--state", "uniform:"],
+            ["curve", "--statistics", "fermi", "--state", "metallic:0.5"],
+            ["curve", "--statistics", "fermi", "--state", "neel:2"],
+            ["classical", "--statistics", "bose", "--state", "superfluid:7"],
+            ["classical", "--statistics", "fermi", "--state", "metallic:x"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_parameters_on_state_without_parameters(self, argv, tmp_path):
         out = tmp_path / "out.csv"
         assert main([*argv, "--L", "4", "-o", str(out)]) == 1
         assert not out.exists()

@@ -1,0 +1,47 @@
+"""Every CLI command except `oracle` runs on numpy alone.
+
+Importing scipy.special or the oracle (and its scipy.sparse) cost more than
+the work of a typical command, so they are loaded only by bessel_envelope
+and by `dickeprobe oracle`.  The check runs in a fresh interpreter, because
+this test session has imported both already.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+COMMANDS = """
+import os, sys
+import dickeprobe
+from dickeprobe.cli import main
+
+grid = ["--L", "4", "--steps", "5", "--kappa", "1,-1", "-o", os.devnull]
+runs = [
+    ["curve", "--statistics", "bose", "--state", "thermal:1"],
+    ["curve", "--statistics", "bose", "--state", "partial:8,8"],
+    ["curve", "--statistics", "fermi", "--state", "metallic"],
+    ["quench", "--statistics", "fermi"],
+    ["adiabatic", "--statistics", "fermi"],
+    ["classical", "--statistics", "bose", "--state", "superfluid"],
+    ["classical", "--statistics", "fermi", "--state", "thermal:2"],
+]
+for argv in runs:
+    assert main([*argv, *grid]) == 0, argv
+print("\\n".join(
+    name for name in sys.modules
+    if name == "scipy" or name.startswith("scipy.") or name == "dickeprobe.oracle"
+))
+"""
+
+
+def test_non_oracle_commands_load_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", COMMANDS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []

@@ -19,7 +19,15 @@ from dickeprobe.distributions import (
     uniform,
 )
 from dickeprobe.emission import quench_peak, separable_peak, ProbeGeometry
-from dickeprobe.lattice import LatticeSpec, Mode, mode_energy, mode_grid, mode_sub
+from dickeprobe.lattice import (
+    LatticeSpec,
+    Mode,
+    canonical_mode,
+    mode_energy,
+    mode_grid,
+    mode_index,
+    mode_sub,
+)
 from dickeprobe.oracle import (
     BasisSizeError,
     FockBasis,
@@ -465,6 +473,30 @@ class TestClassicalSequenceOracle:
                     assert exact == pytest.approx(
                         expected_sigma_z(dist, params, spec2), abs=1e-8
                     )
+
+    @pytest.mark.parametrize(
+        "occupied",
+        [
+            # both spins, two modes each; the spins see different dephasing rates
+            {(Mode(0, 0), 0): 1, (Mode(1, 1), 0): 1, (Mode(1, 0), 1): 1, (Mode(0, 1), 1): 1},
+            # one spin filling its whole band
+            {(Mode(0, 0), 0): 1, (Mode(1, 0), 0): 1, (Mode(0, 1), 0): 1, (Mode(1, 1), 0): 1},
+        ],
+        ids=["two-spins", "one-spin"],
+    )
+    def test_fermion_fock_state_matches_closed_form(self, spec2, fermi_basis, occupied):
+        # 4 fermions on the 8 ground-level modes of the 2 x 2 lattice: half filling
+        state = momentum_fock_state(fermi_basis, occupied)
+        occupations = np.zeros((2, spec2.L, spec2.L))
+        for (mode, spin), count in occupied.items():
+            occupations[(spin, *mode_index(canonical_mode(mode, spec2.L), spec2.L))] = count
+        dist = MomentumDistribution(Statistics.FERMI, occupations, float(spec2.sites))
+        # one kappa: each new kappa costs a dense 1820 x 1820 eigh of Sigma^x
+        for angles in ((0.2, -0.2), (0.3, 0.5)):
+            for dt in (0.0, 0.7, 1.4):
+                params = DriveParameters(angles[0], angles[1], Mode(1, 1), dt)
+                exact = classical_sequence_sigma_z(state, fermi_basis, spec2, params)
+                assert exact == pytest.approx(expected_sigma_z(dist, params, spec2), abs=1e-8)
 
     def test_requires_free_hamiltonian(self, bose_basis):
         spec = LatticeSpec(L=2, J=1.0, U=2.0)
