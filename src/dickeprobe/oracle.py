@@ -41,14 +41,10 @@ __all__ = [
     "FockBasis",
     "GROUND",
     "EXCITED",
-    "OracleScenario",
     "Propagator",
-    "apply_exciton",
     "build_lattice_hamiltonian",
     "classical_sequence_sigma_z",
-    "correlator_case_value",
-    "evolve",
-    "exact_normalized_peak",
+    "correlator_cases",
     "exact_peak_curve",
     "exciton_matrix",
     "momentum_fock_state",
@@ -261,12 +257,6 @@ def exciton_matrix(basis: FockBasis, kappa: tuple[int, int], direction: str) -> 
     return mat
 
 
-def apply_exciton(
-    state: np.ndarray, kappa: tuple[int, int], direction: str, basis: FockBasis
-) -> np.ndarray:
-    return exciton_matrix(basis, kappa, direction) @ state
-
-
 def sigma_z_diagonal(basis: FockBasis) -> np.ndarray:
     """Diagonal of Sigma^z = (1/2) sum (n_ex - n_gr)."""
     diag = np.empty(basis.dimension)
@@ -284,45 +274,29 @@ def sigma_x_matrix(basis: FockBasis, kappa: tuple[int, int]) -> sparse.csr_matri
 
 
 class Propagator:
-    """Exact evolution exp(-i H t) via one eigendecomposition, reused per time."""
+    """Exact evolution exp(-i H t) via one eigendecomposition, for any time grid."""
 
     def __init__(self, hamiltonian):
-        if sparse.issparse(hamiltonian):
-            H = hamiltonian.tocsr()
-            defect = (H - H.getH()).tocsr()
-            scale = max(1.0, float(np.abs(H.data).max()) if H.nnz else 0.0)
-            if defect.nnz and np.abs(defect.data).max() > 1e-12 * scale:
-                raise ValueError("hamiltonian is not Hermitian")
-            offdiag = (H - sparse.diags(H.diagonal())).tocsr()
-            offdiag.eliminate_zeros()
-            if offdiag.nnz == 0:
-                self._diag = np.real(H.diagonal())
-                self._vectors = None
-                return
-            H = H.toarray()
+        H = hamiltonian.toarray() if sparse.issparse(hamiltonian) else np.asarray(hamiltonian)
+        scale = max(1.0, float(np.abs(H).max(initial=0.0)))
+        if np.abs(H - H.conj().T).max(initial=0.0) > 1e-12 * scale:
+            raise ValueError("hamiltonian is not Hermitian")
+        diagonal = np.diag(H).copy()  # a view would keep the dense H alive
+        # a diagonal H (every J = 0 check) needs no eigh
+        if not np.any(H - np.diag(diagonal)):
+            self._diag, self._vectors = np.real(diagonal), None
         else:
-            H = np.asarray(hamiltonian)
-            scale = max(1.0, float(np.abs(H).max()))
-            if np.abs(H - H.conj().T).max() > 1e-12 * scale:
-                raise ValueError("hamiltonian is not Hermitian")
-            if not np.any(H - np.diag(np.diag(H))):
-                self._diag = np.real(np.diag(H))
-                self._vectors = None
-                return
-        values, vectors = np.linalg.eigh(H)
-        self._diag = values
-        self._vectors = vectors
+            self._diag, self._vectors = np.linalg.eigh(H)
 
-    def advance(self, state: np.ndarray, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self._diag * t)
+    def advance(self, state: np.ndarray, t) -> np.ndarray:
+        """exp(-i H t) |state>: a vector for scalar t, shape (T, dim) for T times."""
+        times = np.asarray(t, dtype=float)
+        phases = np.exp(-1j * times.reshape(-1, 1) * self._diag)
         if self._vectors is None:
-            return phases * state
-        return self._vectors @ (phases * (self._vectors.conj().T @ state))
-
-
-def evolve(state: np.ndarray, hamiltonian, t: float) -> np.ndarray:
-    """One-shot exp(-i H t) |state>; use Propagator directly for time sweeps."""
-    return Propagator(hamiltonian).advance(state, t)
+            evolved = phases * state
+        else:
+            evolved = (phases * (self._vectors.conj().T @ state)) @ self._vectors.T
+        return evolved.reshape(times.shape + state.shape)
 
 
 def _cached_propagator(basis: FockBasis, spec: LatticeSpec) -> Propagator:
@@ -447,39 +421,11 @@ def superfluid_state(basis: FockBasis) -> np.ndarray:
 # oracle observables
 
 
-@dataclass(frozen=True)
-class OracleScenario:
-    """Excitation-free initial state plus probe geometry and waiting time."""
-
-    state: np.ndarray
-    kappa_in: Mode
-    kappa_out: Mode
-    dt: float
-
-
 def _check_excitation_free(state: np.ndarray, basis: FockBasis) -> None:
     n_ex = np.array([sum(occ[EXCITED::2]) for occ in basis.states])
     weight = float(np.sum(n_ex * np.abs(state) ** 2))
     if weight > 1e-9:
         raise ValueError("initial state carries excited-level population")
-
-
-def exact_normalized_peak(scenario: OracleScenario, basis: FockBasis, spec: LatticeSpec) -> float:
-    """|<evolved state| Sigma^-(kout) e^{-iH dt} Sigma^+(kin) |state>|^2 / N^2.
-
-    This is the leading-order normalized emission peak under resonance, with
-    the pulse integrals cancelled against the single-atom reference.
-    """
-    return float(
-        exact_peak_curve(
-            scenario.state,
-            scenario.kappa_in,
-            scenario.kappa_out,
-            np.array([scenario.dt]),
-            basis,
-            spec,
-        )[0]
-    )
 
 
 def exact_peak_curve(
@@ -490,18 +436,18 @@ def exact_peak_curve(
     basis: FockBasis,
     spec: LatticeSpec,
 ) -> np.ndarray:
-    """exact_normalized_peak on a grid of waiting times, one diagonalization."""
+    """|<evolved state| Sigma^-(kout) e^{-iH dt} Sigma^+(kin) |state>|^2 / N^2 per dt.
+
+    This is the leading-order normalized emission peak under resonance, with
+    the pulse integrals cancelled against the single-atom reference.
+    """
     _check_excitation_free(state, basis)
     prop = _cached_propagator(basis, spec)
-    excited = apply_exciton(state, kappa_in, "create", basis)
+    excited = exciton_matrix(basis, kappa_in, "create") @ state
     minus = exciton_matrix(basis, kappa_out, "annihilate")
-    N2 = spec.sites**2
-    values = np.empty(len(dts))
-    for i, t in enumerate(dts):
-        emitted = minus @ prop.advance(excited, t)
-        reference = prop.advance(state, t)
-        values[i] = abs(np.vdot(reference, emitted)) ** 2 / N2
-    return values
+    emitted = (minus @ prop.advance(excited, dts).T).T
+    reference = prop.advance(state, dts)
+    return np.abs(np.sum(reference.conj() * emitted, axis=1)) ** 2 / spec.sites**2
 
 
 def _momentum_bilinear(
@@ -543,42 +489,37 @@ def momentum_four_point(state: np.ndarray, basis: FockBasis, query: CorrelatorQu
     right = _momentum_bilinear(
         basis, mode_sub(query.k, query.kappa_out, L), mode_sub(query.k, query.kappa_in, L), s1
     )
-    return complex(np.vdot(left.getH() @ state, right @ state))
+    return complex(np.vdot(state, left @ (right @ state)))
 
 
-def correlator_case_value(
-    state: np.ndarray,
-    basis: FockBasis,
-    spec: LatticeSpec,
-    sites: tuple[int, int, int, int],
-    spins: tuple[int, int, int, int],
-    t_absorb: float,
-    t_emit: float,
-) -> complex:
-    """Exact site-resolved correlator behind the separable-state analysis.
+def correlator_cases(
+    state: np.ndarray, basis: FockBasis, spec: LatticeSpec, t_absorb: float, t_emit: float
+) -> np.ndarray:
+    """Exact site-resolved correlators behind the separable-state analysis.
 
-    Evaluates <gr+ ex (eta, t) ex+ gr (rho, t') gr+ ex (mu, t') ex+ gr (nu, t)>
-    in the Heisenberg picture, with sites = (mu, nu, rho, eta) and
-    spins = (s1, s2, s3, s4).  Nonzero at leading order only for
+    Entry [mu, nu, rho, eta, s1, s2, s3, s4] is
+    <gr+ ex (eta, s4, t) ex+ gr (rho, s3, t') gr+ ex (mu, s1, t') ex+ gr (nu, s2, t)>
+    in the Heisenberg picture.  Nonzero at leading order only for
     mu = nu and rho = eta.
     """
-    mu, nu, rho, eta = sites
-    s1, s2, s3, s4 = spins
+    N, S = spec.sites, basis.n_spins
+    channels = [(site, s) for site in range(N) for s in range(S)]  # index site * S + s
+    lower = [
+        _bilinear(basis, basis.mode_id(site, s, GROUND), basis.mode_id(site, s, EXCITED))
+        for site, s in channels
+    ]
+    raise_ = [
+        _bilinear(basis, basis.mode_id(site, s, EXCITED), basis.mode_id(site, s, GROUND))
+        for site, s in channels
+    ]
     prop = _cached_propagator(basis, spec)
-    lower = lambda site, s: _bilinear(
-        basis, basis.mode_id(site, s, GROUND), basis.mode_id(site, s, EXCITED)
-    )
-    raise_ = lambda site, s: _bilinear(
-        basis, basis.mode_id(site, s, EXCITED), basis.mode_id(site, s, GROUND)
-    )
     base = prop.advance(state, t_absorb)
-    ket = raise_(nu, s2) @ base
-    ket = prop.advance(ket, t_emit - t_absorb)
-    ket = lower(mu, s1) @ ket
-    ket = raise_(rho, s3) @ ket
-    bra = raise_(eta, s4) @ base
-    bra = prop.advance(bra, t_emit - t_absorb)
-    return complex(np.vdot(bra, ket))
+    # column c: e^{-iH(t' - t)} ex+ gr (c) e^{-iH t} |state>
+    raised = np.stack([prop.advance(op @ base, t_emit - t_absorb) for op in raise_], axis=1)
+    lowered = [op @ raised for op in lower]
+    # values[rho s3, mu s1, eta s4, nu s2]
+    values = np.array([[raised.conj().T @ (up @ low) for low in lowered] for up in raise_])
+    return values.reshape((N, S) * 4).transpose(2, 6, 0, 4, 3, 7, 1, 5)
 
 
 def _site_transfer_amplitude(site_state: dict, n_spins: int) -> complex:
@@ -634,8 +575,7 @@ def separable_deviation(
     counts = [sum(next(iter(local.keys()))) for local in site_states]
     basis = FockBasis(spec, statistics, sum(counts))
     psi = product_state(basis, site_states)
-    scenario = OracleScenario(psi, canonical_mode(kappa_in, spec.L), canonical_mode(kappa_out, spec.L), dt)
-    exact = exact_normalized_peak(scenario, basis, spec)
+    exact = exact_peak_curve(psi, kappa_in, kappa_out, np.array([dt]), basis, spec)[0]
 
     dk = mode_sub(kappa_out, kappa_in, spec.L)
     coords = site_coordinates(spec)
@@ -660,21 +600,14 @@ def classical_sequence_sigma_z(
     if spec.U != 0:
         raise ValueError("the classical sequence oracle requires U = 0")
     _check_excitation_free(state, basis)
-    key = ("sigma-x-eig", canonical_mode(params.kappa, spec.L))
-    cached = basis._cache.get(key)
-    if cached is None:
-        values, vectors = np.linalg.eigh(sigma_x_matrix(basis, params.kappa).toarray())
-        cached = (values, vectors)
-        basis._cache[key] = cached
-    values, vectors = cached
-
-    def pulse(vec: np.ndarray, angle: float) -> np.ndarray:
-        return vectors @ (np.exp(-1j * values * angle) * (vectors.conj().T @ vec))
-
+    key = ("pulse", canonical_mode(params.kappa, spec.L))
+    if key not in basis._cache:
+        basis._cache[key] = Propagator(sigma_x_matrix(basis, params.kappa))
+    pulse = basis._cache[key]
     prop = _cached_propagator(basis, spec)
-    v = pulse(state, params.rotation_in)
+    v = pulse.advance(state, params.rotation_in)
     v = prop.advance(v, params.dt)
-    v = pulse(v, params.rotation_out)
+    v = pulse.advance(v, params.rotation_out)
     return float(np.real(np.vdot(v, sigma_z_diagonal(basis) * v)))
 
 
@@ -695,11 +628,12 @@ class CheckResult:
 
 def _ladder_deviation(basis: FockBasis, ground: np.ndarray, kappa: Mode) -> float:
     N = basis.spec.sites
+    plus = exciton_matrix(basis, kappa, "create")
     worst = 0.0
     v = ground
     expected = 1.0
     for n in range(min(3, N)):
-        v = apply_exciton(v, kappa, "create", basis)
+        v = plus @ v
         expected *= dicke_ladder_factor(N, n, "raise")
         worst = max(worst, abs(np.linalg.norm(v) - expected) / expected)
     return worst
@@ -772,26 +706,12 @@ def _quench_correlator_deviation(basis: FockBasis, state, spec: LatticeSpec, nee
 def _zero_case_deviation(
     basis: FockBasis, states, spec: LatticeSpec, t_absorb: float, t_emit: float
 ) -> float:
-    N = spec.sites
-    spin_choices = (
-        [(0, 0, 0, 0)]
-        if not basis.fermionic
-        else [(a, b, c, d) for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)]
+    same = np.eye(spec.sites, dtype=bool)
+    surviving = same[:, :, None, None] & same[None, None, :, :]  # mu = nu and rho = eta
+    return max(
+        float(np.abs(correlator_cases(state, basis, spec, t_absorb, t_emit)[~surviving]).max())
+        for state in states
     )
-    worst = 0.0
-    for state in states:
-        for mu in range(N):
-            for nu in range(N):
-                for rho in range(N):
-                    for eta in range(N):
-                        if mu == nu and rho == eta:
-                            continue  # the one surviving case
-                        for spins in spin_choices:
-                            value = correlator_case_value(
-                                state, basis, spec, (mu, nu, rho, eta), spins, t_absorb, t_emit
-                            )
-                            worst = max(worst, abs(value))
-    return worst
 
 
 def _random_bose_product(spec: LatticeSpec, rng: np.random.Generator):

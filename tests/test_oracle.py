@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -31,14 +32,10 @@ from dickeprobe.lattice import (
 from dickeprobe.oracle import (
     BasisSizeError,
     FockBasis,
-    OracleScenario,
     Propagator,
-    apply_exciton,
     build_lattice_hamiltonian,
     classical_sequence_sigma_z,
-    correlator_case_value,
-    evolve,
-    exact_normalized_peak,
+    correlator_cases,
     exact_peak_curve,
     exciton_matrix,
     momentum_fock_state,
@@ -52,6 +49,7 @@ from dickeprobe.oracle import (
     sigma_z_diagonal,
     superfluid_state,
     verification_suite,
+    _bilinear,
 )
 
 
@@ -111,7 +109,7 @@ class TestHamiltonian:
         H = build_lattice_hamiltonian(bose_basis, spec2)
         n_ex = np.array([sum(occ[1::2]) for occ in bose_basis.states])
         prop = Propagator(H)
-        state = apply_exciton(mott_state(bose_basis), Mode(1, 0), "create", bose_basis)
+        state = exciton_matrix(bose_basis, Mode(1, 0), "create") @ mott_state(bose_basis)
         state = state / np.linalg.norm(state)
         for t in (0.9, 4.4):
             evolved = prop.advance(state, t)
@@ -127,11 +125,11 @@ class TestExciton:
             (bose_basis, mott_state(bose_basis)),
             (fermi_basis, neel_state(fermi_basis)),
         ):
-            v = apply_exciton(ground, Mode(1, 1), "create", basis)
+            v = exciton_matrix(basis, Mode(1, 1), "create") @ ground
             assert np.linalg.norm(v) == pytest.approx(2.0, abs=1e-12)
 
     def test_annihilate_on_excitation_free_state(self, bose_basis):
-        v = apply_exciton(mott_state(bose_basis), Mode(1, 0), "annihilate", bose_basis)
+        v = exciton_matrix(bose_basis, Mode(1, 0), "annihilate") @ mott_state(bose_basis)
         assert np.linalg.norm(v) == 0.0
 
     def test_ground_state_sigma_z(self, bose_basis):
@@ -162,10 +160,11 @@ class TestExciton:
             (fermi_basis, neel_state(fermi_basis)),
         ):
             N = basis.spec.sites
+            plus = exciton_matrix(basis, Mode(1, 0), "create")
             v = ground
             expected = 1.0
             for n in range(3):
-                v = apply_exciton(v, Mode(1, 0), "create", basis)
+                v = plus @ v
                 expected *= dicke_ladder_factor(N, n, "raise")
                 assert np.linalg.norm(v) == pytest.approx(expected, rel=1e-10)
 
@@ -175,21 +174,21 @@ class TestEvolve:
         H = build_lattice_hamiltonian(bose_basis, spec2)
         v = rng.normal(size=bose_basis.dimension) + 0j
         v /= np.linalg.norm(v)
-        assert np.allclose(evolve(v, H, 0.0), v, atol=1e-12)
+        assert np.allclose(Propagator(H).advance(v, 0.0), v, atol=1e-12)
 
     def test_zero_hamiltonian_is_identity(self, bose_basis, rng):
         import scipy.sparse as sparse
 
         H = sparse.csr_matrix((bose_basis.dimension, bose_basis.dimension))
         v = rng.normal(size=bose_basis.dimension) + 0j
-        assert np.allclose(evolve(v, H, 3.3), v, atol=1e-12)
+        assert np.allclose(Propagator(H).advance(v, 3.3), v, atol=1e-12)
 
     def test_momentum_eigenstate_phase(self, spec2):
         basis = FockBasis(spec2, Statistics.BOSE, 1)
-        H = build_lattice_hamiltonian(basis, spec2)
+        prop = Propagator(build_lattice_hamiltonian(basis, spec2))
         for k in mode_grid(spec2):
             v = momentum_fock_state(basis, {k: 1})
-            evolved = evolve(v, H, 0.8)
+            evolved = prop.advance(v, 0.8)
             expected = np.exp(-1j * mode_energy(k, spec2) * 0.8) * v
             assert np.allclose(evolved, expected, atol=1e-12)
 
@@ -197,6 +196,25 @@ class TestEvolve:
         M = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         with pytest.raises(ValueError):
             Propagator(M)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [LatticeSpec(L=2, J=0.0, U=0.8), LatticeSpec(L=2, J=1.0, U=0.0)],
+        ids=["diagonal", "eigh"],
+    )
+    def test_grid_rows_match_scalar_calls(self, bose_basis, spec):
+        rng = np.random.default_rng(7)
+        prop = Propagator(build_lattice_hamiltonian(bose_basis, spec))
+        v = rng.normal(size=bose_basis.dimension) + 1j * rng.normal(size=bose_basis.dimension)
+        v /= np.linalg.norm(v)
+        times = np.array([0.0, 0.35, 1.7, 6.2])
+        grid = prop.advance(v, times)
+        assert grid.shape == (len(times), bose_basis.dimension)
+        for t, row in zip(times, grid):
+            single = prop.advance(v, t)
+            assert single.shape == (bose_basis.dimension,)
+            assert np.abs(row - single).max() < 1e-12
+        assert np.abs(grid[0] - v).max() < 1e-12
 
 
 class TestMomentumStates:
@@ -330,13 +348,11 @@ class TestEmissionOracle:
     def test_mott_frozen_lattice_peak(self, bose_basis):
         spec = LatticeSpec(L=2, J=0.0, U=0.0)
         mott = mott_state(bose_basis)
-        for t in (0.0, 1.0, 4.0):
-            scenario = OracleScenario(mott, Mode(1, 0), Mode(1, 0), t)
-            assert exact_normalized_peak(scenario, bose_basis, spec) == pytest.approx(
-                1.0, abs=1e-10
-            )
-            off = OracleScenario(mott, Mode(1, 0), Mode(0, 1), t)
-            assert exact_normalized_peak(off, bose_basis, spec) == pytest.approx(0.0, abs=1e-12)
+        dts = np.array([0.0, 1.0, 4.0])
+        peak = exact_peak_curve(mott, Mode(1, 0), Mode(1, 0), dts, bose_basis, spec)
+        assert peak == pytest.approx(np.ones(3), abs=1e-10)
+        off = exact_peak_curve(mott, Mode(1, 0), Mode(0, 1), dts, bose_basis, spec)
+        assert off == pytest.approx(np.zeros(3), abs=1e-12)
 
     def test_superfluid_peak_constant(self, spec2, bose_basis):
         sf = superfluid_state(bose_basis)
@@ -361,12 +377,10 @@ class TestEmissionOracle:
         assert np.abs(curve - target).max() < 1e-8
 
     def test_rejects_excited_initial_state(self, spec2, bose_basis):
-        excited = apply_exciton(mott_state(bose_basis), Mode(1, 0), "create", bose_basis)
+        excited = exciton_matrix(bose_basis, Mode(1, 0), "create") @ mott_state(bose_basis)
         excited /= np.linalg.norm(excited)
         with pytest.raises(ValueError):
-            exact_normalized_peak(
-                OracleScenario(excited, Mode(1, 0), Mode(1, 0), 1.0), bose_basis, spec2
-            )
+            exact_peak_curve(excited, Mode(1, 0), Mode(1, 0), np.array([1.0]), bose_basis, spec2)
 
 
 class TestSeparableCases:
@@ -374,15 +388,15 @@ class TestSeparableCases:
         spec = LatticeSpec(L=2, J=0.0, U=0.8)
         counts = rng.multinomial(4, [0.25] * 4)
         state = product_state(bose_basis, [{(int(n), 0): 1.0} for n in counts])
+        cases = correlator_cases(state, bose_basis, spec, 0.4, 1.1)
+        assert cases.shape == (4, 4, 4, 4, 1, 1, 1, 1)
         worst = 0.0
         survivors = 0.0
         for mu in range(4):
             for nu in range(4):
                 for rho in range(4):
                     for eta in range(4):
-                        value = correlator_case_value(
-                            state, bose_basis, spec, (mu, nu, rho, eta), (0, 0, 0, 0), 0.4, 1.1
-                        )
+                        value = cases[mu, nu, rho, eta, 0, 0, 0, 0]
                         if mu == nu and rho == eta:
                             survivors = max(survivors, abs(value))
                         else:
@@ -402,24 +416,71 @@ class TestSeparableCases:
                 }
             )
         state = product_state(fermi_basis, site_states)
-        spin_draws = [tuple(rng.integers(0, 2, size=4)) for _ in range(3)]
+        cases = correlator_cases(state, fermi_basis, spec, 0.4, 1.1)
+        assert cases.shape == (4, 4, 4, 4, 2, 2, 2, 2)
         for mu in range(4):
             for nu in range(4):
                 for rho in range(4):
                     for eta in range(4):
                         if mu == nu and rho == eta:
                             continue
-                        for spins in spin_draws:
-                            value = correlator_case_value(
-                                state,
-                                fermi_basis,
-                                spec,
-                                (mu, nu, rho, eta),
-                                spins,
-                                0.4,
-                                1.1,
-                            )
-                            assert abs(value) < 1e-12
+                        # every one of the 16 spin tuples
+                        assert np.abs(cases[mu, nu, rho, eta]).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "statistics, spec",
+        [
+            (Statistics.BOSE, LatticeSpec(L=2, J=0.0, U=0.8)),
+            (Statistics.BOSE, LatticeSpec(L=2, J=1.0, U=0.8)),
+            (Statistics.FERMI, LatticeSpec(L=2, J=0.0, U=0.8)),
+        ],
+        ids=["bose-frozen", "bose-hopping", "fermi-frozen"],
+    )
+    def test_cases_match_heisenberg_reference(self, bose_basis, fermi_basis, statistics, spec):
+        rng = np.random.default_rng(11)
+        basis = bose_basis if statistics is Statistics.BOSE else fermi_basis
+        if basis.fermionic:
+            site_states = [
+                {(1, 0, 0, 0): complex(np.cos(th / 2)), (0, 0, 1, 0): complex(np.sin(th / 2))}
+                for th in rng.uniform(0, np.pi, size=4)
+            ]
+        else:
+            site_states = [{(int(n), 0): 1.0} for n in rng.multinomial(4, [0.25] * 4)]
+        state = product_state(basis, site_states)
+        prop = Propagator(build_lattice_hamiltonian(basis, spec))
+        t_absorb, t_emit = 0.4, 1.1
+
+        def op(site, spin, create, annihilate):
+            return _bilinear(
+                basis, basis.mode_id(site, spin, create), basis.mode_id(site, spin, annihilate)
+            )
+
+        def reference(sites, spins):
+            # one Heisenberg-picture case, three propagations
+            mu, nu, rho, eta = sites
+            s1, s2, s3, s4 = spins
+            base = prop.advance(state, t_absorb)
+            ket = prop.advance(op(nu, s2, 1, 0) @ base, t_emit - t_absorb)
+            ket = op(rho, s3, 1, 0) @ (op(mu, s1, 0, 1) @ ket)
+            bra = prop.advance(op(eta, s4, 1, 0) @ base, t_emit - t_absorb)
+            return complex(np.vdot(bra, ket))
+
+        cases = correlator_cases(state, basis, spec, t_absorb, t_emit)
+        S = basis.n_spins
+        assert cases.shape == (4, 4, 4, 4) + (S,) * 4
+        sampled = [
+            tuple(int(i) for i in rng.integers(0, 4, size=4)) + tuple(int(s) for s in spins)
+            for spins in rng.integers(0, S, size=(40, 4))
+        ]
+        survivors = [
+            (mu, mu, rho, rho) + spins
+            for mu in range(4)
+            for rho in range(4)
+            for spins in itertools.product(range(S), repeat=4)
+        ]
+        for index in sampled + survivors:
+            assert abs(cases[index] - reference(index[:4], index[4:])) < 1e-12
+        assert max(abs(cases[index]) for index in survivors) > 0.1
 
     def test_frozen_lattice_amplitude_exact(self, spec2):
         spec = LatticeSpec(L=2, J=0.0, U=0.8)
@@ -438,10 +499,8 @@ class TestSeparableCases:
             # and the prediction itself equals the unit-filling Fourier peak
             expected = separable_peak(np.ones((2, 2)), ProbeGeometry(kin, kout))
             basis = FockBasis(spec, Statistics.FERMI, 4)
-            scenario = OracleScenario(neel_state(basis), kin, kout, 0.9)
-            assert exact_normalized_peak(scenario, basis, spec) == pytest.approx(
-                expected, abs=1e-12
-            )
+            peak = exact_peak_curve(neel_state(basis), kin, kout, np.array([0.9]), basis, spec)
+            assert peak[0] == pytest.approx(expected, abs=1e-12)
 
     def test_interaction_dominated_residual(self, spec2):
         # J/U = 0.01: the product formula holds up to a perturbative residual
