@@ -114,6 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_option(classical)
 
     oracle = sub.add_parser("oracle", help="run the exact-diagonalization cross-checks (2x2)")
+    oracle.add_argument(
+        "--json",
+        action="store_true",
+        help="write a JSON list of {name, deviation, tolerance, passed}, one per check",
+    )
     _add_output_option(oracle)
 
     return parser
@@ -220,17 +225,31 @@ def _run_oracle(args) -> int:
     from .oracle import verification_suite
 
     results = verification_suite()
-    width = max(len(result.name) for result in results)
-    lines = []
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        lines.append(
-            f"{status} {result.name:<{width}}  max deviation {result.deviation:.3e}"
-            f"  tolerance {result.tolerance:.1e}"
-        )
     n_pass = sum(result.passed for result in results)
-    lines.append(f"oracle suite: {n_pass}/{len(results)} checks passed")
-    report = "\n".join(lines) + "\n"
+    if args.json:
+        import json
+
+        rows = [
+            {
+                "name": result.name,
+                "deviation": float(result.deviation),
+                "tolerance": float(result.tolerance),
+                "passed": bool(result.passed),
+            }
+            for result in results
+        ]
+        report = json.dumps(rows, indent=2) + "\n"
+    else:
+        width = max(len(result.name) for result in results)
+        lines = []
+        for result in results:
+            status = "PASS" if result.passed else "FAIL"
+            lines.append(
+                f"{status} {result.name:<{width}}  max deviation {result.deviation:.3e}"
+                f"  tolerance {result.tolerance:.1e}"
+            )
+        lines.append(f"oracle suite: {n_pass}/{len(results)} checks passed")
+        report = "\n".join(lines) + "\n"
     if args.output == "-":
         sys.stdout.write(report)
     else:

@@ -189,6 +189,26 @@ def _bilinear(basis: FockBasis, create_id: int, annihilate_id: int) -> sparse.cs
     return mat
 
 
+def _bilinear_sum(basis: FockBasis, terms) -> sparse.csr_matrix:
+    """sum coeff * a+_{create} a_{annihilate} over (coeff, create_id, annihilate_id) terms.
+
+    The cached bilinears are concatenated as COO triplets and summed in one
+    CSR construction, not one sparse addition per term.
+    """
+    rows, cols, vals = [], [], []
+    for coeff, create_id, annihilate_id in terms:
+        term = _bilinear(basis, create_id, annihilate_id)
+        rows.append(np.repeat(np.arange(basis.dimension), np.diff(term.indptr)))
+        cols.append(term.indices)
+        vals.append(coeff * term.data)
+    mat = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(basis.dimension, basis.dimension),
+    )
+    mat.eliminate_zeros()
+    return mat
+
+
 def build_lattice_hamiltonian(basis: FockBasis, spec: LatticeSpec) -> sparse.csr_matrix:
     """Two-level lattice Hamiltonian: level-diagonal hopping plus on-site repulsion.
 
@@ -205,17 +225,18 @@ def build_lattice_hamiltonian(basis: FockBasis, spec: LatticeSpec) -> sparse.csr
         return cached
     A = adjacency_matrix(spec)
     N = spec.sites
-    H = sparse.csr_matrix((basis.dimension, basis.dimension), dtype=float)
     coeff = -spec.J / spec.Z
-    for mu in range(N):
-        for nu in range(N):
-            if not A[mu, nu]:
-                continue
-            for spin in range(basis.n_spins):
-                for level in (GROUND, EXCITED):
-                    H = H + (coeff * A[mu, nu]) * _bilinear(
-                        basis, basis.mode_id(mu, spin, level), basis.mode_id(nu, spin, level)
-                    )
+    H = _bilinear_sum(
+        basis,
+        [
+            (coeff * A[mu, nu], basis.mode_id(mu, spin, level), basis.mode_id(nu, spin, level))
+            for mu in range(N)
+            for nu in range(N)
+            if A[mu, nu]
+            for spin in range(basis.n_spins)
+            for level in (GROUND, EXCITED)
+        ],
+    )
     diag = np.zeros(basis.dimension)
     for i, occ in enumerate(basis.states):
         for mu in range(N):
@@ -243,16 +264,16 @@ def exciton_matrix(basis: FockBasis, kappa: tuple[int, int], direction: str) -> 
     if cached is not None:
         return cached
     phases = _site_phases(basis, kappa)
-    mat = sparse.csr_matrix((basis.dimension, basis.dimension), dtype=complex)
+    terms = []
     for site in range(basis.spec.sites):
         for spin in range(basis.n_spins):
             gr = basis.mode_id(site, spin, GROUND)
             ex = basis.mode_id(site, spin, EXCITED)
             if direction == "create":
-                mat = mat + phases[site] * _bilinear(basis, ex, gr)
+                terms.append((phases[site], ex, gr))
             else:
-                mat = mat + np.conj(phases[site]) * _bilinear(basis, gr, ex)
-    mat = mat.tocsr()
+                terms.append((np.conj(phases[site]), gr, ex))
+    mat = _bilinear_sum(basis, terms)
     basis._cache[key] = mat
     return mat
 
@@ -273,29 +294,74 @@ def sigma_x_matrix(basis: FockBasis, kappa: tuple[int, int]) -> sparse.csr_matri
     return 0.5 * (plus + plus.getH())
 
 
+def _sector_labels(H: sparse.spmatrix) -> np.ndarray:
+    """Connected components of H's nonzero pattern, diagonal included.
+
+    Each state is labelled with the smallest index in its component: every
+    state repeatedly takes the smallest label among its neighbours, with
+    pointer jumping, until no label changes.
+    """
+    n = H.shape[0]
+    rows, cols = H.nonzero()
+    loops = np.arange(n)
+    pattern = sparse.csr_matrix(
+        (np.ones(2 * len(rows) + n), (np.r_[rows, cols, loops], np.r_[cols, rows, loops])),
+        shape=(n, n),
+    )
+    labels = loops
+    while True:
+        lowest = np.minimum.reduceat(labels[pattern.indices], pattern.indptr[:-1])
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, labels):
+            return labels
+        labels = lowest
+
+
 class Propagator:
-    """Exact evolution exp(-i H t) via one eigendecomposition, for any time grid."""
+    """Exact evolution exp(-i H t), for any time grid.
+
+    H is diagonalized one sector at a time: the sectors are the connected
+    components of its nonzero pattern, i.e. the blocks of the quantum numbers
+    it conserves.  Sectors of equal size share one stacked eigh; a 1 x 1
+    sector is its own eigenvalue.
+    """
 
     def __init__(self, hamiltonian):
-        H = hamiltonian.toarray() if sparse.issparse(hamiltonian) else np.asarray(hamiltonian)
-        scale = max(1.0, float(np.abs(H).max(initial=0.0)))
-        if np.abs(H - H.conj().T).max(initial=0.0) > 1e-12 * scale:
+        H = sparse.csr_matrix(hamiltonian)
+        scale = max(1.0, float(abs(H).max()))
+        if abs(H - H.conj().T).max() > 1e-12 * scale:
             raise ValueError("hamiltonian is not Hermitian")
-        diagonal = np.diag(H).copy()  # a view would keep the dense H alive
-        # a diagonal H (every J = 0 check) needs no eigh
-        if not np.any(H - np.diag(diagonal)):
-            self._diag, self._vectors = np.real(diagonal), None
-        else:
-            self._diag, self._vectors = np.linalg.eigh(H)
+        labels = _sector_labels(H)
+        order = np.argsort(labels, kind="stable")
+        _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+        entries = H.tocoo()
+        block = np.empty(len(labels), dtype=int)
+        position = np.empty(len(labels), dtype=int)
+        self._groups = []
+        for size in np.unique(sizes):
+            members = order[starts[sizes == size, None] + np.arange(size)]  # (sectors, size)
+            block.fill(-1)
+            block[members] = np.arange(len(members))[:, None]
+            position[members] = np.arange(size)
+            inside = block[entries.row] >= 0
+            rows, cols = entries.row[inside], entries.col[inside]
+            blocks = np.zeros((len(members), size, size), dtype=H.dtype)
+            np.add.at(blocks, (block[rows], position[rows], position[cols]), entries.data[inside])
+            if size == 1:
+                energies, vectors = blocks[:, 0].real, np.ones_like(blocks)
+            else:
+                energies, vectors = np.linalg.eigh(blocks)
+            self._groups.append((members, energies, vectors))
 
     def advance(self, state: np.ndarray, t) -> np.ndarray:
         """exp(-i H t) |state>: a vector for scalar t, shape (T, dim) for T times."""
         times = np.asarray(t, dtype=float)
-        phases = np.exp(-1j * times.reshape(-1, 1) * self._diag)
-        if self._vectors is None:
-            evolved = phases * state
-        else:
-            evolved = (phases * (self._vectors.conj().T @ state)) @ self._vectors.T
+        flat = times.reshape(-1, 1, 1)
+        evolved = np.empty((flat.shape[0],) + state.shape, dtype=complex)
+        for members, energies, vectors in self._groups:
+            coefficients = np.einsum("bji,bj->bi", vectors.conj(), state[members])
+            phases = np.exp(-1j * flat * energies)
+            evolved[:, members] = np.einsum("bij,tbj->tbi", vectors, phases * coefficients)
         return evolved.reshape(times.shape + state.shape)
 
 
@@ -466,14 +532,18 @@ def _momentum_bilinear(
     phases_c = _site_phases(basis, k_create)
     phases_a = np.conj(_site_phases(basis, k_annihilate))
     N = basis.spec.sites
-    mat = sparse.csr_matrix((basis.dimension, basis.dimension), dtype=complex)
-    for mu in range(N):
-        for nu in range(N):
-            weight = phases_c[mu] * phases_a[nu] / N
-            mat = mat + weight * _bilinear(
-                basis, basis.mode_id(mu, spin, GROUND), basis.mode_id(nu, spin, GROUND)
+    mat = _bilinear_sum(
+        basis,
+        [
+            (
+                phases_c[mu] * phases_a[nu] / N,
+                basis.mode_id(mu, spin, GROUND),
+                basis.mode_id(nu, spin, GROUND),
             )
-    mat = mat.tocsr()
+            for mu in range(N)
+            for nu in range(N)
+        ],
+    )
     basis._cache[key] = mat
     return mat
 

@@ -230,3 +230,20 @@ class TestOracleCommand:
         assert lines[-1].startswith("oracle suite:")
         assert "13/13 checks passed" in lines[-1]
         assert all(line.startswith("PASS") for line in lines[:-1])
+
+    def test_json_report_matches_text_report(self, tmp_path):
+        import json
+
+        text_out, json_out = tmp_path / "report.txt", tmp_path / "report.json"
+        assert main(["oracle", "-o", str(text_out)]) == 0
+        assert main(["oracle", "--json", "-o", str(json_out)]) == 0
+        rows = json.loads(json_out.read_text())
+        lines = text_out.read_text().splitlines()[:-1]
+        assert len(rows) == len(lines) == 13
+        for row, line in zip(rows, lines):
+            assert set(row) == {"name", "deviation", "tolerance", "passed"}
+            assert row["passed"] is True
+            assert line.split() == [
+                "PASS", row["name"], "max", "deviation", f"{row['deviation']:.3e}",
+                "tolerance", f"{row['tolerance']:.1e}",
+            ]

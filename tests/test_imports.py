@@ -2,8 +2,10 @@
 
 Importing scipy.special or the oracle (and its scipy.sparse) cost more than
 the work of a typical command, so they are loaded only by bessel_envelope
-and by `dickeprobe oracle`.  The check runs in a fresh interpreter, because
-this test session has imported both already.
+and by `dickeprobe oracle`.  The oracle itself needs scipy.sparse only:
+scipy.sparse.csgraph and scipy.linalg would add import time to every
+`dickeprobe oracle` run.  The checks run in a fresh interpreter, because
+this test session has imported all of them already.
 """
 
 import os
@@ -37,11 +39,32 @@ print("\\n".join(
 """
 
 
-def test_non_oracle_commands_load_no_scipy():
+def _loaded_in_fresh_interpreter(code: str) -> list[str]:
+    """The module names `code` prints, run in a new interpreter on this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", COMMANDS], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == []
+    return result.stdout.split()
+
+
+def test_non_oracle_commands_load_no_scipy():
+    assert _loaded_in_fresh_interpreter(COMMANDS) == []
+
+
+ORACLE_COMMAND = """
+import os, sys
+from dickeprobe.cli import main
+
+assert main(["oracle", "-o", os.devnull]) == 0
+print("\\n".join(
+    name for name in sys.modules
+    if name.startswith(("scipy.sparse.csgraph", "scipy.linalg"))
+))
+"""
+
+
+def test_oracle_command_loads_no_csgraph_or_linalg():
+    assert _loaded_in_fresh_interpreter(ORACLE_COMMAND) == []

@@ -46,10 +46,12 @@ from dickeprobe.oracle import (
     neel_state,
     product_state,
     separable_deviation,
+    sigma_x_matrix,
     sigma_z_diagonal,
     superfluid_state,
     verification_suite,
     _bilinear,
+    _sector_labels,
 )
 
 
@@ -169,6 +171,10 @@ class TestExciton:
                 assert np.linalg.norm(v) == pytest.approx(expected, rel=1e-10)
 
 
+# (J, U) of the lattice Hamiltonian, or None for Sigma^x(1, 1)
+_OPERATORS = {"hopping": (1.0, 0.0), "hubbard": (1.0, 3.0), "frozen": (0.0, 0.8), "sigma-x": None}
+
+
 class TestEvolve:
     def test_zero_time_is_identity(self, bose_basis, spec2, rng):
         H = build_lattice_hamiltonian(bose_basis, spec2)
@@ -196,6 +202,53 @@ class TestEvolve:
         M = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         with pytest.raises(ValueError):
             Propagator(M)
+
+    def test_rejects_sparse_non_hermitian(self):
+        import scipy.sparse as sparse
+
+        M = sparse.random(6, 6, density=0.5, random_state=3, format="csr")
+        M = M + sparse.identity(6, format="csr")
+        with pytest.raises(ValueError):
+            Propagator(M)
+
+    @pytest.mark.parametrize(
+        "statistics, n_particles, operator",
+        [
+            (statistics, n_particles, operator)
+            for statistics, n_particles in ((Statistics.BOSE, 4), (Statistics.FERMI, 2))
+            for operator in _OPERATORS
+        ]
+        # one dense 1820 x 1820 reference: the largest basis the suite evolves
+        + [(Statistics.FERMI, 4, "hopping")],
+        ids=lambda value: getattr(value, "value", value),
+    )
+    def test_matches_dense_reference(self, statistics, n_particles, operator):
+        basis = FockBasis(LatticeSpec(L=2), statistics, n_particles)
+        if operator == "sigma-x":
+            H = sigma_x_matrix(basis, Mode(1, 1))
+        else:
+            J, U = _OPERATORS[operator]
+            H = build_lattice_hamiltonian(basis, LatticeSpec(L=2, J=J, U=U))
+        rng = np.random.default_rng(11)
+        v = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+        v /= np.linalg.norm(v)
+        times = np.array([0.0, 0.35, 1.7, 6.2])
+        # the full-basis eigendecomposition the sector propagator replaces
+        energies, vectors = np.linalg.eigh(H.toarray())
+        dense = (np.exp(-1j * np.outer(times, energies)) * (vectors.conj().T @ v)) @ vectors.T
+        assert np.abs(Propagator(H).advance(v, times) - dense).max() < 1e-12
+
+    def test_sector_labels_on_fermion_basis(self, spec2, fermi_basis):
+        # hopping conserves the count of each (spin, level): 35 ways to place 4 fermions
+        _, sizes = np.unique(
+            _sector_labels(build_lattice_hamiltonian(fermi_basis, spec2)), return_counts=True
+        )
+        assert len(sizes) == 35 and sizes.max() == 256 and sizes.sum() == 1820
+        # Sigma^x conserves each site's occupation: at most four singly held (site, spin)
+        _, sizes = np.unique(
+            _sector_labels(sigma_x_matrix(fermi_basis, Mode(1, 1))), return_counts=True
+        )
+        assert len(sizes) == 266 and sizes.max() == 16 and sizes.sum() == 1820
 
     @pytest.mark.parametrize(
         "spec",
@@ -550,12 +603,14 @@ class TestClassicalSequenceOracle:
         for (mode, spin), count in occupied.items():
             occupations[(spin, *mode_index(canonical_mode(mode, spec2.L), spec2.L))] = count
         dist = MomentumDistribution(Statistics.FERMI, occupations, float(spec2.sites))
-        # one kappa: each new kappa costs a dense 1820 x 1820 eigh of Sigma^x
-        for angles in ((0.2, -0.2), (0.3, 0.5)):
-            for dt in (0.0, 0.7, 1.4):
-                params = DriveParameters(angles[0], angles[1], Mode(1, 1), dt)
-                exact = classical_sequence_sigma_z(state, fermi_basis, spec2, params)
-                assert exact == pytest.approx(expected_sigma_z(dist, params, spec2), abs=1e-8)
+        for kappa in (Mode(1, 0), Mode(0, 1), Mode(1, 1)):
+            for angles in ((0.2, -0.2), (0.3, 0.5)):
+                for dt in (0.0, 0.7, 1.4):
+                    params = DriveParameters(angles[0], angles[1], kappa, dt)
+                    exact = classical_sequence_sigma_z(state, fermi_basis, spec2, params)
+                    assert exact == pytest.approx(
+                        expected_sigma_z(dist, params, spec2), abs=1e-8
+                    )
 
     def test_requires_free_hamiltonian(self, bose_basis):
         spec = LatticeSpec(L=2, J=1.0, U=2.0)
