@@ -77,13 +77,13 @@ def metastable_population(
 ):
     """Atoms left in the metastable level after a reversed small-angle sequence.
 
-    2 nbar (1 - (1/N) sum_{p,s} n_s(p-kappa) cos(phi_p^kappa(dt))) with N the
-    distribution's atom total, valid for rotation_out = -rotation_in and
+    2 nbar (1 - Re C(dt)), C(dt) = sum_{p,s} n_s(p-kappa) exp(i phi_p^kappa(dt))
+    over sum_{p,s} n_s(p) the coherent amplitude, so n_meta(0) = 0 whatever
+    residual the chemical-potential solve left; valid for rotation_out = -rotation_in and
     nbar = N alpha^2 / 4 << N.  Bounded by [0, 4 nbar]; 0 at dt = 0 or
     J = 0 (perfect back-rotation).  dt may be a scalar or a 1-d array.
     """
-    S = _cosine_sum(dist, kappa, dt, spec)
-    return 2.0 * nbar * (1.0 - S / dist.total_target)
+    return 2.0 * nbar * (1.0 - coherent_amplitude(dist, kappa, dt, spec).real)
 
 
 def metastable_population_partial_condensation(

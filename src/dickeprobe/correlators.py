@@ -96,7 +96,9 @@ def neel_correlator(query: CorrelatorQuery, spec: LatticeSpec) -> float:
 
     d_kappa + d_kq / 2.  (The checkerboard sub-lattice sums also produce a
     -1/2 at k - q = (pi/ell, pi/ell); that piece never reaches the coherent
-    N^2 peak and is dropped here, matching the closed form used downstream.)
+    N^2 peak and is dropped here, matching the closed form used downstream.
+    The oracle's `neel-sublattice-gap` check measures that the exact value
+    sits exactly 1/2 below this one there.)
     """
     d_kappa, d_kq = _deltas(query, spec.L)
     return float(d_kappa) + 0.5 * d_kq

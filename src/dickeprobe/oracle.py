@@ -16,13 +16,20 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import scipy.sparse as sparse
 
 from .classical import DriveParameters, expected_sigma_z
-from .correlators import CorrelatorQuery, dicke_ladder_factor
+from .correlators import (
+    CorrelatorQuery,
+    bosonic_four_point,
+    dicke_ladder_factor,
+    fermionic_four_point,
+    mott_correlator,
+    neel_correlator,
+)
 from .distributions import MomentumDistribution, Statistics, superfluid, uniform
 from .emission import quench_peak
 from .lattice import (
@@ -47,8 +54,8 @@ __all__ = [
     "correlator_cases",
     "exact_peak_curve",
     "exciton_matrix",
+    "four_point_tensor",
     "momentum_fock_state",
-    "momentum_four_point",
     "mott_site_states",
     "mott_state",
     "neel_site_states",
@@ -107,9 +114,12 @@ def _compositions(total: int, parts: int):
 class FockBasis:
     """Complete occupation-number basis at fixed particle count.
 
-    Bosons use one spin channel, fermions two.  The state list is
-    duplicate-free and canonically ordered (descending-lexicographic for
-    bosons, combination order for fermions).
+    Bosons use one spin channel, fermions two.  Row i of `occupations` is
+    state i; the rows are duplicate-free and canonically ordered
+    (descending-lexicographic for bosons, combination order for fermions).
+    Each state also carries an exact integer code, its occupations read as
+    digits of base max-occupation + 1 with mode 0 most significant; states
+    are looked up by binary search on the sorted codes.
     """
 
     def __init__(self, spec: LatticeSpec, statistics: Statistics, n_particles: int):
@@ -130,60 +140,92 @@ class FockBasis:
                 raise BasisSizeError(
                     f"fermionic oracle caps particles at 2 * sites = {2 * spec.sites}"
                 )
-            states = []
-            for occupied in combinations(range(self.n_modes), n_particles):
-                occ = [0] * self.n_modes
-                for mode in occupied:
-                    occ[mode] = 1
-                states.append(tuple(occ))
-            self.states = states
+            base = 2
         else:
             dim = math.comb(n_particles + self.n_modes - 1, self.n_modes - 1)
             if dim > _BOSON_DIMENSION_CAP:
                 raise BasisSizeError(
                     f"bosonic basis dimension {dim} exceeds cap {_BOSON_DIMENSION_CAP}"
                 )
-            self.states = list(_compositions(n_particles, self.n_modes))
+            base = n_particles + 1
+        if base**self.n_modes > np.iinfo(np.int64).max:
+            raise BasisSizeError(
+                f"state codes of base {base} over {self.n_modes} modes overflow int64"
+            )
 
-        self.dimension = len(self.states)
-        self.index = {occ: i for i, occ in enumerate(self.states)}
+        # the caps above keep every occupation below 128
+        if self.fermionic:
+            occupied = list(combinations(range(self.n_modes), n_particles))
+            occupations = np.zeros((len(occupied), self.n_modes), dtype=np.int8)
+            modes = np.array(occupied, dtype=np.intp).reshape(len(occupied), n_particles)
+            occupations[np.arange(len(occupied))[:, None], modes] = 1
+            # parity of the occupied modes below each mode: the fermion sign
+            self._parity_below = (np.cumsum(occupations, axis=1) - occupations) % 2
+        else:
+            occupations = np.array(
+                list(_compositions(n_particles, self.n_modes)), dtype=np.int8
+            )
+        self.occupations = occupations
+        self.dimension = len(occupations)
+        self._weights = base ** np.arange(self.n_modes - 1, -1, -1, dtype=np.int64)
+        self._codes = occupations @ self._weights
+        self._order = np.argsort(self._codes)
+        self._sorted_codes = self._codes[self._order]
         self._cache: dict = {}
 
     def mode_id(self, site: int, spin: int, level: int) -> int:
         return (site * self.n_spins + spin) * 2 + level
 
+    def _rows(self, codes: np.ndarray) -> np.ndarray:
+        """Basis rows of the states with these codes; a code outside the basis gets some row."""
+        found = np.searchsorted(self._sorted_codes, codes)
+        return self._order[np.minimum(found, self.dimension - 1)]
+
     def vector(self, amplitudes: dict[tuple[int, ...], complex]) -> np.ndarray:
         """Dense state vector from an occupation -> amplitude mapping."""
+        configurations = list(amplitudes)
+        if any(len(occ) != self.n_modes for occ in configurations):
+            raise ValueError(f"configurations must give all {self.n_modes} mode occupations")
+        occ = np.array(configurations, dtype=np.int64).reshape(-1, self.n_modes)
+        rows = self._rows(occ @ self._weights)
+        missing = np.any(self.occupations[rows] != occ, axis=1)
+        if missing.any():
+            raise ValueError(
+                f"configuration {configurations[np.argmax(missing)]} is not in the "
+                f"{self.n_particles}-particle basis"
+            )
         v = np.zeros(self.dimension, dtype=complex)
-        for occ, amp in amplitudes.items():
-            try:
-                v[self.index[occ]] = amp
-            except KeyError:
-                raise ValueError(
-                    f"configuration {occ} is not in the {self.n_particles}-particle basis"
-                ) from None
+        v[rows] = list(amplitudes.values())
         return v
 
 
 def _bilinear(basis: FockBasis, create_id: int, annihilate_id: int) -> sparse.csr_matrix:
-    """Sparse matrix of a+_{create} a_{annihilate}, cached per index pair."""
+    """Sparse matrix of a+_{create} a_{annihilate}, cached per index pair.
+
+    Every state that can be lowered at `annihilate_id` and then raised at
+    `create_id` gives one entry; its target row is found from the state code,
+    and a fermion sign is the parity of the occupied modes below each mode.
+    """
     key = ("bilinear", create_id, annihilate_id)
     cached = basis._cache.get(key)
     if cached is not None:
         return cached
-    rows, cols, vals = [], [], []
-    for col, occ in enumerate(basis.states):
-        lowered = _annihilate(occ, annihilate_id, basis.fermionic)
-        if lowered is None:
-            continue
-        raised = _create(lowered[0], create_id, basis.fermionic)
-        if raised is None:
-            continue
-        rows.append(basis.index[raised[0]])
-        cols.append(col)
-        vals.append(lowered[1] * raised[1])
+    occ = basis.occupations
+    n_lowered = occ[:, annihilate_id].astype(float)
+    # occupation of the created mode once the annihilated one is lowered
+    n_raised = occ[:, create_id] - (create_id == annihilate_id)
+    if basis.fermionic:
+        cols = np.flatnonzero((n_lowered == 1) & (n_raised == 0))
+        parity = basis._parity_below[cols]
+        # lowering first empties annihilate_id, which sits below create_id or not
+        odd = parity[:, create_id] ^ parity[:, annihilate_id] ^ (annihilate_id < create_id)
+        vals = np.where(odd, -1.0, 1.0)
+    else:
+        cols = np.flatnonzero(n_lowered > 0)
+        vals = np.sqrt(n_lowered[cols]) * np.sqrt(n_raised[cols] + 1.0)
+    target = basis._codes[cols] - basis._weights[annihilate_id] + basis._weights[create_id]
     mat = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(basis.dimension, basis.dimension), dtype=float
+        (vals, (basis._rows(target), cols)), shape=(basis.dimension, basis.dimension), dtype=float
     )
     basis._cache[key] = mat
     return mat
@@ -237,12 +279,8 @@ def build_lattice_hamiltonian(basis: FockBasis, spec: LatticeSpec) -> sparse.csr
             for level in (GROUND, EXCITED)
         ],
     )
-    diag = np.zeros(basis.dimension)
-    for i, occ in enumerate(basis.states):
-        for mu in range(N):
-            block = occ[mu * basis.n_spins * 2 : (mu + 1) * basis.n_spins * 2]
-            n_mu = sum(block)
-            diag[i] += 0.5 * spec.U * n_mu * (n_mu - 1)
+    n_site = basis.occupations.reshape(basis.dimension, N, -1).sum(axis=2)
+    diag = (0.5 * spec.U * n_site * (n_site - 1)).sum(axis=1)
     result = (H + sparse.diags(diag)).tocsr()
     basis._cache[key] = result
     return result
@@ -280,12 +318,8 @@ def exciton_matrix(basis: FockBasis, kappa: tuple[int, int], direction: str) -> 
 
 def sigma_z_diagonal(basis: FockBasis) -> np.ndarray:
     """Diagonal of Sigma^z = (1/2) sum (n_ex - n_gr)."""
-    diag = np.empty(basis.dimension)
-    for i, occ in enumerate(basis.states):
-        n_ex = sum(occ[EXCITED::2])
-        n_gr = sum(occ[GROUND::2])
-        diag[i] = 0.5 * (n_ex - n_gr)
-    return diag
+    occ = basis.occupations
+    return 0.5 * (occ[:, EXCITED::2].sum(axis=1) - occ[:, GROUND::2].sum(axis=1))
 
 
 def sigma_x_matrix(basis: FockBasis, kappa: tuple[int, int]) -> sparse.csr_matrix:
@@ -488,7 +522,7 @@ def superfluid_state(basis: FockBasis) -> np.ndarray:
 
 
 def _check_excitation_free(state: np.ndarray, basis: FockBasis) -> None:
-    n_ex = np.array([sum(occ[EXCITED::2]) for occ in basis.states])
+    n_ex = basis.occupations[:, EXCITED::2].sum(axis=1)
     weight = float(np.sum(n_ex * np.abs(state) ** 2))
     if weight > 1e-9:
         raise ValueError("initial state carries excited-level population")
@@ -516,50 +550,41 @@ def exact_peak_curve(
     return np.abs(np.sum(reference.conj() * emitted, axis=1)) ** 2 / spec.sites**2
 
 
-def _momentum_bilinear(
-    basis: FockBasis, k_create: tuple[int, int], k_annihilate: tuple[int, int], spin: int
-) -> sparse.csr_matrix:
-    """a+_{k_create, spin, gr} a_{k_annihilate, spin, gr} as a sparse matrix."""
-    key = (
-        "momentum-bilinear",
-        canonical_mode(k_create, basis.spec.L),
-        canonical_mode(k_annihilate, basis.spec.L),
-        spin,
-    )
-    cached = basis._cache.get(key)
-    if cached is not None:
-        return cached
-    phases_c = _site_phases(basis, k_create)
-    phases_a = np.conj(_site_phases(basis, k_annihilate))
-    N = basis.spec.sites
-    mat = _bilinear_sum(
-        basis,
+def _mode_difference(spec: LatticeSpec) -> np.ndarray:
+    """D[i, j] = grid index of mode_sub(grid[i], grid[j]), grid in mode_grid order."""
+    L = spec.L
+    lo = -(L // 2) + 1
+    modes = np.array(mode_grid(spec))
+    diff = (modes[:, None, :] - modes[None, :, :] - lo) % L
+    return diff[..., 0] * L + diff[..., 1]
+
+
+def four_point_tensor(state: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """Every exact <a+_{q-kin,s2} a_{q-kout,s2} a+_{k-kout,s1} a_{k-kin,s1}> in `state`.
+
+    Entry [k, q, kin, kout, s1, s2] indexes the modes in mode_grid order and
+    the ground-level spins (one spin for bosons).  With
+    V[:, s, a, b] = a+_{a,s} a_{b,s} |state>, each expectation
+    <B(c, d) B(a, b)> = <B(d, c) state | B(a, b) state> is one entry of the
+    Gram matrix V^H V.
+    """
+    N, S = basis.spec.sites, basis.n_spins
+    W = np.stack(
         [
-            (
-                phases_c[mu] * phases_a[nu] / N,
-                basis.mode_id(mu, spin, GROUND),
-                basis.mode_id(nu, spin, GROUND),
-            )
+            _bilinear(basis, basis.mode_id(mu, s, GROUND), basis.mode_id(nu, s, GROUND)) @ state
+            for s in range(S)
             for mu in range(N)
             for nu in range(N)
         ],
-    )
-    basis._cache[key] = mat
-    return mat
-
-
-def momentum_four_point(state: np.ndarray, basis: FockBasis, query: CorrelatorQuery) -> complex:
-    """Exact <a+_{q-kin,s2} a_{q-kout,s2} a+_{k-kout,s1} a_{k-kin,s1}> in `state`."""
-    L = basis.spec.L
-    s1 = query.s1 or 0
-    s2 = query.s2 or 0
-    left = _momentum_bilinear(
-        basis, mode_sub(query.q, query.kappa_in, L), mode_sub(query.q, query.kappa_out, L), s2
-    )
-    right = _momentum_bilinear(
-        basis, mode_sub(query.k, query.kappa_out, L), mode_sub(query.k, query.kappa_in, L), s1
-    )
-    return complex(np.vdot(state, left @ (right @ state)))
+        axis=1,
+    ).reshape(-1, S, N, N)
+    phases = np.stack([_site_phases(basis, mode) for mode in mode_grid(basis.spec)])
+    V = np.einsum("dsmn,am,bn->dsab", W, phases, phases.conj()) / N
+    V = V.reshape(basis.dimension, -1)
+    gram = (V.conj().T @ V).reshape((S, N, N) * 2)
+    D = _mode_difference(basis.spec)
+    k, q, kin, kout, s1, s2 = np.ix_(*[range(N)] * 4, range(S), range(S))
+    return gram[s2, D[q, kout], D[q, kin], s1, D[k, kout], D[k, kin]]
 
 
 def correlator_cases(
@@ -722,55 +747,28 @@ def _commutator_deviation(basis: FockBasis, kappa: Mode, rng: np.random.Generato
     return worst
 
 
-def _four_point_deviation(basis: FockBasis, state, dist: MomentumDistribution) -> float:
-    from .correlators import bosonic_four_point, fermionic_four_point
-
-    grid = mode_grid(basis.spec)
-    spins = [(None, None)] if not basis.fermionic else [(a, b) for a in (0, 1) for b in (0, 1)]
-    worst = 0.0
-    for k in grid:
-        for q in grid:
-            for kin in grid:
-                for kout in grid:
-                    for s1, s2 in spins:
-                        query = CorrelatorQuery(k, q, kin, kout, s1, s2)
-                        exact = momentum_four_point(state, basis, query)
-                        if basis.fermionic:
-                            formula = fermionic_four_point(dist, query)
-                        else:
-                            formula = bosonic_four_point(dist, query)
-                        worst = max(worst, abs(exact - formula))
-    return worst
-
-
-def _quench_correlator_deviation(basis: FockBasis, state, spec: LatticeSpec, neel: bool) -> float:
-    from .correlators import mott_correlator, neel_correlator
-
+def _closed_form_tensor(spec: LatticeSpec, formula, spins=(None,)) -> np.ndarray:
+    """formula(CorrelatorQuery) at every (k, q, kin, kout, s1, s2), in four_point_tensor order."""
     grid = mode_grid(spec)
-    half = Mode(spec.L // 2, spec.L // 2)
-    worst = 0.0
-    for k in grid:
-        for q in grid:
-            if neel and mode_sub(k, q, spec.L) == half:
-                continue  # published closed form drops the sub-lattice term here
-            for kin in grid:
-                for kout in grid:
-                    if neel:
-                        exact = sum(
-                            momentum_four_point(
-                                state, basis, CorrelatorQuery(k, q, kin, kout, a, b)
-                            )
-                            for a in (0, 1)
-                            for b in (0, 1)
-                        )
-                        formula = neel_correlator(CorrelatorQuery(k, q, kin, kout), spec)
-                    else:
-                        exact = momentum_four_point(
-                            state, basis, CorrelatorQuery(k, q, kin, kout)
-                        )
-                        formula = mott_correlator(CorrelatorQuery(k, q, kin, kout), spec)
-                    worst = max(worst, abs(exact - formula))
-    return worst
+    values = [
+        formula(CorrelatorQuery(*query)) for query in product(grid, grid, grid, grid, spins, spins)
+    ]
+    return np.reshape(values, (spec.sites,) * 4 + (len(spins),) * 2)
+
+
+def _four_point_deviation(basis: FockBasis, state, dist: MomentumDistribution) -> float:
+    if basis.fermionic:
+        closed, spins = fermionic_four_point, (0, 1)
+    else:
+        closed, spins = bosonic_four_point, (None,)
+    formula = _closed_form_tensor(basis.spec, lambda query: closed(dist, query), spins)
+    return float(np.abs(four_point_tensor(state, basis) - formula).max())
+
+
+def _quench_correlator_residual(basis: FockBasis, state, formula) -> np.ndarray:
+    """Spin-summed exact four-point tensor minus the closed form, over (k, q, kin, kout)."""
+    exact = four_point_tensor(state, basis).sum(axis=(4, 5))
+    return exact - _closed_form_tensor(basis.spec, formula)[..., 0, 0]
 
 
 def _zero_case_deviation(
@@ -869,15 +867,19 @@ def verification_suite() -> list[CheckResult]:
     dev = max(_four_point_deviation(b, s, d) for b, s, d in fermi_cases)
     results.append(CheckResult("four-point-fermi", dev, 1e-10))
 
-    results.append(
-        CheckResult(
-            "mott-correlator", _quench_correlator_deviation(bose, mott_state(bose), spec, False), 1e-10
-        )
+    mott = _quench_correlator_residual(
+        bose, mott_state(bose), lambda query: mott_correlator(query, spec)
     )
+    results.append(CheckResult("mott-correlator", float(np.abs(mott).max()), 1e-10))
+    neel = _quench_correlator_residual(
+        fermi, neel_state(fermi), lambda query: neel_correlator(query, spec)
+    )
+    # the published closed form drops the checkerboard term at k - q = (L/2, L/2)
+    half = mode_grid(spec).index(Mode(spec.L // 2, spec.L // 2))
+    sublattice = _mode_difference(spec) == half  # over (k, q)
+    results.append(CheckResult("neel-correlator", float(np.abs(neel[~sublattice]).max()), 1e-10))
     results.append(
-        CheckResult(
-            "neel-correlator", _quench_correlator_deviation(fermi, neel_state(fermi), spec, True), 1e-10
-        )
+        CheckResult("neel-sublattice-gap", float(np.abs(neel[sublattice] + 0.5).max()), 1e-10)
     )
 
     dts = np.linspace(0.0, 8.0, 9)

@@ -1,5 +1,7 @@
 """Acceptance suite: one printed pass/fail line per criterion, stated tolerances."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -44,8 +46,8 @@ from dickeprobe.oracle import (
     correlator_cases,
     exact_peak_curve,
     exciton_matrix,
+    four_point_tensor,
     momentum_fock_state,
-    momentum_four_point,
     mott_state,
     neel_state,
     product_state,
@@ -215,35 +217,25 @@ def test_criterion_7b_four_point_formulas(spec2, oracle_setup):
         fermi,
         {(Mode(0, 0), 0): 1, (Mode(1, 0), 0): 1, (Mode(0, 0), 1): 1, (Mode(0, 1), 1): 1},
     )
+    queries = list(itertools.product(enumerate(grid), repeat=4))
     dev = 0.0
     for state, dist in bose_cases:
-        for k in grid:
-            for q in grid:
-                for kin in grid:
-                    for kout in grid:
-                        query = CorrelatorQuery(k, q, kin, kout)
-                        dev = max(
-                            dev,
-                            abs(
-                                momentum_four_point(state, bose, query)
-                                - bosonic_four_point(dist, query)
-                            ),
-                        )
+        tensor = four_point_tensor(state, bose)
+        for entries in queries:
+            indices, modes = zip(*entries)
+            query = CorrelatorQuery(*modes)
+            dev = max(dev, abs(tensor[indices + (0, 0)] - bosonic_four_point(dist, query)))
     fermi_dist = MomentumDistribution(Statistics.FERMI, fermi_occ, 4.0)
-    for k in grid:
-        for q in grid:
-            for kin in grid:
-                for kout in grid:
-                    for s1 in (0, 1):
-                        for s2 in (0, 1):
-                            query = CorrelatorQuery(k, q, kin, kout, s1, s2)
-                            dev = max(
-                                dev,
-                                abs(
-                                    momentum_four_point(fermi_state, fermi, query)
-                                    - fermionic_four_point(fermi_dist, query)
-                                ),
-                            )
+    tensor = four_point_tensor(fermi_state, fermi)
+    for entries in queries:
+        indices, modes = zip(*entries)
+        for s1 in (0, 1):
+            for s2 in (0, 1):
+                query = CorrelatorQuery(*modes, s1, s2)
+                dev = max(
+                    dev,
+                    abs(tensor[indices + (s1, s2)] - fermionic_four_point(fermi_dist, query)),
+                )
     report(7, "(b) four-point formulas vs exact expectations", dev, 1e-10)
 
 

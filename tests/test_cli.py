@@ -228,7 +228,7 @@ class TestOracleCommand:
         report = out.read_text()
         lines = report.splitlines()
         assert lines[-1].startswith("oracle suite:")
-        assert "13/13 checks passed" in lines[-1]
+        assert "14/14 checks passed" in lines[-1]
         assert all(line.startswith("PASS") for line in lines[:-1])
 
     def test_json_report_matches_text_report(self, tmp_path):
@@ -239,7 +239,7 @@ class TestOracleCommand:
         assert main(["oracle", "--json", "-o", str(json_out)]) == 0
         rows = json.loads(json_out.read_text())
         lines = text_out.read_text().splitlines()[:-1]
-        assert len(rows) == len(lines) == 13
+        assert len(rows) == len(lines) == 14
         for row, line in zip(rows, lines):
             assert set(row) == {"name", "deviation", "tolerance", "passed"}
             assert row["passed"] is True

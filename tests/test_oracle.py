@@ -38,8 +38,8 @@ from dickeprobe.oracle import (
     correlator_cases,
     exact_peak_curve,
     exciton_matrix,
+    four_point_tensor,
     momentum_fock_state,
-    momentum_four_point,
     mott_site_states,
     mott_state,
     neel_site_states,
@@ -50,7 +50,9 @@ from dickeprobe.oracle import (
     sigma_z_diagonal,
     superfluid_state,
     verification_suite,
+    _annihilate,
     _bilinear,
+    _create,
     _sector_labels,
 )
 
@@ -62,11 +64,11 @@ class TestBasis:
         assert FockBasis(spec2, Statistics.BOSE, 1).dimension == 8
 
     def test_states_unique_and_complete(self, bose_basis):
-        assert len(set(bose_basis.states)) == bose_basis.dimension
-        assert all(sum(occ) == 4 for occ in bose_basis.states)
+        assert len(np.unique(bose_basis.occupations, axis=0)) == bose_basis.dimension
+        assert np.all(bose_basis.occupations.sum(axis=1) == 4)
 
     def test_fermi_occupancy_binary(self, fermi_basis):
-        assert all(set(occ) <= {0, 1} for occ in fermi_basis.states)
+        assert set(np.unique(fermi_basis.occupations)) <= {0, 1}
 
     def test_boson_dimension_cap(self, spec2):
         with pytest.raises(BasisSizeError):
@@ -109,7 +111,7 @@ class TestHamiltonian:
 
     def test_conserves_excitation_count(self, bose_basis, spec2, rng):
         H = build_lattice_hamiltonian(bose_basis, spec2)
-        n_ex = np.array([sum(occ[1::2]) for occ in bose_basis.states])
+        n_ex = bose_basis.occupations[:, 1::2].sum(axis=1)
         prop = Propagator(H)
         state = exciton_matrix(bose_basis, Mode(1, 0), "create") @ mott_state(bose_basis)
         state = state / np.linalg.norm(state)
@@ -273,9 +275,11 @@ class TestEvolve:
 class TestMomentumStates:
     def test_superfluid_occupations(self, bose_basis):
         sf = superfluid_state(bose_basis)
-        for k in mode_grid(bose_basis.spec):
-            query = CorrelatorQuery(k, k, Mode(0, 0), Mode(0, 0))
-            n_k = momentum_four_point(sf, bose_basis, query)
+        grid = mode_grid(bose_basis.spec)
+        exact = four_point_tensor(sf, bose_basis)
+        zero = grid.index(Mode(0, 0))
+        for i, k in enumerate(grid):
+            n_k = exact[i, i, zero, zero, 0, 0]
             target = 4.0 * 4.0 if k == Mode(0, 0) else 0.0  # <n_k^2> on the condensate
             assert n_k == pytest.approx(target, abs=1e-10)
 
@@ -295,6 +299,14 @@ class TestMomentumStates:
             momentum_fock_state(bose_basis, {Mode(0, 0): 3})
 
 
+def _grid_queries(spec):
+    """(grid indices, modes) of every (k, q, kin, kout), in four_point_tensor order."""
+    grid = list(enumerate(mode_grid(spec)))
+    for entries in itertools.product(grid, repeat=4):
+        indices, modes = zip(*entries)
+        yield indices, modes
+
+
 class TestFourPointEquivalence:
     def test_bosonic_formula_matches_oracle(self, spec2, bose_basis):
         occ = np.zeros((1, 2, 2))
@@ -308,17 +320,14 @@ class TestFourPointEquivalence:
                 MomentumDistribution(Statistics.BOSE, occ, 4.0),
             ),
         ]
-        grid = mode_grid(spec2)
         for state, dist in cases:
+            tensor = four_point_tensor(state, bose_basis)
             worst = 0.0
-            for k in grid:
-                for q in grid:
-                    for kin in grid:
-                        for kout in grid:
-                            query = CorrelatorQuery(k, q, kin, kout)
-                            exact = momentum_four_point(state, bose_basis, query)
-                            assert abs(exact.imag) < 1e-10
-                            worst = max(worst, abs(exact - bosonic_four_point(dist, query)))
+            for indices, modes in _grid_queries(spec2):
+                query = CorrelatorQuery(*modes)
+                exact = tensor[indices + (0, 0)]
+                assert abs(exact.imag) < 1e-10
+                worst = max(worst, abs(exact - bosonic_four_point(dist, query)))
             assert worst < 1e-10
 
     def test_fermionic_formula_matches_oracle(self, spec2, fermi_basis):
@@ -330,56 +339,37 @@ class TestFourPointEquivalence:
             {(Mode(0, 0), 0): 1, (Mode(1, 0), 0): 1, (Mode(0, 0), 1): 1, (Mode(0, 1), 1): 1},
         )
         dist = MomentumDistribution(Statistics.FERMI, occ, 4.0)
-        grid = mode_grid(spec2)
+        tensor = four_point_tensor(state, fermi_basis)
         worst = 0.0
-        for k in grid:
-            for q in grid:
-                for kin in grid:
-                    for kout in grid:
-                        for s1 in (0, 1):
-                            for s2 in (0, 1):
-                                query = CorrelatorQuery(k, q, kin, kout, s1, s2)
-                                exact = momentum_four_point(state, fermi_basis, query)
-                                worst = max(
-                                    worst, abs(exact - fermionic_four_point(dist, query))
-                                )
+        for indices, modes in _grid_queries(spec2):
+            for s1 in (0, 1):
+                for s2 in (0, 1):
+                    query = CorrelatorQuery(*modes, s1, s2)
+                    exact = tensor[indices + (s1, s2)]
+                    worst = max(worst, abs(exact - fermionic_four_point(dist, query)))
         assert worst < 1e-10
 
     def test_mott_correlator_matches_oracle(self, spec2, bose_basis):
-        mott = mott_state(bose_basis)
-        grid = mode_grid(spec2)
+        tensor = four_point_tensor(mott_state(bose_basis), bose_basis)
         worst = 0.0
-        for k in grid:
-            for q in grid:
-                for kin in grid:
-                    for kout in grid:
-                        query = CorrelatorQuery(k, q, kin, kout)
-                        exact = momentum_four_point(mott, bose_basis, query)
-                        worst = max(worst, abs(exact - mott_correlator(query, spec2)))
+        for indices, modes in _grid_queries(spec2):
+            exact = tensor[indices + (0, 0)]
+            worst = max(worst, abs(exact - mott_correlator(CorrelatorQuery(*modes), spec2)))
         assert worst < 1e-10
 
     def test_neel_correlator_matches_oracle(self, spec2, fermi_basis):
         # skip k - q = (L/2, L/2), where the published closed form drops the
         # checkerboard sub-lattice term
-        neel = neel_state(fermi_basis)
-        grid = mode_grid(spec2)
+        spin_summed = four_point_tensor(neel_state(fermi_basis), fermi_basis).sum(axis=(4, 5))
         half = Mode(1, 1)
         worst = 0.0
-        for k in grid:
-            for q in grid:
-                if mode_sub(k, q, 2) == half:
-                    continue
-                for kin in grid:
-                    for kout in grid:
-                        exact = sum(
-                            momentum_four_point(
-                                neel, fermi_basis, CorrelatorQuery(k, q, kin, kout, a, b)
-                            )
-                            for a in (0, 1)
-                            for b in (0, 1)
-                        )
-                        formula = neel_correlator(CorrelatorQuery(k, q, kin, kout), spec2)
-                        worst = max(worst, abs(exact - formula))
+        for indices, modes in _grid_queries(spec2):
+            k, q = modes[:2]
+            if mode_sub(k, q, 2) == half:
+                continue
+            exact = spin_summed[indices]
+            formula = neel_correlator(CorrelatorQuery(*modes), spec2)
+            worst = max(worst, abs(exact - formula))
         assert worst < 1e-10
 
     def test_neel_subLattice_term_documented_gap(self, spec2, fermi_basis):
@@ -388,13 +378,110 @@ class TestFourPointEquivalence:
         neel = neel_state(fermi_basis)
         k, q = Mode(1, 1), Mode(0, 0)
         kin = kout = Mode(1, 0)
-        exact = sum(
-            momentum_four_point(neel, fermi_basis, CorrelatorQuery(k, q, kin, kout, a, b))
-            for a in (0, 1)
-            for b in (0, 1)
-        )
+        grid = mode_grid(spec2)
+        indices = tuple(grid.index(mode) for mode in (k, q, kin, kout))
+        exact = four_point_tensor(neel, fermi_basis)[indices].sum()
         formula = neel_correlator(CorrelatorQuery(k, q, kin, kout), spec2)
         assert exact.real == pytest.approx(formula - 0.5, abs=1e-12)
+
+
+def _reference_bilinear(states, fermionic, create_id, annihilate_id):
+    """a+_{create} a_{annihilate} state by state through the tuple ladder helpers."""
+    index = {occ: i for i, occ in enumerate(states)}
+    rows, cols, vals = [], [], []
+    for col, occ in enumerate(states):
+        lowered = _annihilate(occ, annihilate_id, fermionic)
+        if lowered is None:
+            continue
+        raised = _create(lowered[0], create_id, fermionic)
+        if raised is None:
+            continue
+        rows.append(index[raised[0]])
+        cols.append(col)
+        vals.append(lowered[1] * raised[1])
+    return rows, cols, vals
+
+
+class TestArrayFockLayer:
+    @pytest.mark.parametrize(
+        "statistics, n_particles",
+        [(Statistics.BOSE, 4), (Statistics.FERMI, 2), (Statistics.FERMI, 4)],
+        ids=["bose-4", "fermi-2", "fermi-4"],
+    )
+    def test_bilinears_equal_tuple_reference(self, spec2, statistics, n_particles):
+        basis = FockBasis(spec2, statistics, n_particles)
+        states = [tuple(int(n) for n in occ) for occ in basis.occupations]
+        for create_id, annihilate_id in itertools.product(range(basis.n_modes), repeat=2):
+            rows, cols, vals = _reference_bilinear(
+                states, basis.fermionic, create_id, annihilate_id
+            )
+            got = _bilinear(basis, create_id, annihilate_id).tocoo()
+            order = np.argsort(got.col)
+            assert got.nnz == len(cols)
+            assert np.array_equal(got.col[order], cols)
+            assert np.array_equal(got.row[order], rows)
+            assert np.array_equal(got.data[order], vals)
+
+    def test_diagonals_equal_loop_reference(self, bose_basis, fermi_basis):
+        spec = LatticeSpec(L=2, J=0.0, U=0.8)
+        for basis in (bose_basis, fermi_basis):
+            block = basis.n_spins * 2
+            interaction = []
+            sigma_z = []
+            for occ in basis.occupations.tolist():
+                counts = [sum(occ[mu * block : (mu + 1) * block]) for mu in range(4)]
+                interaction.append(sum(0.5 * spec.U * n * (n - 1) for n in counts))
+                sigma_z.append(0.5 * (sum(occ[1::2]) - sum(occ[0::2])))
+            H = build_lattice_hamiltonian(basis, spec)
+            assert np.array_equal(H.diagonal(), interaction)
+            assert np.array_equal(sigma_z_diagonal(basis), sigma_z)
+
+    def test_empty_bases(self, spec2):
+        for statistics in Statistics:
+            basis = FockBasis(spec2, statistics, 0)
+            assert basis.dimension == 1 and not basis.occupations.any()
+
+    def test_vector_rejects_configurations_outside_the_basis(self, bose_basis, fermi_basis):
+        with pytest.raises(ValueError):
+            bose_basis.vector({(5, 0, 0, 0, 0, 0, 0, 0): 1.0})  # five atoms, basis holds four
+        with pytest.raises(ValueError):
+            bose_basis.vector({(4, 0, 0): 1.0})  # too few modes
+        with pytest.raises(ValueError):
+            fermi_basis.vector({(2, 1, 1) + (0,) * 13: 1.0})  # not a fermion occupation
+
+    @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
+    def test_four_point_tensor_matches_dense_reference(self, spec2, statistics):
+        basis = FockBasis(spec2, statistics, 2 if statistics is Statistics.FERMI else 4)
+        rng = np.random.default_rng(29)
+        # a generic state, so no entry of the Gram matrix vanishes by symmetry
+        state = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+        state /= np.linalg.norm(state)
+        tensor = four_point_tensor(state, basis)
+        grid = mode_grid(spec2)
+        S = basis.n_spins
+        assert tensor.shape == (4, 4, 4, 4, S, S)
+
+        def momentum_bilinear(k_create, k_annihilate, spin):
+            # (1/N) sum_{mu nu} exp(i k_c r_mu - i k_a r_nu) a+_{mu} a_{nu}, ground level
+            coords = np.array([(x, y) for x in range(2) for y in range(2)])
+            phase = lambda k: np.exp(1j * np.pi * (k[0] * coords[:, 0] + k[1] * coords[:, 1]))
+            pc, pa = phase(k_create), np.conj(phase(k_annihilate))
+            return sum(
+                pc[mu] * pa[nu] / 4 * _bilinear(
+                    basis, basis.mode_id(mu, spin, 0), basis.mode_id(nu, spin, 0)
+                )
+                for mu in range(4)
+                for nu in range(4)
+            )
+
+        for _ in range(40):
+            k, q, kin, kout = (grid[i] for i in rng.integers(0, 4, size=4))
+            s1, s2 = (int(s) for s in rng.integers(0, S, size=2))
+            left = momentum_bilinear(mode_sub(q, kin, 2), mode_sub(q, kout, 2), s2)
+            right = momentum_bilinear(mode_sub(k, kout, 2), mode_sub(k, kin, 2), s1)
+            expected = np.vdot(state, left @ (right @ state))
+            index = tuple(grid.index(mode) for mode in (k, q, kin, kout)) + (s1, s2)
+            assert abs(tensor[index] - expected) < 1e-12
 
 
 class TestEmissionOracle:
@@ -637,6 +724,6 @@ class TestProductState:
 
 def test_verification_suite_all_pass():
     results = verification_suite()
-    assert len(results) == 13
+    assert len(results) == 14
     failures = [r for r in results if not r.passed]
     assert not failures, f"oracle checks failed: {[(r.name, r.deviation) for r in failures]}"
