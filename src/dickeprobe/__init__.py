@@ -14,7 +14,6 @@ from .classical import (
     metastable_population_partial_condensation,
 )
 from .correlators import (
-    CorrelatorQuery,
     bosonic_four_point,
     dicke_ladder_factor,
     fermionic_four_point,
@@ -48,15 +47,10 @@ from .emission import (
 from .lattice import (
     LatticeSpec,
     Mode,
-    adjacency_fourier,
     adjacency_matrix,
     canonical_mode,
     condensate_phase,
-    hopping_phase,
-    mode_add,
-    mode_energy,
     mode_grid,
-    mode_neg,
     mode_sub,
 )
 
@@ -64,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChemicalPotentialError",
-    "CorrelatorQuery",
     "DriveParameters",
     "EmissionCurve",
     "LatticeSpec",
@@ -73,7 +66,6 @@ __all__ = [
     "ProbeGeometry",
     "Statistics",
     "adiabatic_peak",
-    "adjacency_fourier",
     "adjacency_matrix",
     "bessel_envelope",
     "bose_einstein",
@@ -86,15 +78,11 @@ __all__ = [
     "expected_sigma_z",
     "fermi_dirac",
     "fermionic_four_point",
-    "hopping_phase",
     "mean_excitations",
     "metallic",
     "metastable_population",
     "metastable_population_partial_condensation",
-    "mode_add",
-    "mode_energy",
     "mode_grid",
-    "mode_neg",
     "mode_sub",
     "mott_correlator",
     "neel_correlator",

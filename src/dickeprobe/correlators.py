@@ -2,19 +2,26 @@
 
 The delta structure of these expressions is what lets the emission kernel
 collapse the O(N^2) double mode sum into a single coherent sum.
+
+Each four-point form takes its modes k, q, kappa_in, kappa_out as `Mode`s or
+(n, m) pairs whose parts may be integer arrays, and fermionic spins
+(0 = up, 1 = down) as integers or integer arrays.  All arguments broadcast
+like numpy, so one call evaluates a whole grid of queries; a single query
+returns a 0-d value.  Index pairs outside the canonical range wrap around
+the Brillouin zone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .distributions import MomentumDistribution, Statistics
-from .lattice import LatticeSpec, Mode, canonical_mode, mode_sub
+from .lattice import LatticeSpec, mode_sub
 
 __all__ = [
-    "CorrelatorQuery",
     "bosonic_four_point",
     "dicke_ladder_factor",
     "fermionic_four_point",
@@ -23,28 +30,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CorrelatorQuery:
-    """Mode and spin indices of one ground-level four-point expectation.
+def _delta(a, b, L: int) -> np.ndarray:
+    """1.0 where modes a and b coincide on the periodic grid, else 0.0.
 
-    Spins (0 = up, 1 = down) are only meaningful for fermionic queries.
+    Float, not bool: numpy adds two bool arrays as a logical or.
     """
-
-    k: Mode
-    q: Mode
-    kappa_in: Mode
-    kappa_out: Mode
-    s1: int | None = None
-    s2: int | None = None
+    diff = mode_sub(a, b, L)
+    return (np.equal(diff.n, 0) & np.equal(diff.m, 0)) * 1.0
 
 
-def _deltas(query: CorrelatorQuery, L: int) -> tuple[bool, bool]:
-    same_kappa = canonical_mode(query.kappa_in, L) == canonical_mode(query.kappa_out, L)
-    same_kq = canonical_mode(query.k, L) == canonical_mode(query.q, L)
-    return same_kappa, same_kq
-
-
-def bosonic_four_point(dist: MomentumDistribution, query: CorrelatorQuery) -> float:
+def bosonic_four_point(dist: MomentumDistribution, k, q, kappa_in, kappa_out):
     """<a+_{q-kin} a_{q-kout} a+_{k-kout} a_{k-kin}> for a k-diagonal bosonic state.
 
     Equals n(k-kin) n(q-kout) (d_kappa + d_kq) + n(k-kin) d_kq
@@ -55,16 +50,13 @@ def bosonic_four_point(dist: MomentumDistribution, query: CorrelatorQuery) -> fl
     if dist.statistics is not Statistics.BOSE:
         raise ValueError("bosonic_four_point needs a bosonic distribution")
     L = dist.L
-    d_kappa, d_kq = _deltas(query, L)
-    n1 = dist.occupation(mode_sub(query.k, query.kappa_in, L))
-    n2 = dist.occupation(mode_sub(query.q, query.kappa_out, L))
-    value = n1 * n2 * (d_kappa + d_kq) + n1 * d_kq
-    if d_kq and d_kappa:
-        value -= n1 * (n2 + 1.0)
-    return value
+    d_kappa, d_kq = _delta(kappa_in, kappa_out, L), _delta(k, q, L)
+    n1 = dist.occupation(mode_sub(k, kappa_in, L))
+    n2 = dist.occupation(mode_sub(q, kappa_out, L))
+    return n1 * n2 * (d_kappa + d_kq) + n1 * d_kq - d_kq * d_kappa * n1 * (n2 + 1.0)
 
 
-def fermionic_four_point(dist: MomentumDistribution, query: CorrelatorQuery) -> float:
+def fermionic_four_point(dist: MomentumDistribution, k, q, kappa_in, kappa_out, s1, s2):
     """Fermionic analog with explicit spins s1, s2.
 
     Equals n_s1(k-kin) n_s2(q-kout) (d_kappa - d_kq d_spin)
@@ -72,26 +64,26 @@ def fermionic_four_point(dist: MomentumDistribution, query: CorrelatorQuery) -> 
     """
     if dist.statistics is not Statistics.FERMI:
         raise ValueError("fermionic_four_point needs a fermionic distribution")
-    if query.s1 is None or query.s2 is None:
-        raise ValueError("fermionic queries need both spin indices")
+    if not (np.isin(s1, (0, 1)).all() and np.isin(s2, (0, 1)).all()):
+        raise ValueError("fermionic queries need spin indices 0 (up) or 1 (down)")
     L = dist.L
-    d_kappa, d_kq = _deltas(query, L)
-    d_spin = query.s1 == query.s2
-    n1 = dist.occupation(mode_sub(query.k, query.kappa_in, L), channel=query.s1)
-    n2 = dist.occupation(mode_sub(query.q, query.kappa_out, L), channel=query.s2)
-    return n1 * n2 * (d_kappa - (d_kq and d_spin)) + n1 * (d_kq and d_spin)
+    d_kappa = _delta(kappa_in, kappa_out, L)
+    d_pauli = _delta(k, q, L) * np.equal(s1, s2)
+    n1 = dist.occupation(mode_sub(k, kappa_in, L), channel=s1)
+    n2 = dist.occupation(mode_sub(q, kappa_out, L), channel=s2)
+    return n1 * n2 * (d_kappa - d_pauli) + n1 * d_pauli
 
 
-def mott_correlator(query: CorrelatorQuery, spec: LatticeSpec) -> float:
+def mott_correlator(spec: LatticeSpec, k, q, kappa_in, kappa_out):
     """Bosonic four-point correlator in the unit-filling Mott state.
 
     d_kappa + 2 d_kq - 2/N, exact for every query on the finite grid.
     """
-    d_kappa, d_kq = _deltas(query, spec.L)
-    return float(d_kappa) + 2.0 * d_kq - 2.0 / spec.sites
+    d_kappa, d_kq = _delta(kappa_in, kappa_out, spec.L), _delta(k, q, spec.L)
+    return d_kappa + 2.0 * d_kq - 2.0 / spec.sites
 
 
-def neel_correlator(query: CorrelatorQuery, spec: LatticeSpec) -> float:
+def neel_correlator(spec: LatticeSpec, k, q, kappa_in, kappa_out):
     """Spin-summed fermionic four-point correlator in the Mott-Neel state.
 
     d_kappa + d_kq / 2.  (The checkerboard sub-lattice sums also produce a
@@ -100,8 +92,8 @@ def neel_correlator(query: CorrelatorQuery, spec: LatticeSpec) -> float:
     The oracle's `neel-sublattice-gap` check measures that the exact value
     sits exactly 1/2 below this one there.)
     """
-    d_kappa, d_kq = _deltas(query, spec.L)
-    return float(d_kappa) + 0.5 * d_kq
+    d_kappa, d_kq = _delta(kappa_in, kappa_out, spec.L), _delta(k, q, spec.L)
+    return d_kappa + 0.5 * d_kq
 
 
 def dicke_ladder_factor(

@@ -93,10 +93,13 @@ class MomentumDistribution:
     def total(self) -> float:
         return float(self.occupations.sum())
 
-    def occupation(self, mode: tuple[int, int], channel: int = 0) -> float:
-        """n_channel(k) with the index pair reduced into the canonical range."""
-        i, j = mode_index(canonical_mode(mode, self.L), self.L)
-        return float(self.occupations[channel, i, j])
+    def occupation(self, mode: tuple[int, int], channel: int = 0):
+        """n_channel(k) with the index pair reduced into the canonical range.
+
+        The mode's parts and the channel may be integer arrays; they broadcast.
+        """
+        i, j = mode_index(mode, self.L)
+        return self.occupations[channel, i, j]
 
     def shifted_occupation_sum(self, kappa: tuple[int, int]) -> np.ndarray:
         """sum_s n_s(p - kappa) evaluated on the p-grid, shape (L, L)."""

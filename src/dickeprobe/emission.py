@@ -78,10 +78,8 @@ class EmissionCurve:
     note: str = ""
 
 
-def _coherent_sum(
-    weights: np.ndarray, total: float, kappa: tuple[int, int], dt, spec: LatticeSpec
-):
-    """(1/total) sum_p weights(p) exp(i (J/Z)(T(p) - T(p-kappa)) dt) for scalar or 1-d dt.
+def _coherent_sum(weights: np.ndarray, kappa: tuple[int, int], dt, spec: LatticeSpec):
+    """sum_p weights(p) exp(i (J/Z)(T(p) - T(p-kappa)) dt) / sum_p weights(p).
 
     With the rate split a(p_x) + b(p_y) this is e_a(dt)^T W e_b(dt): the
     temporaries are (T, L) arrays, never (T, L, L).  A scalar dt returns a
@@ -91,12 +89,17 @@ def _coherent_sum(
     if t.ndim > 1:
         raise ValueError("dt must be a scalar or a 1-d array")
     a, b = _dephasing_factors(spec, kappa)
-    times = t.reshape(-1, 1)
+    # Row 0 is dt = 0, the sum of the weights taken by the same products as
+    # every other row, so the value at dt = 0 is exactly 1.
+    times = np.concatenate(([0.0], t.ravel()))[:, None]
     # A stack of T (1 x L)(L x L) products rather than one (T x L)(L x L)
     # product: BLAS sums a single row in another order than a block of rows,
     # and the stack keeps every time's value independent of the grid it is in.
     projected = (np.exp(1j * a * times)[:, None, :] @ weights)[:, 0, :]
-    values = np.einsum("ti,ti->t", projected, np.exp(1j * b * times)) / total
+    values = np.einsum("ti,ti->t", projected, np.exp(1j * b * times))
+    # Each part divided by the real sum: complex division would multiply by
+    # a reciprocal, and x * (1/x) can miss 1 by an ulp.
+    values = (values[1:].view(float) / values[0].real).view(complex)
     return complex(values[0]) if t.ndim == 0 else values
 
 
@@ -112,10 +115,9 @@ def coherent_amplitude(
     if dist.L != spec.L:
         raise ValueError("distribution grid does not match the lattice spec")
     weights = dist.shifted_occupation_sum(kappa)
-    total = weights.sum()
-    if total <= 0:
+    if weights.sum() <= 0:
         raise ValueError("distribution holds no atoms")
-    return _coherent_sum(weights, total, kappa, dt, spec)
+    return _coherent_sum(weights, kappa, dt, spec)
 
 
 def phase_sum(spec: LatticeSpec, kappa: tuple[int, int], dt):
@@ -123,7 +125,7 @@ def phase_sum(spec: LatticeSpec, kappa: tuple[int, int], dt):
 
     Accepts scalar dt (returns float) or a 1-d array (returns an array).
     """
-    return _coherent_sum(np.ones((spec.L, spec.L)), spec.sites, kappa, dt, spec).real
+    return _coherent_sum(np.ones((spec.L, spec.L)), kappa, dt, spec).real
 
 
 def bessel_envelope(kappa: tuple[int, int], dt, spec: LatticeSpec):

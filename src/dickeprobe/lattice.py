@@ -1,4 +1,4 @@
-"""Square-lattice geometry: Brillouin-zone mode grid, dispersion, hopping phases.
+"""Square-lattice geometry: Brillouin-zone mode grid, dispersion, dephasing rates.
 
 Conventions used throughout the package: hbar = 1, periodic boundary
 conditions, and integer mode indices (n, m) standing for the wave vector
@@ -17,23 +17,17 @@ import numpy as np
 __all__ = [
     "LatticeSpec",
     "Mode",
-    "adjacency_fourier",
     "adjacency_fourier_grid",
     "adjacency_matrix",
     "canonical_mode",
     "condensate_phase",
     "dephasing_rates",
     "energy_grid",
-    "hopping_phase",
-    "mode_add",
-    "mode_energy",
     "mode_grid",
     "mode_index",
-    "mode_neg",
     "mode_sub",
     "site_coordinates",
     "validate_mode",
-    "wavevector",
 ]
 
 
@@ -99,16 +93,8 @@ def validate_mode(mode: tuple[int, int], L: int) -> Mode:
     return Mode(n, m)
 
 
-def mode_add(a: tuple[int, int], b: tuple[int, int], L: int) -> Mode:
-    return canonical_mode((a[0] + b[0], a[1] + b[1]), L)
-
-
 def mode_sub(a: tuple[int, int], b: tuple[int, int], L: int) -> Mode:
     return canonical_mode((a[0] - b[0], a[1] - b[1]), L)
-
-
-def mode_neg(a: tuple[int, int], L: int) -> Mode:
-    return canonical_mode((-a[0], -a[1]), L)
 
 
 def mode_grid(spec: LatticeSpec) -> list[Mode]:
@@ -123,52 +109,21 @@ def mode_index(mode: tuple[int, int], L: int) -> tuple[int, int]:
     return (mode[0] - lo) % L, (mode[1] - lo) % L
 
 
-def wavevector(mode: tuple[int, int], spec: LatticeSpec) -> tuple[float, float]:
-    """Physical wave vector k = (2*pi/(L*ell)) * (n, m)."""
-    scale = 2.0 * math.pi / (spec.L * spec.ell)
-    return scale * mode[0], scale * mode[1]
-
-
-def adjacency_fourier(mode: tuple[int, int], spec: LatticeSpec) -> float:
+def adjacency_fourier_grid(spec: LatticeSpec) -> np.ndarray:
     """Fourier transform of the adjacency matrix, T(k) = 2[cos(kx*ell) + cos(ky*ell)].
 
-    Since kx*ell = 2*pi*n/L the lattice spacing drops out of the value.
+    Over the whole grid; entry [i, j] belongs to mode_index inverse.  Since
+    kx*ell = 2*pi*n/L the lattice spacing drops out of the value.
     """
-    L = spec.L
-    return 2.0 * (math.cos(2.0 * math.pi * mode[0] / L) + math.cos(2.0 * math.pi * mode[1] / L))
-
-
-def adjacency_fourier_grid(spec: LatticeSpec) -> np.ndarray:
-    """T(k) over the whole grid; entry [i, j] belongs to mode_index inverse."""
     L = spec.L
     idx = np.arange(L) + _index_floor(L)
     c = np.cos(2.0 * np.pi * idx / L)
     return 2.0 * (c[:, None] + c[None, :])
 
 
-def mode_energy(mode: tuple[int, int], spec: LatticeSpec) -> float:
-    """Single-particle dispersion E(k) = -(J/Z) T(k)."""
-    return -(spec.J / spec.Z) * adjacency_fourier(mode, spec)
-
-
 def energy_grid(spec: LatticeSpec) -> np.ndarray:
+    """Single-particle dispersion E(k) = -(J/Z) T(k) over the whole grid."""
     return -(spec.J / spec.Z) * adjacency_fourier_grid(spec)
-
-
-def hopping_phase(p: tuple[int, int], k: tuple[int, int], t: float, spec: LatticeSpec) -> float:
-    """Interaction-picture phase phi_p^k(t) = -(J/Z) (T(p) - T(p-k)) t.
-
-    Mode subtraction wraps around the Brillouin zone.  Linear in t and zero
-    for k = 0.
-    """
-    shifted = mode_sub(p, k, spec.L)
-    dT = adjacency_fourier(p, spec) - adjacency_fourier(shifted, spec)
-    return -(spec.J / spec.Z) * dT * t
-
-
-def condensate_phase(kappa: tuple[int, int], t: float, spec: LatticeSpec) -> float:
-    """Global phase -phi_kappa^kappa(t) picked up by a condensate exciton."""
-    return -hopping_phase(kappa, kappa, t, spec)
 
 
 def _dephasing_factors(
@@ -191,10 +146,22 @@ def dephasing_rates(spec: LatticeSpec, kappa: tuple[int, int]) -> np.ndarray:
     """(J/Z)(T(p) - T(p-kappa)) over the mode grid.
 
     exp(i * rates * dt) is the dephasing factor entering coherent sums;
-    it equals exp(-i * phi_p^kappa(dt)) mode by mode.
+    it equals exp(-i * phi_p^kappa(dt)) mode by mode, with
+    phi_p^kappa(t) = -(J/Z)(T(p) - T(p-kappa)) t the interaction-picture
+    hopping phase.
     """
     a, b = _dephasing_factors(spec, kappa)
     return a[:, None] + b[None, :]
+
+
+def condensate_phase(kappa: tuple[int, int], t: float, spec: LatticeSpec) -> float:
+    """Global phase (J/Z)(T(kappa) - T(0)) t picked up by a condensate exciton.
+
+    That is -phi_kappa^kappa(t): the dephasing rate at p = kappa, times t.
+    """
+    a, b = _dephasing_factors(spec, kappa)
+    i, j = mode_index(kappa, spec.L)
+    return float(a[i] + b[j]) * t
 
 
 def site_coordinates(spec: LatticeSpec) -> np.ndarray:

@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sparse
 
 from .classical import DriveParameters, expected_sigma_z
 from .correlators import (
-    CorrelatorQuery,
     bosonic_four_point,
     dicke_ladder_factor,
     fermionic_four_point,
@@ -38,6 +37,7 @@ from .lattice import (
     adjacency_matrix,
     canonical_mode,
     mode_grid,
+    mode_index,
     mode_sub,
     site_coordinates,
 )
@@ -550,13 +550,17 @@ def exact_peak_curve(
     return np.abs(np.sum(reference.conj() * emitted, axis=1)) ** 2 / spec.sites**2
 
 
+def _grid_mode(spec: LatticeSpec, axis: int, ndim: int) -> Mode:
+    """The mode_grid modes as one (n, m) pair of integer arrays along `axis` of `ndim`."""
+    shape = (1,) * axis + (-1,) + (1,) * (ndim - axis - 1)
+    n, m = np.array(mode_grid(spec)).T
+    return Mode(n.reshape(shape), m.reshape(shape))
+
+
 def _mode_difference(spec: LatticeSpec) -> np.ndarray:
     """D[i, j] = grid index of mode_sub(grid[i], grid[j]), grid in mode_grid order."""
-    L = spec.L
-    lo = -(L // 2) + 1
-    modes = np.array(mode_grid(spec))
-    diff = (modes[:, None, :] - modes[None, :, :] - lo) % L
-    return diff[..., 0] * L + diff[..., 1]
+    i, j = mode_index(mode_sub(_grid_mode(spec, 0, 2), _grid_mode(spec, 1, 2), spec.L), spec.L)
+    return i * spec.L + j
 
 
 def four_point_tensor(state: np.ndarray, basis: FockBasis) -> np.ndarray:
@@ -747,28 +751,29 @@ def _commutator_deviation(basis: FockBasis, kappa: Mode, rng: np.random.Generato
     return worst
 
 
-def _closed_form_tensor(spec: LatticeSpec, formula, spins=(None,)) -> np.ndarray:
-    """formula(CorrelatorQuery) at every (k, q, kin, kout, s1, s2), in four_point_tensor order."""
-    grid = mode_grid(spec)
-    values = [
-        formula(CorrelatorQuery(*query)) for query in product(grid, grid, grid, grid, spins, spins)
-    ]
-    return np.reshape(values, (spec.sites,) * 4 + (len(spins),) * 2)
+def _grid_queries(spec: LatticeSpec, ndim: int) -> list[Mode]:
+    """k, q, kappa_in, kappa_out over the grid on the first four of `ndim` axes.
+
+    Passed to a closed form, they give its value at every query in
+    four_point_tensor order.
+    """
+    return [_grid_mode(spec, axis, ndim) for axis in range(4)]
 
 
 def _four_point_deviation(basis: FockBasis, state, dist: MomentumDistribution) -> float:
+    queries = _grid_queries(basis.spec, 6)
     if basis.fermionic:
-        closed, spins = fermionic_four_point, (0, 1)
+        spins = np.arange(2)
+        formula = fermionic_four_point(dist, *queries, spins[:, None], spins)
     else:
-        closed, spins = bosonic_four_point, (None,)
-    formula = _closed_form_tensor(basis.spec, lambda query: closed(dist, query), spins)
+        formula = bosonic_four_point(dist, *queries)
     return float(np.abs(four_point_tensor(state, basis) - formula).max())
 
 
-def _quench_correlator_residual(basis: FockBasis, state, formula) -> np.ndarray:
-    """Spin-summed exact four-point tensor minus the closed form, over (k, q, kin, kout)."""
+def _quench_correlator_residual(basis: FockBasis, state, closed) -> np.ndarray:
+    """Spin-summed exact four-point tensor minus closed(spec, ...), over (k, q, kin, kout)."""
     exact = four_point_tensor(state, basis).sum(axis=(4, 5))
-    return exact - _closed_form_tensor(basis.spec, formula)[..., 0, 0]
+    return exact - closed(basis.spec, *_grid_queries(basis.spec, 4))
 
 
 def _zero_case_deviation(
@@ -867,13 +872,9 @@ def verification_suite() -> list[CheckResult]:
     dev = max(_four_point_deviation(b, s, d) for b, s, d in fermi_cases)
     results.append(CheckResult("four-point-fermi", dev, 1e-10))
 
-    mott = _quench_correlator_residual(
-        bose, mott_state(bose), lambda query: mott_correlator(query, spec)
-    )
+    mott = _quench_correlator_residual(bose, mott_state(bose), mott_correlator)
     results.append(CheckResult("mott-correlator", float(np.abs(mott).max()), 1e-10))
-    neel = _quench_correlator_residual(
-        fermi, neel_state(fermi), lambda query: neel_correlator(query, spec)
-    )
+    neel = _quench_correlator_residual(fermi, neel_state(fermi), neel_correlator)
     # the published closed form drops the checkerboard term at k - q = (L/2, L/2)
     half = mode_grid(spec).index(Mode(spec.L // 2, spec.L // 2))
     sublattice = _mode_difference(spec) == half  # over (k, q)

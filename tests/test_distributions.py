@@ -12,7 +12,8 @@ from dickeprobe.distributions import (
     superfluid,
     uniform,
 )
-from dickeprobe.lattice import LatticeSpec, Mode, energy_grid, mode_grid, mode_neg
+from dickeprobe.lattice import LatticeSpec, Mode, energy_grid, mode_grid
+from lattice_reference import mode_neg
 
 
 def occupation_map(dist):

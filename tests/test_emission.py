@@ -26,7 +26,15 @@ from dickeprobe.emission import (
     quench_peak,
     separable_peak,
 )
-from dickeprobe.lattice import LatticeSpec, Mode, condensate_phase, dephasing_rates, mode_grid
+from dickeprobe.lattice import (
+    LatticeSpec,
+    Mode,
+    condensate_phase,
+    dephasing_rates,
+    mode_grid,
+    mode_sub,
+)
+from lattice_reference import adjacency_fourier
 
 
 def forward(kappa):
@@ -35,8 +43,6 @@ def forward(kappa):
 
 def enumerated_phase_sum(spec, kappa, dt):
     """Independent O(N) reference: direct loop over the mode grid."""
-    from dickeprobe.lattice import adjacency_fourier, mode_sub
-
     total = 0.0 + 0.0j
     for p in mode_grid(spec):
         dT = adjacency_fourier(p, spec) - adjacency_fourier(mode_sub(p, kappa, spec.L), spec)

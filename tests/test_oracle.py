@@ -6,7 +6,6 @@ import pytest
 
 from dickeprobe.classical import DriveParameters, expected_sigma_z
 from dickeprobe.correlators import (
-    CorrelatorQuery,
     bosonic_four_point,
     dicke_ladder_factor,
     fermionic_four_point,
@@ -24,7 +23,6 @@ from dickeprobe.lattice import (
     LatticeSpec,
     Mode,
     canonical_mode,
-    mode_energy,
     mode_grid,
     mode_index,
     mode_sub,
@@ -55,6 +53,7 @@ from dickeprobe.oracle import (
     _create,
     _sector_labels,
 )
+from lattice_reference import mode_energy
 
 
 class TestBasis:
@@ -299,12 +298,11 @@ class TestMomentumStates:
             momentum_fock_state(bose_basis, {Mode(0, 0): 3})
 
 
-def _grid_queries(spec):
-    """(grid indices, modes) of every (k, q, kin, kout), in four_point_tensor order."""
-    grid = list(enumerate(mode_grid(spec)))
-    for entries in itertools.product(grid, repeat=4):
-        indices, modes = zip(*entries)
-        yield indices, modes
+def _grid_queries(spec, ndim):
+    """k, q, kin, kout over mode_grid on the first four of ndim axes, in four_point_tensor order."""
+    grid = np.array(mode_grid(spec))
+    axes = np.ix_(*[range(len(grid))] * 4, *[[0]] * (ndim - 4))
+    return [Mode(grid[i, 0], grid[i, 1]) for i in axes[:4]]
 
 
 class TestFourPointEquivalence:
@@ -321,13 +319,10 @@ class TestFourPointEquivalence:
             ),
         ]
         for state, dist in cases:
-            tensor = four_point_tensor(state, bose_basis)
-            worst = 0.0
-            for indices, modes in _grid_queries(spec2):
-                query = CorrelatorQuery(*modes)
-                exact = tensor[indices + (0, 0)]
-                assert abs(exact.imag) < 1e-10
-                worst = max(worst, abs(exact - bosonic_four_point(dist, query)))
+            exact = four_point_tensor(state, bose_basis)
+            assert np.abs(exact.imag).max() < 1e-10
+            formula = bosonic_four_point(dist, *_grid_queries(spec2, 6))
+            worst = np.abs(exact - formula).max()
             assert worst < 1e-10
 
     def test_fermionic_formula_matches_oracle(self, spec2, fermi_basis):
@@ -339,37 +334,26 @@ class TestFourPointEquivalence:
             {(Mode(0, 0), 0): 1, (Mode(1, 0), 0): 1, (Mode(0, 0), 1): 1, (Mode(0, 1), 1): 1},
         )
         dist = MomentumDistribution(Statistics.FERMI, occ, 4.0)
-        tensor = four_point_tensor(state, fermi_basis)
-        worst = 0.0
-        for indices, modes in _grid_queries(spec2):
-            for s1 in (0, 1):
-                for s2 in (0, 1):
-                    query = CorrelatorQuery(*modes, s1, s2)
-                    exact = tensor[indices + (s1, s2)]
-                    worst = max(worst, abs(exact - fermionic_four_point(dist, query)))
+        exact = four_point_tensor(state, fermi_basis)
+        spins = np.arange(2)
+        formula = fermionic_four_point(dist, *_grid_queries(spec2, 6), spins[:, None], spins)
+        worst = np.abs(exact - formula).max()
         assert worst < 1e-10
 
     def test_mott_correlator_matches_oracle(self, spec2, bose_basis):
-        tensor = four_point_tensor(mott_state(bose_basis), bose_basis)
-        worst = 0.0
-        for indices, modes in _grid_queries(spec2):
-            exact = tensor[indices + (0, 0)]
-            worst = max(worst, abs(exact - mott_correlator(CorrelatorQuery(*modes), spec2)))
+        exact = four_point_tensor(mott_state(bose_basis), bose_basis)
+        worst = np.abs(exact - mott_correlator(spec2, *_grid_queries(spec2, 6))).max()
         assert worst < 1e-10
 
     def test_neel_correlator_matches_oracle(self, spec2, fermi_basis):
         # skip k - q = (L/2, L/2), where the published closed form drops the
         # checkerboard sub-lattice term
         spin_summed = four_point_tensor(neel_state(fermi_basis), fermi_basis).sum(axis=(4, 5))
-        half = Mode(1, 1)
-        worst = 0.0
-        for indices, modes in _grid_queries(spec2):
-            k, q = modes[:2]
-            if mode_sub(k, q, 2) == half:
-                continue
-            exact = spin_summed[indices]
-            formula = neel_correlator(CorrelatorQuery(*modes), spec2)
-            worst = max(worst, abs(exact - formula))
+        queries = _grid_queries(spec2, 4)
+        k_minus_q = mode_sub(queries[0], queries[1], 2)
+        gap = np.broadcast_to((k_minus_q.n == 1) & (k_minus_q.m == 1), spin_summed.shape)
+        formula = neel_correlator(spec2, *queries)
+        worst = np.abs(spin_summed - formula)[~gap].max()
         assert worst < 1e-10
 
     def test_neel_subLattice_term_documented_gap(self, spec2, fermi_basis):
@@ -381,7 +365,7 @@ class TestFourPointEquivalence:
         grid = mode_grid(spec2)
         indices = tuple(grid.index(mode) for mode in (k, q, kin, kout))
         exact = four_point_tensor(neel, fermi_basis)[indices].sum()
-        formula = neel_correlator(CorrelatorQuery(k, q, kin, kout), spec2)
+        formula = neel_correlator(spec2, k, q, kin, kout)
         assert exact.real == pytest.approx(formula - 0.5, abs=1e-12)
 
 

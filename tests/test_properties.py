@@ -1,8 +1,9 @@
 """Documented invariants of C(dt) and n_meta over random states, modes and grids.
 
-|C(dt)| <= 1 with C(0) = 1 for every momentum distribution, and the
-metastable population of the reversed sequence lies in [0, 4 nbar], with
-nbar = N alpha^2 / 4 taken from the state's atom total.
+|C(dt)| <= 1 with C(0) = 1 exactly for every momentum distribution, and
+the metastable population of the reversed sequence lies in [0, 4 nbar],
+with nbar = N alpha^2 / 4 taken from the state's atom total, and is exactly
+0 at dt = 0.
 """
 
 import numpy as np
@@ -50,7 +51,7 @@ def lattice_states(draw):
 def test_coherent_amplitude_bounded_and_one_at_zero(case):
     spec, dist, kappa, times = case
     C = coherent_amplitude(dist, kappa, times, spec)
-    assert abs(C[0] - 1.0) <= TOL
+    assert C[0] == 1.0
     assert np.all(np.abs(C) <= 1.0 + TOL)
 
 
@@ -60,6 +61,6 @@ def test_metastable_population_within_zero_and_four_nbar(case, alpha):
     nbar = mean_excitations(dist, alpha)
     n_meta = metastable_population(dist, nbar, kappa, times, spec)
     tol = 2.0 * nbar * TOL
-    assert abs(n_meta[0]) <= tol
+    assert n_meta[0] == 0.0
     assert np.all(n_meta >= -tol)
     assert np.all(n_meta <= 4.0 * nbar + tol)
