@@ -2,7 +2,12 @@
 
 Bosonic states carry one channel, fermionic states two spin channels
 (index 0 = up, 1 = down).  Thermal constructors solve the chemical
-potential by bounded bisection.
+potential by bounded bisection.  Each trial mu sums the occupation over
+the distinct band energies weighted by how many modes share each one
+(lattice._energy_levels: about L^2/8 levels for L^2 modes); only the
+accepted mu is evaluated on the whole grid.  The bisection stops once its
+bracket has collapsed onto adjacent floats, where every further midpoint
+would repeat one already tried.
 """
 
 from __future__ import annotations
@@ -14,7 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import LatticeSpec, Mode, canonical_mode, energy_grid, mode_index
+from .lattice import (
+    LatticeSpec,
+    Mode,
+    _energy_levels,
+    canonical_mode,
+    energy_grid,
+    mode_index,
+)
 
 __all__ = [
     "ChemicalPotentialError",
@@ -173,12 +185,18 @@ def _bisect_mu(
 
     Returns (mu, residual).  Deep in the condensed regime the sum can jump by
     more than the tolerance per ulp of mu, so the caller decides what to do
-    with a nonzero residual.
+    with a nonzero residual.  Once lo and hi are adjacent floats the midpoint
+    rounds onto an endpoint that was already evaluated; from there on no
+    iteration can move the best point, so the loop stops instead of running
+    out its iteration cap.  No mu is evaluated twice.
     """
     tol = _BISECT_RTOL * max(total, 1.0)
     best_mu, best_err = lo, abs(occupation_sum(lo) - total)
+    hi_evaluated = False
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
+        if mid == lo or (mid == hi and hi_evaluated):
+            break
         value = occupation_sum(mid)
         err = abs(value - total)
         if err < best_err:
@@ -186,10 +204,18 @@ def _bisect_mu(
         if err <= tol:
             return mid, err
         if value >= total:
-            hi = mid
+            hi, hi_evaluated = mid, True
         else:
             lo = mid
     return best_mu, best_err
+
+
+def _require_finite_bracket(lo: float, hi: float, beta: float) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(
+            f"inverse_temperature {beta!r} is too small: the chemical-potential "
+            "bracket overflows"
+        )
 
 
 def bose_einstein(
@@ -199,38 +225,43 @@ def bose_einstein(
 
     mu is solved by bisection below the band minimum.  If even mu pinned at
     E_min - 1e-12 J cannot hold all atoms thermally, mu stays pinned and the
-    remainder is placed at k = 0 as an explicit condensate.
+    remainder is placed at k = 0 as an explicit condensate.  An inverse
+    temperature so small that the bisection bracket overflows is rejected.
     """
     if not (inverse_temperature > 0 and math.isfinite(inverse_temperature)):
         raise ValueError("inverse_temperature must be finite and positive")
-    N = spec.sites
     if total is None:
-        total = float(N)
-    if total <= 0:
-        raise ValueError("total atom number must be positive")
-    energies = energy_grid(spec)
-    e_min = float(energies.min())
+        total = float(spec.sites)
+    if not (total > 0 and math.isfinite(total)):
+        raise ValueError("total atom number must be finite and positive")
+    levels, counts = _energy_levels(spec)
     beta = inverse_temperature
 
-    def occupations_at(mu: float) -> np.ndarray:
+    def occupations_at(energies: np.ndarray, mu: float) -> np.ndarray:
         x = np.minimum(beta * (energies - mu), _EXP_CLIP)
         return 1.0 / np.expm1(x)
 
-    pin = e_min - 1e-12 * (spec.J if spec.J > 0 else 1.0)
-    if float(occupations_at(pin).sum()) < total:
+    def occupation_sum(mu: float) -> float:
+        # At tiny beta, beta (E - mu) underflows near the band bottom and the
+        # sum overflows to inf: the right limit there, not an error.  numpy's
+        # own sum, not a BLAS dot, keeps mu independent of the thread count.
+        with np.errstate(over="ignore", divide="ignore"):
+            return float((counts * occupations_at(levels, mu)).sum())
+
+    pin = float(levels.min()) - 1e-12 * (spec.J if spec.J > 0 else 1.0)
+    if occupation_sum(pin) < total:
         # Condensed branch: thermal cloud at the pinned mu, rest at k = 0.
-        occ = occupations_at(pin)
+        occ = occupations_at(energy_grid(spec), pin)
         occ[_zero_mode_index(spec.L)] += total - occ.sum()
         mu = pin
     else:
         lo, span = pin, max(spec.J, 1.0 / beta)
-        while float(occupations_at(lo).sum()) >= total:
+        while occupation_sum(lo) >= total:
             lo -= span
             span *= 2.0
-        mu, residual = _bisect_mu(
-            lambda m: float(occupations_at(m).sum()), total, lo, pin
-        )
-        occ = occupations_at(mu)
+        _require_finite_bracket(lo, pin, beta)
+        mu, residual = _bisect_mu(occupation_sum, total, lo, pin)
+        occ = occupations_at(energy_grid(spec), mu)
         if residual > _TOTAL_RTOL * max(total, 1.0):
             # The sum jumps by more than the tolerance per ulp of mu near the
             # band bottom; the leftover is condensate ambiguity at k = 0.
@@ -253,44 +284,50 @@ def bose_einstein(
 def fermi_dirac(
     spec: LatticeSpec, inverse_temperature: float, total: float | None = None
 ) -> MomentumDistribution:
-    """Fermi-Dirac occupations 1/(exp(beta (E(k) - mu)) + 1), equal in both spins."""
+    """Fermi-Dirac occupations 1/(exp(beta (E(k) - mu)) + 1), equal in both spins.
+
+    An inverse temperature so small that the bisection bracket overflows is
+    rejected.
+    """
     if not (inverse_temperature > 0 and math.isfinite(inverse_temperature)):
         raise ValueError("inverse_temperature must be finite and positive")
     N = spec.sites
     if total is None:
         total = float(N)
-    if total < 0 or total > 2 * N:
+    if not (0 <= total <= 2 * N):
         raise ValueError(f"total must lie in [0, 2N] = [0, {2 * N}]")
-    energies = energy_grid(spec)
     beta = inverse_temperature
 
-    def occupations_at(mu: float) -> np.ndarray:
+    def occupations_at(energies: np.ndarray, mu: float) -> np.ndarray:
         x = np.clip(beta * (energies - mu), -_EXP_CLIP, _EXP_CLIP)
         return 1.0 / (np.exp(x) + 1.0)
 
-    def channel_total(mu: float) -> float:
-        return 2.0 * float(occupations_at(mu).sum())
-
     if total == 0:
-        occ = np.zeros_like(energies)
+        occ = np.zeros((spec.L, spec.L))
         mu = None
     elif total == 2 * N:
-        occ = np.ones_like(energies)
+        occ = np.ones((spec.L, spec.L))
         mu = None
     else:
+        levels, counts = _energy_levels(spec)
+
+        def channel_total(mu: float) -> float:
+            return 2.0 * float((counts * occupations_at(levels, mu)).sum())
+
         margin = 40.0 / beta + spec.J + 1.0
-        lo = float(energies.min()) - margin
-        hi = float(energies.max()) + margin
+        lo = float(levels.min()) - margin
+        hi = float(levels.max()) + margin
         while channel_total(lo) >= total:
             lo -= margin
         while channel_total(hi) <= total:
             hi += margin
+        _require_finite_bracket(lo, hi, beta)
         mu, residual = _bisect_mu(channel_total, total, lo, hi)
         if residual > _TOTAL_RTOL * max(total, 1.0):
             raise ChemicalPotentialError(
                 f"mu bisection stalled with residual {residual:.3e} on target {total}"
             )
-        occ = occupations_at(mu)
+        occ = occupations_at(energy_grid(spec), mu)
     return MomentumDistribution(
         Statistics.FERMI,
         np.stack([occ, occ]),

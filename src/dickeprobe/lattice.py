@@ -126,6 +126,27 @@ def energy_grid(spec: LatticeSpec) -> np.ndarray:
     return -(spec.J / spec.Z) * adjacency_fourier_grid(spec)
 
 
+def _energy_levels(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The dispersion's values with their multiplicities on the mode grid.
+
+    E(n, m) depends on the mode only through c(|n|) + c(|m|), with
+    c(n) = cos(2 pi n / L) and |n| in {0, ..., L/2}; n = 0 and n = L/2 occur
+    once along an axis, every other |n| twice.  One level per unordered pair
+    i <= j, computed with energy_grid's float expression, so that
+    np.repeat(levels, counts) holds exactly the values of energy_grid(spec):
+    about L^2/8 levels in place of L^2 modes.  counts is float, ready for a
+    weighted sum `(counts * f(levels)).sum()`.
+    """
+    n = np.arange(spec.L // 2 + 1)
+    c = np.cos(2.0 * np.pi * n / spec.L)
+    once = (n == 0) | (n == spec.L // 2)
+    multiplicity = np.where(once, 1.0, 2.0)
+    i, j = np.triu_indices(n.size)
+    levels = -(spec.J / spec.Z) * (2.0 * (c[i] + c[j]))
+    counts = multiplicity[i] * multiplicity[j] * np.where(i == j, 1.0, 2.0)
+    return levels, counts
+
+
 def _dephasing_factors(
     spec: LatticeSpec, kappa: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -213,6 +213,32 @@ class TestErrors:
         assert main([*argv, "--L", "4", "-o", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--statistics", "bose", "--state", "thermal:1e-320"],
+            ["curve", "--statistics", "fermi", "--state", "thermal:1e-320"],
+            ["classical", "--statistics", "bose", "--state", "thermal:5e-324"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_subnormal_inverse_temperature(self, argv, tmp_path, capsys):
+        # 1/beta overflows: no finite bracket for mu, so no fake condensate
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--L", "10", "-o", str(out)]) == 1
+        assert not out.exists()
+        assert "bracket overflows" in capsys.readouterr().err
+
+    def test_tiny_inverse_temperature_is_near_uniform(self, tmp_path):
+        # beta = 1e-300 is not subnormal: about one atom per mode
+        csv = {}
+        for state in ("thermal:1e-300", "uniform"):
+            out = tmp_path / "out.csv"
+            argv = ["curve", "--statistics", "bose", "--state", state, "--L", "10"]
+            assert main([*argv, "--steps", "5", "-o", str(out)]) == 0
+            csv[state] = out.read_text()
+        assert csv["thermal:1e-300"] == csv["uniform"]
+
     def test_bad_thermal_parameter(self):
         assert (
             main(["curve", "--statistics", "bose", "--state", "thermal:-2",

@@ -1,10 +1,15 @@
+import functools
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from dickeprobe.distributions import (
+    ChemicalPotentialError,
     MomentumDistribution,
     Statistics,
+    _bisect_mu,
     bose_einstein,
     fermi_dirac,
     metallic,
@@ -12,7 +17,7 @@ from dickeprobe.distributions import (
     superfluid,
     uniform,
 )
-from dickeprobe.lattice import LatticeSpec, Mode, energy_grid, mode_grid
+from dickeprobe.lattice import LatticeSpec, Mode, _energy_levels, energy_grid, mode_grid
 from lattice_reference import mode_neg
 
 
@@ -227,3 +232,206 @@ class TestUniform:
         dist = uniform(LatticeSpec(L=4), Statistics.FERMI)
         assert np.allclose(np.asarray(dist.occupations), 0.5)
         assert dist.total() == 16
+
+
+# Reference solvers: the chemical-potential solve with every sum over the
+# full L x L grid and a bisection that always runs its 200 iterations.  The
+# library must agree with them bit for bit.  The full-grid sums are cached
+# per mu; the sum is a pure function, so this only spares the suite the
+# repeated midpoints of a stalled bisection.
+
+
+def reference_bisect(occupation_sum, total, lo, hi):
+    tol = 1e-12 * max(total, 1.0)
+    best_mu, best_err = lo, abs(occupation_sum(lo) - total)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        value = occupation_sum(mid)
+        err = abs(value - total)
+        if err < best_err:
+            best_mu, best_err = mid, err
+        if err <= tol:
+            return mid, err
+        if value >= total:
+            hi = mid
+        else:
+            lo = mid
+    return best_mu, best_err
+
+
+def reference_bose(spec, beta, total=None):
+    """(mu, occupations) from full-grid sums."""
+    total = float(spec.sites) if total is None else total
+    energies = energy_grid(spec)
+
+    def occupations_at(mu):
+        with np.errstate(over="ignore", divide="ignore"):
+            return 1.0 / np.expm1(np.minimum(beta * (energies - mu), 700.0))
+
+    zero = (spec.L // 2 - 1, spec.L // 2 - 1)
+    pin = float(energies.min()) - 1e-12 * spec.J
+    if float(occupations_at(pin).sum()) < total:
+        occ = occupations_at(pin)
+        occ[zero] += total - occ.sum()
+        return pin, occ
+    lo, span = pin, max(spec.J, 1.0 / beta)
+    while float(occupations_at(lo).sum()) >= total:
+        lo -= span
+        span *= 2.0
+    mu, residual = reference_bisect(
+        functools.cache(lambda m: float(occupations_at(m).sum())), total, lo, pin
+    )
+    occ = occupations_at(mu)
+    if residual > 1e-9 * max(total, 1.0):
+        occ[zero] += total - occ.sum()
+    return mu, occ
+
+
+def reference_fermi(spec, beta, total):
+    """(mu, one spin channel's occupations) from full-grid sums."""
+    energies = energy_grid(spec)
+
+    def occupations_at(mu):
+        return 1.0 / (np.exp(np.clip(beta * (energies - mu), -700.0, 700.0)) + 1.0)
+
+    @functools.cache
+    def channel_total(mu):
+        return 2.0 * float(occupations_at(mu).sum())
+
+    margin = 40.0 / beta + spec.J + 1.0
+    lo = float(energies.min()) - margin
+    hi = float(energies.max()) + margin
+    while channel_total(lo) >= total:
+        lo -= margin
+    while channel_total(hi) <= total:
+        hi += margin
+    mu, residual = reference_bisect(channel_total, total, lo, hi)
+    if residual > 1e-9 * max(total, 1.0):
+        raise ChemicalPotentialError(
+            f"mu bisection stalled with residual {residual:.3e} on target {total}"
+        )
+    return mu, occupations_at(mu)
+
+
+# beta from the high-temperature limit through the bisection, its stalled
+# (padded) end and the condensed branch
+_BETAS = [float(b) for b in np.geomspace(1e-4, 1e9, 30)]
+
+
+class TestChemicalPotentialSolve:
+    def test_energy_levels_hold_every_mode_energy(self):
+        specs = [LatticeSpec(L=L) for L in (2, 4, 6, 10, 100)]
+        for spec in specs + [LatticeSpec(L=10, J=0.37), LatticeSpec(L=6, J=0.0)]:
+            levels, counts = _energy_levels(spec)
+            assert counts.sum() == spec.sites
+            expanded = np.repeat(levels, counts.astype(int))
+            np.testing.assert_array_equal(np.sort(expanded), np.sort(energy_grid(spec).ravel()))
+            distinct, multiplicity = np.unique(energy_grid(spec), return_counts=True)
+            merged = [counts[levels == value].sum() for value in distinct]
+            np.testing.assert_array_equal(merged, multiplicity)
+
+    @pytest.mark.parametrize("L", [2, 4, 10, 100])
+    def test_bose_matches_full_grid_reference(self, L):
+        spec = LatticeSpec(L=L)
+        for beta in _BETAS:
+            mu_ref, occ_ref = reference_bose(spec, beta)
+            dist = bose_einstein(spec, beta)
+            assert dist.chemical_potential == mu_ref, beta
+            np.testing.assert_array_equal(dist.occupations[0], occ_ref)
+
+    def test_bose_matches_full_grid_reference_at_L400(self):
+        spec = LatticeSpec(L=400)
+        mu_ref, occ_ref = reference_bose(spec, 13.32)
+        dist = bose_einstein(spec, 13.32)
+        assert dist.chemical_potential == mu_ref
+        np.testing.assert_array_equal(dist.occupations[0], occ_ref)
+
+    @pytest.mark.parametrize("L", [2, 4, 10, 100])
+    @pytest.mark.parametrize("filling", [0.3, 1.0, 1.7])
+    def test_fermi_matches_full_grid_reference(self, L, filling):
+        spec = LatticeSpec(L=L)
+        total = filling * spec.sites
+        for beta in _BETAS:
+            try:
+                mu_ref, occ_ref = reference_fermi(spec, beta, total)
+            except ChemicalPotentialError as exc:
+                # off half filling the sum jumps past the tolerance at low T
+                with pytest.raises(ChemicalPotentialError, match=str(exc)):
+                    fermi_dirac(spec, beta, total)
+                continue
+            dist = fermi_dirac(spec, beta, total)
+            assert dist.chemical_potential == mu_ref, beta
+            np.testing.assert_array_equal(dist.occupations[0], occ_ref)
+            np.testing.assert_array_equal(dist.occupations[1], occ_ref)
+
+    def test_bisection_stops_at_a_collapsed_bracket(self):
+        # the stalled branch: lo and hi become adjacent floats long before
+        # the iteration cap, and every later midpoint repeats one of them
+        spec = LatticeSpec(L=400)
+        beta, total = 13.32, float(spec.sites)
+        levels, counts = _energy_levels(spec)
+
+        def occupation_sum(mu):
+            return float((counts * (1.0 / np.expm1(np.minimum(beta * (levels - mu), 700.0)))).sum())
+
+        pin = float(levels.min()) - 1e-12
+        lo, span = pin, 1.0
+        while occupation_sum(lo) >= total:
+            lo -= span
+            span *= 2.0
+
+        def counting(calls):
+            def wrapped(mu):
+                calls.append(mu)
+                return occupation_sum(mu)
+
+            return wrapped
+
+        calls, reference_calls = [], []
+        result = _bisect_mu(counting(calls), total, lo, pin)
+        reference = reference_bisect(counting(reference_calls), total, lo, pin)
+        assert result == reference
+        assert result[1] > 1e-12 * total  # stalled, not converged
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(reference_calls)
+        assert len(reference_calls) == 201
+
+    def test_bisection_evaluates_an_untried_upper_end(self):
+        # the root sits at hi, which the caller never evaluated: the bracket
+        # collapses onto it, and the stop must not skip that last midpoint
+        def step(mu):
+            return 1.0 if mu >= 1.0 else 0.0
+
+        assert reference_bisect(step, 1.0, 0.0, 1.0) == (1.0, 0.0)
+        assert _bisect_mu(step, 1.0, 0.0, 1.0) == (1.0, 0.0)
+
+    def test_tiny_beta_is_near_uniform(self):
+        for spec in (LatticeSpec(L=10), LatticeSpec(L=100)):
+            dist = bose_einstein(spec, 1e-300)
+            np.testing.assert_allclose(dist.occupations, 1.0, rtol=1e-9)
+
+    @pytest.mark.parametrize("beta", [1e-320, 5e-324])
+    def test_subnormal_beta_is_rejected(self, beta):
+        # 1/beta overflows, so no finite bracket holds mu
+        spec = LatticeSpec(L=10)
+        with pytest.raises(ValueError, match="bracket"):
+            bose_einstein(spec, beta)
+        with pytest.raises(ValueError, match="bracket"):
+            fermi_dirac(spec, beta)
+
+    @pytest.mark.parametrize("total", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_bose_rejects_bad_total(self, total):
+        with pytest.raises(ValueError, match="total"):
+            bose_einstein(LatticeSpec(L=4), 1.0, total)
+
+    @pytest.mark.parametrize("total", [float("nan"), float("inf"), -1.0])
+    def test_fermi_rejects_bad_total(self, total):
+        with pytest.raises(ValueError, match="total"):
+            fermi_dirac(LatticeSpec(L=4), 1.0, total)
+
+    def test_no_runtime_warning_over_the_beta_range(self):
+        spec = LatticeSpec(L=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for beta in np.geomspace(1e-300, 1e300, 25):
+                bose_einstein(spec, float(beta))
