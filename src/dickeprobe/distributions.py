@@ -170,7 +170,7 @@ def metallic(spec: LatticeSpec) -> MomentumDistribution:
     lo = -(L // 2) + 1
     idx = np.arange(L) + lo
     inside = (np.abs(idx)[:, None] + np.abs(idx)[None, :]) < L // 2
-    occ = np.broadcast_to(inside.astype(float), (2, L, L)).copy()
+    occ = np.broadcast_to(inside.astype(float), (2, L, L))
     total = float(spec.sites - 2 * (L - 1))
     return MomentumDistribution(Statistics.FERMI, occ, total)
 
@@ -330,7 +330,7 @@ def fermi_dirac(
         occ = occupations_at(energy_grid(spec), mu)
     return MomentumDistribution(
         Statistics.FERMI,
-        np.stack([occ, occ]),
+        np.broadcast_to(occ, (2, spec.L, spec.L)),
         float(total),
         inverse_temperature=beta,
         chemical_potential=mu,

@@ -184,7 +184,7 @@ def test_criterion_7a_dicke_ladder(spec2, oracle_setup):
     bose, fermi = oracle_setup
     dev = 0.0
     for basis, ground in ((bose, mott_state(bose)), (fermi, neel_state(fermi))):
-        plus = exciton_matrix(basis, Mode(1, 0), "create")
+        plus = exciton_matrix(basis, Mode(1, 0))
         v, expected = ground, 1.0
         for n in range(3):
             v = plus @ v

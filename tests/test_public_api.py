@@ -1,4 +1,4 @@
-"""The exported names: each one resolves, and the package exports exactly these."""
+"""The exported names: each one resolves, and the package and the oracle export exactly these."""
 
 import importlib
 
@@ -48,10 +48,42 @@ PACKAGE_API = [
     "uniform",
 ]
 
+ORACLE_API = [
+    "BasisSizeError",
+    "CheckResult",
+    "EXCITED",
+    "FockBasis",
+    "GROUND",
+    "Propagator",
+    "build_lattice_hamiltonian",
+    "classical_sequence_sigma_z",
+    "correlator_cases",
+    "exact_peak_curve",
+    "exciton_matrix",
+    "four_point_tensor",
+    "momentum_fock_state",
+    "mott_site_states",
+    "mott_state",
+    "neel_site_states",
+    "neel_state",
+    "product_state",
+    "separable_deviation",
+    "sigma_x_matrix",
+    "sigma_z_diagonal",
+    "superfluid_state",
+    "verification_suite",
+]
+
 
 def test_package_exports_exactly_the_public_api():
     assert sorted(dickeprobe.__all__) == PACKAGE_API
     assert len(set(dickeprobe.__all__)) == len(dickeprobe.__all__)
+
+
+def test_oracle_exports_exactly_its_api():
+    oracle = importlib.import_module("dickeprobe.oracle")
+    assert sorted(oracle.__all__) == ORACLE_API
+    assert len(set(oracle.__all__)) == len(oracle.__all__)
 
 
 @pytest.mark.parametrize("name", ["dickeprobe"] + [f"dickeprobe.{m}" for m in MODULES])
