@@ -221,7 +221,7 @@ def _run_classical(args) -> int:
 
 
 def _run_oracle(args) -> int:
-    # Only this subcommand needs the oracle and the scipy.sparse it imports.
+    # Only this subcommand needs the oracle; no other command imports it.
     from .oracle import verification_suite
 
     results = verification_suite()

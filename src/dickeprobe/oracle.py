@@ -8,7 +8,8 @@ unitary evolution by eigendecomposition, and first-order emission amplitudes.
 A basis is one occupation array; every operator derives from one creation
 primitive, a+ from the basis one atom smaller.  Bilinears a+_c a_a are
 products of two creations, momentum states are built up from the vacuum,
-and Sigma^- is the adjoint of Sigma^+.
+and Sigma^- is the adjoint of Sigma^+.  Operators are numpy index triplets
+(`_Operator`); the oracle needs no sparse-matrix library.
 
 Single-particle modes follow one fixed global order,
 mode_id = (site * n_spins + spin) * 2 + level, with level 0 = ground and
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .classical import DriveParameters, expected_sigma_z
 from .correlators import (
@@ -157,19 +157,68 @@ def _smaller(basis: FockBasis) -> FockBasis:
     return basis._cache["smaller"]
 
 
-def _creation(basis: FockBasis, mode_id: int) -> sparse.csr_matrix:
-    """Sparse a+_{mode_id} from the one-atom-smaller basis into `basis`, cached per mode.
+class _Operator:
+    """A sparse matrix as numpy triplets: entry (row[i], col[i]) holds data[i].
 
-    Every smaller state that can take one more atom at `mode_id` gives one
-    entry; its target row is found from the state code.  The amplitude is
-    sqrt(n + 1) for bosons and, for fermions, the sign of the parity of the
-    occupied modes below `mode_id`.
+    No (row, col) pair repeats.  `@` applies it to a vector or to every
+    column of a (dim, T) block.
+    """
+
+    def __init__(self, row, col, data, shape):
+        self.row, self.col, self.data, self.shape = row, col, data, shape
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        terms = self.data.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.col]
+        out = np.zeros((self.shape[0],) + x.shape[1:], dtype=terms.dtype)
+        np.add.at(out, self.row, terms)
+        return out
+
+    def getH(self) -> _Operator:
+        return _Operator(self.col, self.row, self.data.conj(), self.shape[::-1])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self.row, self.col] = self.data
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        out = np.zeros(min(self.shape), dtype=self.data.dtype)
+        on = self.row == self.col
+        out[self.row[on]] = self.data[on]
+        return out
+
+
+def _sum(shape: tuple[int, int], parts) -> _Operator:
+    """sum coeff * op over (coeff, op) parts: each duplicate (row, col) summed once.
+
+    Entries that sum to exactly zero are dropped, so the pattern holds only
+    nonzero entries, in row-major order.
+    """
+    row = np.concatenate([op.row for _, op in parts])
+    col = np.concatenate([op.col for _, op in parts])
+    data = np.concatenate([coeff * op.data for coeff, op in parts])
+    codes, inverse = np.unique(row * shape[1] + col, return_inverse=True)
+    summed = np.zeros(len(codes), dtype=data.dtype)
+    np.add.at(summed, inverse, data)
+    keep = summed != 0
+    return _Operator(codes[keep] // shape[1], codes[keep] % shape[1], summed[keep], shape)
+
+
+def _creation(basis: FockBasis, mode_id: int) -> _Operator:
+    """a+_{mode_id} from the one-atom-smaller basis into `basis`, cached per mode.
+
+    Every smaller state (column) that can take one more atom at `mode_id`
+    gives one entry; its target row is found from the state code.  The
+    amplitude is sqrt(n + 1) for bosons and, for fermions, the sign of the
+    parity of the occupied modes below `mode_id`.  Rows and columns are
+    each distinct.
     """
     key = ("creation", mode_id)
     if key in basis._cache:
         return basis._cache[key]
     if basis.n_particles == 0:
-        mat = sparse.csr_matrix((basis.dimension, 0))
+        empty = np.zeros(0, dtype=np.intp)
+        mat = _Operator(empty, empty, np.zeros(0), (basis.dimension, 0))
     else:
         occ = _smaller(basis).occupations
         n = occ[:, mode_id].astype(float)
@@ -180,77 +229,83 @@ def _creation(basis: FockBasis, mode_id: int) -> sparse.csr_matrix:
             cols = np.arange(len(occ))
             vals = np.sqrt(n + 1.0)
         target = occ[cols] @ basis._weights + basis._weights[mode_id]
-        mat = sparse.csr_matrix(
-            (vals, (basis._rows(target), cols)), shape=(basis.dimension, len(occ))
-        )
+        mat = _Operator(basis._rows(target), cols, vals, (basis.dimension, len(occ)))
     basis._cache[key] = mat
     return mat
 
 
-def _bilinear(basis: FockBasis, create_id: int, annihilate_id: int) -> sparse.csr_matrix:
-    """Sparse a+_{create} a_{annihilate} = a+_{create} (a+_{annihilate})^T, cached per pair."""
+def _bilinear(basis: FockBasis, create_id: int, annihilate_id: int) -> _Operator:
+    """a+_{create} a_{annihilate} = a+_{create} (a+_{annihilate})^T, cached per pair.
+
+    Both creations map each smaller state to at most one row, so the
+    product pairs their entries on a shared smaller state by integer
+    indexing; its rows and columns are each distinct.
+    """
     key = ("bilinear", create_id, annihilate_id)
     if key not in basis._cache:
-        lowering = ("annihilation", annihilate_id)  # the transpose, kept in CSR for the product
-        if lowering not in basis._cache:
-            basis._cache[lowering] = _creation(basis, annihilate_id).T.tocsr()
-        basis._cache[key] = _creation(basis, create_id) @ basis._cache[lowering]
+        create, lower = _creation(basis, create_id), _creation(basis, annihilate_id)
+        slot = np.full(create.shape[1], -1)
+        slot[create.col] = np.arange(len(create.col))
+        shared = np.flatnonzero(slot[lower.col] >= 0)  # entries of `lower`
+        entry = slot[lower.col[shared]]  # the matching entries of `create`
+        basis._cache[key] = _Operator(
+            create.row[entry],
+            lower.row[shared],
+            create.data[entry] * lower.data[shared],
+            (basis.dimension, basis.dimension),
+        )
     return basis._cache[key]
 
 
-def _bilinear_sum(basis: FockBasis, terms) -> sparse.csr_matrix:
-    """sum coeff * a+_{create} a_{annihilate} over (coeff, create_id, annihilate_id) terms.
-
-    The cached bilinears are concatenated as COO triplets and summed in one
-    CSR construction, not one sparse addition per term.
-    """
-    rows, cols, vals = [], [], []
-    for coeff, create_id, annihilate_id in terms:
-        term = _bilinear(basis, create_id, annihilate_id)
-        rows.append(np.repeat(np.arange(basis.dimension), np.diff(term.indptr)))
-        cols.append(term.indices)
-        vals.append(coeff * term.data)
-    mat = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.dimension, basis.dimension),
-    )
-    mat.eliminate_zeros()
-    return mat
+def _bilinear_sum(basis: FockBasis, terms) -> _Operator:
+    """sum coeff * a+_{create} a_{annihilate} over (coeff, create_id, annihilate_id) terms."""
+    parts = [(coeff, _bilinear(basis, c, a)) for coeff, c, a in terms]
+    return _sum((basis.dimension, basis.dimension), parts)
 
 
-def build_lattice_hamiltonian(basis: FockBasis, spec: LatticeSpec) -> sparse.csr_matrix:
+def _hopping(basis: FockBasis) -> _Operator:
+    """sum_{mu nu, s, level} A[mu,nu] a+_{mu s level} a_{nu s level}, built once per basis."""
+    if "hopping" not in basis._cache:
+        A = adjacency_matrix(basis.spec)
+        N = basis.spec.sites
+        basis._cache["hopping"] = _bilinear_sum(
+            basis,
+            [
+                (A[mu, nu], basis.mode_id(mu, spin, level), basis.mode_id(nu, spin, level))
+                for mu in range(N)
+                for nu in range(N)
+                if A[mu, nu]
+                for spin in range(basis.n_spins)
+                for level in (GROUND, EXCITED)
+            ],
+        )
+    return basis._cache["hopping"]
+
+
+def _onsite(basis: FockBasis) -> _Operator:
+    """Diagonal sum_mu n_mu (n_mu - 1) / 2, built once per basis."""
+    if "onsite" not in basis._cache:
+        n_site = basis.occupations.reshape(basis.dimension, basis.spec.sites, -1).sum(axis=2)
+        states = np.arange(basis.dimension)
+        pairs = (0.5 * n_site * (n_site - 1)).sum(axis=1)
+        basis._cache["onsite"] = _Operator(states, states, pairs, (basis.dimension,) * 2)
+    return basis._cache["onsite"]
+
+
+def build_lattice_hamiltonian(basis: FockBasis, spec: LatticeSpec) -> _Operator:
     """Two-level lattice Hamiltonian: level-diagonal hopping plus on-site repulsion.
 
     H = -(J/Z) sum_{mu nu, s, level} A[mu,nu] a+_{mu s level} a_{nu s level}
         + (U/2) sum_mu n_mu (n_mu - 1),   n_mu counting both levels and spins.
 
     Hermitian; conserves total particle number and total excited-level count.
+    Both terms are cached per basis, so each (J, U) costs one sum; at J = 0
+    the operator is diagonal.
     """
     if spec.L != basis.spec.L:
         raise ValueError("spec lattice size does not match the basis")
-    key = ("hamiltonian", spec.J, spec.U)
-    cached = basis._cache.get(key)
-    if cached is not None:
-        return cached
-    A = adjacency_matrix(spec)
-    N = spec.sites
-    coeff = -spec.J / spec.Z
-    H = _bilinear_sum(
-        basis,
-        [
-            (coeff * A[mu, nu], basis.mode_id(mu, spin, level), basis.mode_id(nu, spin, level))
-            for mu in range(N)
-            for nu in range(N)
-            if A[mu, nu]
-            for spin in range(basis.n_spins)
-            for level in (GROUND, EXCITED)
-        ],
-    )
-    n_site = basis.occupations.reshape(basis.dimension, N, -1).sum(axis=2)
-    diag = (0.5 * spec.U * n_site * (n_site - 1)).sum(axis=1)
-    result = (H + sparse.diags(diag)).tocsr()
-    basis._cache[key] = result
-    return result
+    parts = [(-spec.J / spec.Z, _hopping(basis)), (spec.U, _onsite(basis))]
+    return _sum((basis.dimension, basis.dimension), parts)
 
 
 def _site_phases(basis: FockBasis, kappa: tuple[int, int]) -> np.ndarray:
@@ -260,7 +315,7 @@ def _site_phases(basis: FockBasis, kappa: tuple[int, int]) -> np.ndarray:
     return np.exp(2j * np.pi * (kappa.n * coords[:, 0] + kappa.m * coords[:, 1]) / L)
 
 
-def exciton_matrix(basis: FockBasis, kappa: tuple[int, int]) -> sparse.csr_matrix:
+def exciton_matrix(basis: FockBasis, kappa: tuple[int, int]) -> _Operator:
     """Sigma^+(kappa) = sum_{mu,s} a+_ex a_gr exp(i kappa r_mu); Sigma^- is its .getH()."""
     key = ("exciton", canonical_mode(kappa, basis.spec.L))
     if key in basis._cache:
@@ -284,29 +339,24 @@ def sigma_z_diagonal(basis: FockBasis) -> np.ndarray:
     return 0.5 * (occ[:, EXCITED::2].sum(axis=1) - occ[:, GROUND::2].sum(axis=1))
 
 
-def sigma_x_matrix(basis: FockBasis, kappa: tuple[int, int]) -> sparse.csr_matrix:
+def sigma_x_matrix(basis: FockBasis, kappa: tuple[int, int]) -> _Operator:
     """Sigma^x(kappa) = (Sigma^+ + Sigma^-) / 2."""
     plus = exciton_matrix(basis, kappa)
-    return 0.5 * (plus + plus.getH())
+    return _sum((basis.dimension, basis.dimension), [(0.5, plus), (0.5, plus.getH())])
 
 
-def _sector_labels(H: sparse.spmatrix) -> np.ndarray:
-    """Connected components of H's nonzero pattern, diagonal included.
+def _sector_labels(H: _Operator) -> np.ndarray:
+    """Connected components of H's nonzero pattern.
 
     Each state is labelled with the smallest index in its component: every
-    state repeatedly takes the smallest label among its neighbours, with
-    pointer jumping, until no label changes.
+    state repeatedly takes the smallest label among itself and its
+    neighbours, with pointer jumping, until no label changes.
     """
-    n = H.shape[0]
-    rows, cols = H.nonzero()
-    loops = np.arange(n)
-    pattern = sparse.csr_matrix(
-        (np.ones(2 * len(rows) + n), (np.r_[rows, cols, loops], np.r_[cols, rows, loops])),
-        shape=(n, n),
-    )
-    labels = loops
+    rows, cols = np.r_[H.row, H.col], np.r_[H.col, H.row]
+    labels = np.arange(H.shape[0])
     while True:
-        lowest = np.minimum.reduceat(labels[pattern.indices], pattern.indptr[:-1])
+        lowest = labels.copy()
+        np.minimum.at(lowest, rows, labels[cols])
         lowest = lowest[lowest]
         if np.array_equal(lowest, labels):
             return labels
@@ -316,21 +366,27 @@ def _sector_labels(H: sparse.spmatrix) -> np.ndarray:
 class Propagator:
     """Exact evolution exp(-i H t), for any time grid.
 
-    H is diagonalized one sector at a time: the sectors are the connected
-    components of its nonzero pattern, i.e. the blocks of the quantum numbers
-    it conserves.  Sectors of equal size share one stacked eigh; a 1 x 1
-    sector is its own eigenvalue.
+    H, a dense array or an oracle operator, is diagonalized one sector at a
+    time: the sectors are the connected components of its nonzero pattern,
+    i.e. the blocks of the quantum numbers it conserves.  Sectors of equal
+    size share one stacked eigh; a 1 x 1 sector is its own eigenvalue.
     """
 
     def __init__(self, hamiltonian):
-        H = sparse.csr_matrix(hamiltonian)
-        scale = max(1.0, float(abs(H).max()))
-        if abs(H - H.conj().T).max() > 1e-12 * scale:
-            raise ValueError("hamiltonian is not Hermitian")
+        H = hamiltonian
+        if not isinstance(H, _Operator):
+            dense = np.asarray(H)
+            if dense.ndim != 2:
+                raise ValueError("hamiltonian is not a matrix")
+            rows, cols = np.nonzero(dense)
+            H = _Operator(rows, cols, dense[rows, cols], dense.shape)
+        if H.shape[0] != H.shape[1]:
+            raise ValueError("hamiltonian is not square")
+        # every entry lies inside its own sector, so checking each block is complete
+        tolerance = 1e-12 * max(1.0, float(np.abs(H.data).max(initial=0.0)))
         labels = _sector_labels(H)
         order = np.argsort(labels, kind="stable")
         _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
-        entries = H.tocoo()
         block = np.empty(len(labels), dtype=int)
         position = np.empty(len(labels), dtype=int)
         self._groups = []
@@ -339,10 +395,12 @@ class Propagator:
             block.fill(-1)
             block[members] = np.arange(len(members))[:, None]
             position[members] = np.arange(size)
-            inside = block[entries.row] >= 0
-            rows, cols = entries.row[inside], entries.col[inside]
-            blocks = np.zeros((len(members), size, size), dtype=H.dtype)
-            np.add.at(blocks, (block[rows], position[rows], position[cols]), entries.data[inside])
+            inside = block[H.row] >= 0
+            rows, cols = H.row[inside], H.col[inside]
+            blocks = np.zeros((len(members), size, size), dtype=H.data.dtype)
+            blocks[block[rows], position[rows], position[cols]] = H.data[inside]
+            if np.abs(blocks - blocks.conj().transpose(0, 2, 1)).max() > tolerance:
+                raise ValueError("hamiltonian is not Hermitian")
             if size == 1:
                 energies, vectors = blocks[:, 0].real, np.ones_like(blocks)
             else:
@@ -374,6 +432,14 @@ def _cached_propagator(basis: FockBasis, spec: LatticeSpec) -> Propagator:
 # state constructors
 
 
+def _site_atoms(site_states) -> int:
+    """Atom total of Gutzwiller site states; each must hold a definite atom number."""
+    counts = [{sum(occ) for occ in local} for local in site_states]
+    if any(len(count) != 1 for count in counts):
+        raise ValueError("each site state must have a definite particle number")
+    return sum(min(count) for count in counts)
+
+
 def product_state(basis: FockBasis, site_states) -> np.ndarray:
     """Normalized Gutzwiller product, sites given as {local occupation: amplitude}.
 
@@ -386,10 +452,7 @@ def product_state(basis: FockBasis, site_states) -> np.ndarray:
     block = basis.n_spins * 2
     if any(len(occ) != block for local in site_states for occ in local):
         raise ValueError(f"local occupations must have length {block}")
-    counts = [{sum(occ) for occ in local} for local in site_states]
-    if any(len(count) != 1 for count in counts):
-        raise ValueError("each site state must have a definite particle number")
-    total = sum(min(count) for count in counts)
+    total = _site_atoms(site_states)
     if total != basis.n_particles:
         raise ValueError(f"site states hold {total} atoms, basis expects {basis.n_particles}")
     local_occupations = basis.occupations.reshape(basis.dimension, basis.spec.sites, block)
@@ -605,8 +668,7 @@ def separable_deviation(
     tunneling.  Both sides are normalized by the atom count.
     """
     statistics = Statistics(statistics)
-    counts = [sum(next(iter(local.keys()))) for local in site_states]
-    basis = FockBasis(spec, statistics, sum(counts))
+    basis = FockBasis(spec, statistics, _site_atoms(site_states))
     psi = product_state(basis, site_states)
     exact = exact_peak_curve(psi, kappa_in, kappa_out, np.array([dt]), basis, spec)[0]
 

@@ -49,7 +49,9 @@ from dickeprobe.oracle import (
     sigma_z_diagonal,
     superfluid_state,
     verification_suite,
+    _Operator,
     _bilinear,
+    _bilinear_sum,
     _creation,
     _sector_labels,
 )
@@ -97,13 +99,29 @@ class TestHamiltonian:
     def test_free_hamiltonian_is_zero(self, bose_basis):
         spec = LatticeSpec(L=2, J=0.0, U=0.0)
         H = build_lattice_hamiltonian(bose_basis, spec)
-        assert abs(H).max() == 0.0
+        assert np.abs(H.toarray()).max() == 0.0
 
     def test_mott_is_interaction_eigenstate(self, bose_basis):
         # unit filling: n(n-1) = 0 on every site
         spec = LatticeSpec(L=2, J=0.0, U=50.0)
         H = build_lattice_hamiltonian(bose_basis, spec)
         assert np.linalg.norm(H @ mott_state(bose_basis)) < 1e-12
+
+    def test_frozen_hamiltonian_is_diagonal(self, fermi_basis):
+        # J = 0 keeps every state its own 1 x 1 sector, so no eigh runs
+        H = build_lattice_hamiltonian(fermi_basis, LatticeSpec(L=2, J=0.0, U=0.8))
+        assert np.array_equal(H.row, H.col)
+        assert np.array_equal(_sector_labels(H), np.arange(fermi_basis.dimension))
+
+    def test_pieces_built_once_per_basis(self, spec2):
+        # H(J, U) = (-J/Z) hop + U D from the hopping and on-site pieces of the first call
+        basis = FockBasis(spec2, Statistics.BOSE, 4)
+        hopping = build_lattice_hamiltonian(basis, LatticeSpec(L=2, J=1.0, U=0.0)).toarray()
+        onsite = build_lattice_hamiltonian(basis, LatticeSpec(L=2, J=0.0, U=1.0)).toarray()
+        pieces = basis._cache["hopping"], basis._cache["onsite"]
+        H = build_lattice_hamiltonian(basis, LatticeSpec(L=2, J=0.5, U=3.0)).toarray()
+        assert basis._cache["hopping"] is pieces[0] and basis._cache["onsite"] is pieces[1]
+        assert np.abs(H - (0.5 * hopping + 3.0 * onsite)).max() < 1e-14
 
     def test_single_particle_dispersion(self, spec2):
         basis = FockBasis(spec2, Statistics.BOSE, 1)
@@ -164,14 +182,15 @@ class TestExciton:
             for kappa in (Mode(1, 0), Mode(1, 1)):
                 x, y = site_coordinates(basis.spec).T
                 phases = np.exp(-1j * np.pi * (kappa.n * x + kappa.m * y))
-                minus = sum(
-                    phases[mu]
-                    * _bilinear(basis, basis.mode_id(mu, s, 0), basis.mode_id(mu, s, 1))
-                    for mu in range(4)
-                    for s in range(basis.n_spins)
-                )
+                # dense, accumulated in place: 53 MB for the 1820-state basis
+                minus = np.zeros((basis.dimension,) * 2, dtype=complex)
+                for mu in range(4):
+                    for s in range(basis.n_spins):
+                        term = _bilinear(basis, basis.mode_id(mu, s, 0), basis.mode_id(mu, s, 1))
+                        minus[term.row, term.col] += phases[mu] * term.data
                 plus = exciton_matrix(basis, kappa)
-                assert abs(plus.getH() - minus).max() < 1e-14
+                minus -= plus.getH().toarray()
+                assert np.abs(minus).max() < 1e-14
 
     def test_dicke_ladder_norms(self, bose_basis, fermi_basis):
         for basis, ground in (
@@ -188,6 +207,76 @@ class TestExciton:
                 assert np.linalg.norm(v) == pytest.approx(expected, rel=1e-10)
 
 
+def _operators(basis):
+    """One operator of each kind the oracle builds, by name."""
+    return {
+        "creation": _creation(basis, 3),
+        "bilinear": _bilinear(basis, 3, 0),
+        "exciton": exciton_matrix(basis, Mode(1, 1)),
+        "sigma-x": sigma_x_matrix(basis, Mode(1, 0)),
+        "hamiltonian": build_lattice_hamiltonian(basis, LatticeSpec(L=2, J=1.0, U=3.0)),
+    }
+
+
+class TestOperator:
+    @pytest.mark.parametrize(
+        "statistics, n_particles",
+        [(Statistics.BOSE, 4), (Statistics.FERMI, 2)],
+        ids=["bose-4", "fermi-2"],
+    )
+    def test_matmul_matches_dense(self, spec2, statistics, n_particles):
+        basis = FockBasis(spec2, statistics, n_particles)
+        rng = np.random.default_rng(5)
+        for name, op in _operators(basis).items():
+            dense = op.toarray()
+            dim = op.shape[1]
+            vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+            strided = (rng.normal(size=(3, dim)) + 0j).T  # a (dim, T) view, as advance gives
+            for x in (vector, block, strided):
+                got = op @ x
+                assert got.shape == (op.shape[0],) + x.shape[1:], name
+                assert np.abs(got - dense @ x).max() < 1e-12, name
+
+    @pytest.mark.parametrize(
+        "statistics, n_particles",
+        [(Statistics.BOSE, 4), (Statistics.FERMI, 2)],
+        ids=["bose-4", "fermi-2"],
+    )
+    def test_getH_is_conjugate_transpose(self, spec2, statistics, n_particles):
+        basis = FockBasis(spec2, statistics, n_particles)
+        for name, op in _operators(basis).items():
+            assert op.getH().shape == op.shape[::-1], name
+            assert np.array_equal(op.getH().toarray(), op.toarray().conj().T), name
+
+    def test_sum_merges_duplicates_and_drops_cancelled(self, spec2):
+        basis = FockBasis(spec2, Statistics.BOSE, 2)
+        hop = _bilinear(basis, 2, 0)
+        # the (2, 0) triplets repeat and add up; the (4, 0) ones cancel exactly
+        total = _bilinear_sum(basis, [(0.5, 2, 0), (0.25, 2, 0), (1.0, 4, 0), (-1.0, 4, 0)])
+        pairs = total.row * basis.dimension + total.col
+        assert len(np.unique(pairs)) == len(pairs) == len(hop.data)
+        assert np.all(total.data != 0)
+        assert np.array_equal(total.toarray(), 0.75 * hop.toarray())
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["operator", "dense"])
+    def test_propagator_rejects_asymmetric_pair(self, dense):
+        op = _Operator(np.array([0, 1, 2]), np.array([1, 0, 2]), np.array([1.0, 2.0, 1.0]), (3, 3))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Propagator(op.toarray() if dense else op)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["operator", "dense"])
+    def test_propagator_rejects_imaginary_diagonal(self, dense):
+        # state 1 is a 1 x 1 sector; its entry must be real
+        op = _Operator(np.array([0, 1]), np.array([0, 1]), np.array([1.0, 0.5j]), (2, 2))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Propagator(op.toarray() if dense else op)
+
+    def test_propagator_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            Propagator(np.zeros((2, 3)))
+
+
 # (J, U) of the lattice Hamiltonian, or None for Sigma^x(1, 1)
 _OPERATORS = {"hopping": (1.0, 0.0), "hubbard": (1.0, 3.0), "frozen": (0.0, 0.8), "sigma-x": None}
 
@@ -200,9 +289,7 @@ class TestEvolve:
         assert np.allclose(Propagator(H).advance(v, 0.0), v, atol=1e-12)
 
     def test_zero_hamiltonian_is_identity(self, bose_basis, rng):
-        import scipy.sparse as sparse
-
-        H = sparse.csr_matrix((bose_basis.dimension, bose_basis.dimension))
+        H = np.zeros((bose_basis.dimension, bose_basis.dimension))
         v = rng.normal(size=bose_basis.dimension) + 0j
         assert np.allclose(Propagator(H).advance(v, 3.3), v, atol=1e-12)
 
@@ -224,9 +311,9 @@ class TestEvolve:
         import scipy.sparse as sparse
 
         M = sparse.random(6, 6, density=0.5, random_state=3, format="csr")
-        M = M + sparse.identity(6, format="csr")
-        with pytest.raises(ValueError):
-            Propagator(M)
+        M = (M + sparse.identity(6, format="csr")).tocoo()
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Propagator(_Operator(M.row, M.col, M.data, M.shape))
 
     @pytest.mark.parametrize(
         "statistics, n_particles, operator",
@@ -447,7 +534,7 @@ class TestArrayFockLayer:
         for mode in range(basis.n_modes):
             steps = [(col, _create(occ, mode, basis.fermionic)) for col, occ in enumerate(smaller)]
             steps = [(col, step) for col, step in steps if step is not None]
-            got = _creation(basis, mode).tocoo()
+            got = _creation(basis, mode)
             assert got.shape == (basis.dimension, len(smaller))
             order = np.argsort(got.col)
             assert np.array_equal(got.col[order], [col for col, _ in steps])
@@ -466,9 +553,9 @@ class TestArrayFockLayer:
             rows, cols, vals = _reference_bilinear(
                 states, basis.fermionic, create_id, annihilate_id
             )
-            got = _bilinear(basis, create_id, annihilate_id).tocoo()
+            got = _bilinear(basis, create_id, annihilate_id)
             order = np.argsort(got.col)
-            assert got.nnz == len(cols)
+            assert len(got.data) == len(cols)
             assert np.array_equal(got.col[order], cols)
             assert np.array_equal(got.row[order], rows)
             assert np.array_equal(got.data[order], vals)
@@ -512,7 +599,7 @@ class TestArrayFockLayer:
             return sum(
                 pc[mu] * pa[nu] / 4 * _bilinear(
                     basis, basis.mode_id(mu, spin, 0), basis.mode_id(nu, spin, 0)
-                )
+                ).toarray()
                 for mu in range(4)
                 for nu in range(4)
             )
@@ -708,6 +795,18 @@ class TestSeparableCases:
             basis = FockBasis(spec, Statistics.FERMI, 4)
             peak = exact_peak_curve(neel_state(basis), kin, kout, np.array([0.9]), basis, spec)
             assert peak[0] == pytest.approx(expected, abs=1e-12)
+
+    def test_rejects_empty_site_state(self):
+        # an empty site dict has no atom number: a ValueError, not a StopIteration
+        with pytest.raises(ValueError, match="definite particle number"):
+            separable_deviation(
+                [{}] + [{(1, 0): 1.0}] * 3,
+                Mode(1, 0),
+                Mode(1, 0),
+                1.0,
+                LatticeSpec(L=2, J=0, U=1),
+                "bose",
+            )
 
     def test_interaction_dominated_residual(self, spec2):
         # J/U = 0.01: the product formula holds up to a perturbative residual
