@@ -161,20 +161,45 @@ class _Operator:
     """A sparse matrix as numpy triplets: entry (row[i], col[i]) holds data[i].
 
     No (row, col) pair repeats.  `@` applies it to a vector or to every
-    column of a (dim, T) block.
+    column of a (dim, T) block.  An operator built `distinct` holds at most
+    one entry in each row and each column, as creations, bilinears and
+    diagonals do, and its product assigns each term to its row; any other
+    operator sorts its triplets by row once and sums each run of equal rows.
     """
 
-    def __init__(self, row, col, data, shape):
+    def __init__(self, row, col, data, shape, distinct=False):
         self.row, self.col, self.data, self.shape = row, col, data, shape
+        self.distinct = distinct
+        self._runs = None
+        self._adjoint = None
+
+    def _row_runs(self) -> np.ndarray:
+        """Start of each run of equal rows, the triplets first sorted by row if they are not."""
+        if self._runs is None:
+            if np.any(self.row[1:] < self.row[:-1]):
+                order = np.argsort(self.row, kind="stable")
+                self.row, self.col, self.data = self.row[order], self.col[order], self.data[order]
+            self._runs = np.flatnonzero(np.diff(self.row, prepend=-1))
+        return self._runs
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        runs = None if self.distinct else self._row_runs()
         terms = self.data.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.col]
         out = np.zeros((self.shape[0],) + x.shape[1:], dtype=terms.dtype)
-        np.add.at(out, self.row, terms)
+        if runs is None:
+            out[self.row] = terms
+        elif len(runs):
+            out[self.row[runs]] = np.add.reduceat(terms, runs, axis=0)
         return out
 
     def getH(self) -> _Operator:
-        return _Operator(self.col, self.row, self.data.conj(), self.shape[::-1])
+        """The conjugate transpose, built once per operator."""
+        if self._adjoint is None:
+            self._adjoint = _Operator(
+                self.col, self.row, self.data.conj(), self.shape[::-1], self.distinct
+            )
+            self._adjoint._adjoint = self
+        return self._adjoint
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.data.dtype)
@@ -192,14 +217,21 @@ def _sum(shape: tuple[int, int], parts) -> _Operator:
     """sum coeff * op over (coeff, op) parts: each duplicate (row, col) summed once.
 
     Entries that sum to exactly zero are dropped, so the pattern holds only
-    nonzero entries, in row-major order.
+    nonzero entries, in row-major order.  Repeated entries add up in the
+    order the parts give them.
     """
     row = np.concatenate([op.row for _, op in parts])
     col = np.concatenate([op.col for _, op in parts])
     data = np.concatenate([coeff * op.data for coeff, op in parts])
-    codes, inverse = np.unique(row * shape[1] + col, return_inverse=True)
-    summed = np.zeros(len(codes), dtype=data.dtype)
-    np.add.at(summed, inverse, data)
+    codes = row * shape[1] + col
+    order = np.argsort(codes, kind="stable")
+    first = np.diff(codes[order], prepend=-1) != 0
+    merged = np.empty(len(codes), dtype=np.intp)  # each entry's place in the merged pattern
+    merged[order] = np.cumsum(first) - 1
+    codes = codes[order[first]]
+    summed = np.bincount(merged, weights=data.real, minlength=len(codes))
+    if np.iscomplexobj(data):
+        summed = summed + 1j * np.bincount(merged, weights=data.imag, minlength=len(codes))
     keep = summed != 0
     return _Operator(codes[keep] // shape[1], codes[keep] % shape[1], summed[keep], shape)
 
@@ -218,7 +250,7 @@ def _creation(basis: FockBasis, mode_id: int) -> _Operator:
         return basis._cache[key]
     if basis.n_particles == 0:
         empty = np.zeros(0, dtype=np.intp)
-        mat = _Operator(empty, empty, np.zeros(0), (basis.dimension, 0))
+        mat = _Operator(empty, empty, np.zeros(0), (basis.dimension, 0), distinct=True)
     else:
         occ = _smaller(basis).occupations
         n = occ[:, mode_id].astype(float)
@@ -229,7 +261,9 @@ def _creation(basis: FockBasis, mode_id: int) -> _Operator:
             cols = np.arange(len(occ))
             vals = np.sqrt(n + 1.0)
         target = occ[cols] @ basis._weights + basis._weights[mode_id]
-        mat = _Operator(basis._rows(target), cols, vals, (basis.dimension, len(occ)))
+        mat = _Operator(
+            basis._rows(target), cols, vals, (basis.dimension, len(occ)), distinct=True
+        )
     basis._cache[key] = mat
     return mat
 
@@ -253,6 +287,7 @@ def _bilinear(basis: FockBasis, create_id: int, annihilate_id: int) -> _Operator
             lower.row[shared],
             create.data[entry] * lower.data[shared],
             (basis.dimension, basis.dimension),
+            distinct=True,
         )
     return basis._cache[key]
 
@@ -288,7 +323,9 @@ def _onsite(basis: FockBasis) -> _Operator:
         n_site = basis.occupations.reshape(basis.dimension, basis.spec.sites, -1).sum(axis=2)
         states = np.arange(basis.dimension)
         pairs = (0.5 * n_site * (n_site - 1)).sum(axis=1)
-        basis._cache["onsite"] = _Operator(states, states, pairs, (basis.dimension,) * 2)
+        basis._cache["onsite"] = _Operator(
+            states, states, pairs, (basis.dimension,) * 2, distinct=True
+        )
     return basis._cache["onsite"]
 
 
@@ -363,13 +400,34 @@ def _sector_labels(H: _Operator) -> np.ndarray:
         labels = lowest
 
 
+def _check_hermitian(H: _Operator) -> None:
+    """Raise unless every entry is the conjugate of its mirror entry, or of 0 where there is none.
+
+    The check reads the triplets, so it covers the entries of every sector,
+    diagonalized or not.  The tolerance is relative, 1e-12 of the largest entry.
+    """
+    if not len(H.data):
+        return
+    codes = H.row * H.shape[1] + H.col
+    order = np.argsort(codes)
+    mirror_codes = H.col * H.shape[1] + H.row
+    found = order[np.minimum(np.searchsorted(codes, mirror_codes, sorter=order), len(codes) - 1)]
+    mirror = np.where(codes[found] == mirror_codes, H.data[found], 0)
+    tolerance = 1e-12 * max(1.0, float(np.abs(H.data).max()))
+    if np.abs(H.data - mirror.conj()).max() > tolerance:
+        raise ValueError("hamiltonian is not Hermitian")
+
+
 class Propagator:
     """Exact evolution exp(-i H t), for any time grid.
 
     H, a dense array or an oracle operator, is diagonalized one sector at a
     time: the sectors are the connected components of its nonzero pattern,
-    i.e. the blocks of the quantum numbers it conserves.  Sectors of equal
-    size share one stacked eigh; a 1 x 1 sector is its own eigenvalue.
+    i.e. the blocks of the quantum numbers it conserves.  A sector is
+    assembled and diagonalized the first time `advance` meets a state with
+    weight on it, so sectors no state reaches cost nothing.  Sectors first
+    met together and of equal size share one stacked eigh; a 1 x 1 sector is
+    its own eigenvalue.  Hermiticity is checked on every entry up front.
     """
 
     def __init__(self, hamiltonian):
@@ -382,40 +440,73 @@ class Propagator:
             H = _Operator(rows, cols, dense[rows, cols], dense.shape)
         if H.shape[0] != H.shape[1]:
             raise ValueError("hamiltonian is not square")
-        # every entry lies inside its own sector, so checking each block is complete
-        tolerance = 1e-12 * max(1.0, float(np.abs(H.data).max(initial=0.0)))
+        _check_hermitian(H)
+        self._H = H
         labels = _sector_labels(H)
-        order = np.argsort(labels, kind="stable")
-        _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
-        block = np.empty(len(labels), dtype=int)
-        position = np.empty(len(labels), dtype=int)
-        self._groups = []
-        for size in np.unique(sizes):
-            members = order[starts[sizes == size, None] + np.arange(size)]  # (sectors, size)
+        self._order = np.argsort(labels, kind="stable")  # the states, sector by sector
+        first = np.diff(labels[self._order], prepend=-1) != 0
+        self._starts = np.flatnonzero(first)
+        self._sizes = np.diff(self._starts, append=len(labels))
+        self._sector = np.empty(len(labels), dtype=np.intp)
+        self._sector[self._order] = np.cumsum(first) - 1
+        # a sector's index in the group of its size, -1 until it is diagonalized
+        self._slot = np.full(len(self._starts), -1)
+        self._groups = {}  # size -> (members, energies, vectors), one row per sector
+
+    def _diagonalize(self, sectors: np.ndarray) -> None:
+        """Assemble and eigh these sectors, one stacked eigh per size."""
+        H = self._H
+        block = np.empty(H.shape[0], dtype=np.intp)
+        position = np.empty(H.shape[0], dtype=np.intp)
+        sizes = self._sizes[sectors]
+        for size in set(sizes.tolist()):
+            new = sectors[sizes == size]
+            members = self._order[self._starts[new, None] + np.arange(size)]  # (sectors, size)
             block.fill(-1)
-            block[members] = np.arange(len(members))[:, None]
+            block[members] = np.arange(len(new))[:, None]
             position[members] = np.arange(size)
             inside = block[H.row] >= 0
             rows, cols = H.row[inside], H.col[inside]
-            blocks = np.zeros((len(members), size, size), dtype=H.data.dtype)
+            blocks = np.zeros((len(new), size, size), dtype=H.data.dtype)
             blocks[block[rows], position[rows], position[cols]] = H.data[inside]
-            if np.abs(blocks - blocks.conj().transpose(0, 2, 1)).max() > tolerance:
-                raise ValueError("hamiltonian is not Hermitian")
             if size == 1:
-                energies, vectors = blocks[:, 0].real, np.ones_like(blocks)
+                energies, vectors = blocks[:, 0].real, np.ones((len(new), 1, 1))
             else:
                 energies, vectors = np.linalg.eigh(blocks)
-            self._groups.append((members, energies, vectors))
+            # complex once here: a real-by-complex matmul casts on every call
+            group = (members, energies, vectors.astype(complex))
+            held = self._groups.get(size)
+            if held is not None:
+                group = tuple(np.concatenate(pair) for pair in zip(held, group))
+            self._slot[new] = len(group[0]) - len(new) + np.arange(len(new))
+            self._groups[size] = group
 
     def advance(self, state: np.ndarray, t) -> np.ndarray:
-        """exp(-i H t) |state>: a vector for scalar t, shape (T, dim) for T times."""
+        """exp(-i H t) |state>: a vector for scalar t, shape (T, dim) for T times.
+
+        Only the sectors where `state` has weight are evolved; the rest of
+        the result is exactly zero.
+        """
         times = np.asarray(t, dtype=float)
-        flat = times.reshape(-1, 1, 1)
-        evolved = np.empty((flat.shape[0],) + state.shape, dtype=complex)
-        for members, energies, vectors in self._groups:
-            coefficients = np.einsum("bji,bj->bi", vectors.conj(), state[members])
-            phases = np.exp(-1j * flat * energies)
-            evolved[:, members] = np.einsum("bij,tbj->tbi", vectors, phases * coefficients)
+        flat = times.reshape(1, -1, 1)
+        weighted = np.zeros(len(self._starts), dtype=bool)
+        weighted[self._sector[np.flatnonzero(state)]] = True
+        touched = np.flatnonzero(weighted)
+        fresh = touched[self._slot[touched] < 0]
+        if len(fresh):
+            self._diagonalize(fresh)
+        touched_sizes = self._sizes[touched]
+        evolved = np.zeros((flat.shape[1],) + state.shape, dtype=complex)
+        for size, (members, energies, vectors) in self._groups.items():
+            slots = self._slot[touched[touched_sizes == size]]
+            if not len(slots):
+                continue
+            if len(slots) < len(members):
+                members, energies, vectors = members[slots], energies[slots], vectors[slots]
+            # V^H s per sector, then V (phases * V^H s) on every time at once
+            coefficients = (state[members].conj()[:, None, :] @ vectors).conj()
+            phased = np.exp(-1j * flat * energies[:, None, :]) * coefficients  # (sectors, T, size)
+            evolved[:, members] = (phased @ vectors.transpose(0, 2, 1)).transpose(1, 0, 2)
         return evolved.reshape(times.shape + state.shape)
 
 
@@ -608,9 +699,10 @@ def four_point_tensor(state: np.ndarray, basis: FockBasis) -> np.ndarray:
             for nu in range(N)
         ],
         axis=1,
-    ).reshape(-1, S, N, N)
+    ).reshape(-1, N * N)
     phases = np.stack([_site_phases(basis, mode) for mode in mode_grid(basis.spec)])
-    V = np.einsum("dsmn,am,bn->dsab", W, phases, phases.conj()) / N
+    # V[., a, b] = sum_{mu nu} phases[a, mu] W[., mu, nu] conj(phases[b, nu]) / N
+    V = W @ np.kron(phases, phases.conj()).T / N
     V = V.reshape(basis.dimension, -1)
     gram = (V.conj().T @ V).reshape((S, N, N) * 2)
     D = _mode_difference(basis.spec)
@@ -642,10 +734,16 @@ def correlator_cases(
     base = prop.advance(state, t_absorb)
     # column c: e^{-iH(t' - t)} ex+ gr (c) e^{-iH t} |state>
     raised = np.stack([prop.advance(op @ base, t_emit - t_absorb) for op in raise_], axis=1)
-    lowered = [op @ raised for op in lower]
-    # values[rho s3, mu s1, eta s4, nu s2]
-    values = np.array([[raised.conj().T @ (up @ low) for low in lowered] for up in raise_])
-    return values.reshape((N, S) * 4).transpose(2, 6, 0, 4, 3, 7, 1, 5)
+    lowered = np.empty((basis.dimension, len(lower), len(channels)), dtype=complex)
+    for c, op in enumerate(lower):
+        lowered[:, c] = op @ raised
+    lowered = lowered.reshape(basis.dimension, -1)
+    reached = np.flatnonzero(lowered.any(axis=1))  # the other rows add nothing
+    lowered = lowered[reached]
+    # <raised| up low |raised> = <up^H raised| low raised>: one product per `up`
+    # values[rho s3, eta s4, mu s1, nu s2]
+    values = np.stack([(op.getH() @ raised)[reached].conj().T @ lowered for op in raise_])
+    return values.reshape((N, S) * 4).transpose(4, 6, 0, 2, 5, 7, 1, 3)
 
 
 def separable_deviation(

@@ -4,10 +4,12 @@ Importing scipy.special or the oracle cost more than the work of a typical
 command, so scipy.special is loaded only by bessel_envelope and the oracle
 only by `dickeprobe oracle`.  The oracle builds its operators from numpy
 index arrays: any scipy module would add import time and memory to every
-`dickeprobe oracle` run.  The checks run in a fresh interpreter, because
-this test session has imported all of them already.
+`dickeprobe oracle` run.  Nor does it load numpy.ma, which numpy 2 imports
+on a plain np.unique(x) call (about 16 ms).  The checks run in a fresh
+interpreter, because this test session has imported all of them already.
 """
 
+import functools
 import os
 import pathlib
 import subprocess
@@ -60,10 +62,20 @@ from dickeprobe.cli import main
 
 assert main(["oracle", "-o", os.devnull]) == 0
 print("\\n".join(
-    name for name in sys.modules if name == "scipy" or name.startswith("scipy.")
+    name for name in sys.modules
+    if name == "scipy" or name.startswith("scipy.") or name == "numpy.ma"
 ))
 """
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle_command_modules() -> tuple[str, ...]:
+    return tuple(_loaded_in_fresh_interpreter(ORACLE_COMMAND))
+
+
 def test_oracle_command_loads_no_scipy():
-    assert _loaded_in_fresh_interpreter(ORACLE_COMMAND) == []
+    assert [name for name in _oracle_command_modules() if name.startswith("scipy")] == []
+
+
+def test_oracle_command_loads_no_numpy_ma():
+    assert "numpy.ma" not in _oracle_command_modules()
