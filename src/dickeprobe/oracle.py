@@ -160,44 +160,34 @@ def _smaller(basis: FockBasis) -> FockBasis:
 class _Operator:
     """A sparse matrix as numpy triplets: entry (row[i], col[i]) holds data[i].
 
-    No (row, col) pair repeats.  `@` applies it to a vector or to every
-    column of a (dim, T) block.  An operator built `distinct` holds at most
-    one entry in each row and each column, as creations, bilinears and
-    diagonals do, and its product assigns each term to its row; any other
-    operator sorts its triplets by row once and sums each run of equal rows.
+    No (row, col) pair repeats.  The triplets are kept sorted by row, so
+    `@` (on a vector or on every column of a (dim, T) block) reads each run
+    of equal rows as one slice: where every run is a single entry, as in
+    creations, bilinears and diagonals, the product assigns each term to its
+    row, and otherwise it sums each run.
     """
 
-    def __init__(self, row, col, data, shape, distinct=False):
+    def __init__(self, row, col, data, shape):
+        if np.any(row[1:] < row[:-1]):
+            order = np.argsort(row, kind="stable")
+            row, col, data = row[order], col[order], data[order]
         self.row, self.col, self.data, self.shape = row, col, data, shape
-        self.distinct = distinct
-        self._runs = None
+        self._runs = np.flatnonzero(np.diff(row, prepend=-1))  # start of each run of equal rows
         self._adjoint = None
 
-    def _row_runs(self) -> np.ndarray:
-        """Start of each run of equal rows, the triplets first sorted by row if they are not."""
-        if self._runs is None:
-            if np.any(self.row[1:] < self.row[:-1]):
-                order = np.argsort(self.row, kind="stable")
-                self.row, self.col, self.data = self.row[order], self.col[order], self.data[order]
-            self._runs = np.flatnonzero(np.diff(self.row, prepend=-1))
-        return self._runs
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        runs = None if self.distinct else self._row_runs()
         terms = self.data.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.col]
         out = np.zeros((self.shape[0],) + x.shape[1:], dtype=terms.dtype)
-        if runs is None:
+        if len(self._runs) == len(self.row):
             out[self.row] = terms
-        elif len(runs):
-            out[self.row[runs]] = np.add.reduceat(terms, runs, axis=0)
+        else:
+            out[self.row[self._runs]] = np.add.reduceat(terms, self._runs, axis=0)
         return out
 
     def getH(self) -> _Operator:
         """The conjugate transpose, built once per operator."""
         if self._adjoint is None:
-            self._adjoint = _Operator(
-                self.col, self.row, self.data.conj(), self.shape[::-1], self.distinct
-            )
+            self._adjoint = _Operator(self.col, self.row, self.data.conj(), self.shape[::-1])
             self._adjoint._adjoint = self
         return self._adjoint
 
@@ -250,7 +240,7 @@ def _creation(basis: FockBasis, mode_id: int) -> _Operator:
         return basis._cache[key]
     if basis.n_particles == 0:
         empty = np.zeros(0, dtype=np.intp)
-        mat = _Operator(empty, empty, np.zeros(0), (basis.dimension, 0), distinct=True)
+        mat = _Operator(empty, empty, np.zeros(0), (basis.dimension, 0))
     else:
         occ = _smaller(basis).occupations
         n = occ[:, mode_id].astype(float)
@@ -261,9 +251,7 @@ def _creation(basis: FockBasis, mode_id: int) -> _Operator:
             cols = np.arange(len(occ))
             vals = np.sqrt(n + 1.0)
         target = occ[cols] @ basis._weights + basis._weights[mode_id]
-        mat = _Operator(
-            basis._rows(target), cols, vals, (basis.dimension, len(occ)), distinct=True
-        )
+        mat = _Operator(basis._rows(target), cols, vals, (basis.dimension, len(occ)))
     basis._cache[key] = mat
     return mat
 
@@ -287,7 +275,6 @@ def _bilinear(basis: FockBasis, create_id: int, annihilate_id: int) -> _Operator
             lower.row[shared],
             create.data[entry] * lower.data[shared],
             (basis.dimension, basis.dimension),
-            distinct=True,
         )
     return basis._cache[key]
 
@@ -323,9 +310,7 @@ def _onsite(basis: FockBasis) -> _Operator:
         n_site = basis.occupations.reshape(basis.dimension, basis.spec.sites, -1).sum(axis=2)
         states = np.arange(basis.dimension)
         pairs = (0.5 * n_site * (n_site - 1)).sum(axis=1)
-        basis._cache["onsite"] = _Operator(
-            states, states, pairs, (basis.dimension,) * 2, distinct=True
-        )
+        basis._cache["onsite"] = _Operator(states, states, pairs, (basis.dimension,) * 2)
     return basis._cache["onsite"]
 
 
@@ -726,23 +711,20 @@ def correlator_cases(
         _bilinear(basis, basis.mode_id(site, s, GROUND), basis.mode_id(site, s, EXCITED))
         for site, s in channels
     ]
-    raise_ = [
-        _bilinear(basis, basis.mode_id(site, s, EXCITED), basis.mode_id(site, s, GROUND))
-        for site, s in channels
-    ]
     prop = _cached_propagator(basis, spec)
     base = prop.advance(state, t_absorb)
-    # column c: e^{-iH(t' - t)} ex+ gr (c) e^{-iH t} |state>
-    raised = np.stack([prop.advance(op @ base, t_emit - t_absorb) for op in raise_], axis=1)
-    lowered = np.empty((basis.dimension, len(lower), len(channels)), dtype=complex)
+    # column c: e^{-iH(t' - t)} ex+ gr (c) e^{-iH t} |state>, ex+ gr (c) being lower[c]^H
+    raised = np.stack([prop.advance(op.getH() @ base, t_emit - t_absorb) for op in lower], axis=1)
+    # column (c, d): gr+ ex (c) raised[:, d], filled in place: a stack of the C
+    # products would hold them twice.  The other rows are zero and add nothing.
+    lowered = np.empty((basis.dimension, len(lower), len(lower)), dtype=complex)
     for c, op in enumerate(lower):
         lowered[:, c] = op @ raised
     lowered = lowered.reshape(basis.dimension, -1)
-    reached = np.flatnonzero(lowered.any(axis=1))  # the other rows add nothing
-    lowered = lowered[reached]
-    # <raised| up low |raised> = <up^H raised| low raised>: one product per `up`
-    # values[rho s3, eta s4, mu s1, nu s2]
-    values = np.stack([(op.getH() @ raised)[reached].conj().T @ lowered for op in raise_])
+    lowered = lowered[lowered.any(axis=1)]
+    # <raised_b| ex+ gr (a) gr+ ex (c) |raised_d> is one entry of the Gram matrix,
+    # indexed [rho s3, eta s4, mu s1, nu s2]
+    values = lowered.conj().T @ lowered
     return values.reshape((N, S) * 4).transpose(4, 6, 0, 2, 5, 7, 1, 3)
 
 

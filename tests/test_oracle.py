@@ -281,18 +281,22 @@ class TestOperator:
     def test_summed_matmul_matches_loop_reference(self, spec2, statistics, n_particles):
         basis = FockBasis(spec2, statistics, n_particles)
         rng = np.random.default_rng(13)
+        H = build_lattice_hamiltonian(basis, LatticeSpec(L=2, J=1.0, U=3.0))
+        shuffle = rng.permutation(len(H.row))
         summed = {
             "sigma-x": sigma_x_matrix(basis, Mode(1, 0)),
-            # an adjoint of a sum: its triplets come sorted by column, not row
+            # an adjoint of a sum: its rows come from the sum's columns, unsorted
             "sigma-minus": exciton_matrix(basis, Mode(1, 1)).getH(),
-            "hamiltonian": build_lattice_hamiltonian(basis, LatticeSpec(L=2, J=1.0, U=3.0)),
+            "hamiltonian": H,
+            "shuffled": _Operator(H.row[shuffle], H.col[shuffle], H.data[shuffle], H.shape),
         }
         dim = basis.dimension
         vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         strided = (rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))).T
         for name, op in summed.items():
-            row, col, data = op.row.copy(), op.col.copy(), op.data.copy()
+            row, col, data = op.row, op.col, op.data
             assert len(set(row.tolist())) < len(row), name  # rows repeat
+            assert np.all(np.diff(row) >= 0), name  # kept sorted by row
             for x in (vector, strided):
                 reference = np.zeros((dim,) + x.shape[1:], dtype=complex)
                 for r, c, value in zip(row, col, data):
@@ -836,8 +840,9 @@ class TestSeparableCases:
             (Statistics.BOSE, LatticeSpec(L=2, J=0.0, U=0.8)),
             (Statistics.BOSE, LatticeSpec(L=2, J=1.0, U=0.8)),
             (Statistics.FERMI, LatticeSpec(L=2, J=0.0, U=0.8)),
+            (Statistics.FERMI, LatticeSpec(L=2, J=1.0, U=0.8)),
         ],
-        ids=["bose-frozen", "bose-hopping", "fermi-frozen"],
+        ids=["bose-frozen", "bose-hopping", "fermi-frozen", "fermi-hopping"],
     )
     def test_cases_match_heisenberg_reference(self, bose_basis, fermi_basis, statistics, spec):
         rng = np.random.default_rng(11)
