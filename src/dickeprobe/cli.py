@@ -16,15 +16,12 @@ import numpy as np
 
 from .classical import DriveParameters, expected_sigma_z, mean_excitations, metastable_population
 from .distributions import Statistics
-from .emission import ProbeGeometry, _build_distribution, emission_curve
+from .emission import ProbeGeometry, _build_distribution, _check_state, emission_curve
 from .lattice import LatticeSpec, Mode, validate_mode
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
 _FMT = "%.12f"
-
-_BOSE_STATES = ("superfluid", "partial", "thermal", "uniform", "mott")
-_FERMI_STATES = ("metallic", "thermal", "uniform", "neel")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,10 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
             " fermi: metallic | thermal:inverse_temperature | uniform | neel"
         ),
     )
-    for p in (curve,):
-        _add_lattice_options(p)
-        _add_grid_options(p)
-        _add_output_option(p)
+    _add_lattice_options(curve)
+    _add_grid_options(curve)
+    _add_output_option(curve)
 
     quench = sub.add_parser("quench", help="peak after a sudden interaction switch-off")
     quench.add_argument("--statistics", choices=["bose", "fermi"], required=True)
@@ -124,55 +120,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _UsageError(ValueError):
-    pass
-
-
 def _parse_kappa(text: str, L: int) -> Mode:
     try:
         n, m = (int(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(f"--kappa expects two integers 'n,m', got {text!r}") from None
-    try:
-        return validate_mode((n, m), L)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        raise ValueError(f"--kappa expects two integers 'n,m', got {text!r}") from None
+    return validate_mode((n, m), L)
 
 
 def _parse_state(text: str, statistics: Statistics) -> tuple[str, dict]:
     """Split a `--state` selector into a scenario name and its keyword arguments."""
     name, colon, params = text.partition(":")
-    allowed = _BOSE_STATES if statistics is Statistics.BOSE else _FERMI_STATES
-    if name not in allowed:
-        raise _UsageError(f"state {name!r} is not available for {statistics.value} statistics")
+    _check_state(name, statistics)
     if name == "partial":
         try:
             n1, n2 = (float(p) for p in params.split(","))
         except ValueError:
-            raise _UsageError("partial state needs parameters 'partial:N1,N2'") from None
+            raise ValueError("partial state needs parameters 'partial:N1,N2'") from None
         return name, {"n_condensed": n1, "n_distributed": n2}
     if name == "thermal":
         try:
             return name, {"inverse_temperature": float(params)}
         except ValueError:
-            raise _UsageError("thermal state needs 'thermal:inverse_temperature'") from None
+            raise ValueError("thermal state needs 'thermal:inverse_temperature'") from None
     if colon:
-        raise _UsageError(f"state {name!r} takes no parameters, got {text!r}")
+        raise ValueError(f"state {name!r} takes no parameters, got {text!r}")
     return name, {}
 
 
 def _build_spec(args) -> LatticeSpec:
-    try:
-        return LatticeSpec(L=args.L, ell=args.ell, J=args.J, U=args.U)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return LatticeSpec(L=args.L, ell=args.ell, J=args.J, U=args.U)
 
 
 def _time_grid(args) -> np.ndarray:
     if args.steps < 2:
-        raise _UsageError("--steps must be at least 2")
+        raise ValueError("--steps must be at least 2")
     if not (math.isfinite(args.tmax) and args.tmax > 0):
-        raise _UsageError("--tmax must be finite and positive")
+        raise ValueError("--tmax must be finite and positive")
     return np.linspace(0.0, args.tmax, args.steps)
 
 
@@ -266,19 +250,13 @@ def main(argv=None) -> int:
             return _run_curve(args)
         if args.command == "classical":
             return _run_classical(args)
-        if args.command == "oracle":
-            return _run_oracle(args)
-        parser.error(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        print(f"dickeprobe: error: {exc}", file=sys.stderr)
-        return 1
+        return _run_oracle(args)
     except ValueError as exc:
         print(f"dickeprobe: error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"dickeprobe: numerical failure: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def entrypoint() -> None:

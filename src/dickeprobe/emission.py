@@ -214,6 +214,10 @@ def _check_grid(dt_grid) -> np.ndarray:
     return dts
 
 
+# the lattice states each statistics offers, by scenario name
+_BOSE_STATES = ("superfluid", "partial", "thermal", "uniform", "mott")
+_FERMI_STATES = ("metallic", "thermal", "uniform", "neel")
+
 _FERMI_ADIABATIC_NOTE = (
     "small-wave-number approximation: the slow-ramp result is derived for |kappa| ell << 1"
 )
@@ -235,7 +239,9 @@ def emission_curve(
     Scenarios: superfluid, partial, thermal, uniform, metallic, mott, neel,
     quench, adiabatic.  `thermal`, `uniform`, `quench` and `adiabatic` need
     `statistics`; `thermal` needs `inverse_temperature`; `partial` needs the
-    two atom counts.
+    two atom counts.  A state given with a statistics must be one of that
+    statistics' states: superfluid, partial and mott are bosonic, metallic
+    and neel fermionic.
     """
     geometry.validate(spec)
     dts = _check_grid(dt_grid)
@@ -244,6 +250,8 @@ def emission_curve(
     label = scenario if stats is None else f"{scenario}-{stats.value}"
     if scenario in ("quench", "adiabatic"):
         _require(stats is not None, f"{scenario} needs statistics")
+    elif stats is not None:
+        _check_state(scenario, stats)
     approximate = scenario == "adiabatic" and stats is Statistics.FERMI
     note = _FERMI_ADIABATIC_NOTE if approximate else ""
 
@@ -273,6 +281,13 @@ def emission_curve(
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+def _check_state(scenario: str, stats: Statistics) -> None:
+    allowed = _BOSE_STATES if stats is Statistics.BOSE else _FERMI_STATES
+    _require(
+        scenario in allowed, f"state {scenario!r} is not available for {stats.value} statistics"
+    )
 
 
 def _build_distribution(

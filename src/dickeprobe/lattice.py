@@ -109,15 +109,19 @@ def mode_index(mode: tuple[int, int], L: int) -> tuple[int, int]:
     return (mode[0] - lo) % L, (mode[1] - lo) % L
 
 
+def _cosines(L: int) -> np.ndarray:
+    """c(n) = cos(2 pi n / L) for n in grid order, -L/2 + 1 ... L/2."""
+    idx = np.arange(L) + _index_floor(L)
+    return np.cos(2.0 * np.pi * idx / L)
+
+
 def adjacency_fourier_grid(spec: LatticeSpec) -> np.ndarray:
     """Fourier transform of the adjacency matrix, T(k) = 2[cos(kx*ell) + cos(ky*ell)].
 
     Over the whole grid; entry [i, j] belongs to mode_index inverse.  Since
     kx*ell = 2*pi*n/L the lattice spacing drops out of the value.
     """
-    L = spec.L
-    idx = np.arange(L) + _index_floor(L)
-    c = np.cos(2.0 * np.pi * idx / L)
+    c = _cosines(spec.L)
     return 2.0 * (c[:, None] + c[None, :])
 
 
@@ -137,8 +141,8 @@ def _energy_levels(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     about L^2/8 levels in place of L^2 modes.  counts is float, ready for a
     weighted sum `(counts * f(levels)).sum()`.
     """
-    n = np.arange(spec.L // 2 + 1)
-    c = np.cos(2.0 * np.pi * n / spec.L)
+    c = _cosines(spec.L)[spec.L // 2 - 1 :]  # n = 0 ... L/2
+    n = np.arange(c.size)
     once = (n == 0) | (n == spec.L // 2)
     multiplicity = np.where(once, 1.0, 2.0)
     i, j = np.triu_indices(n.size)
@@ -157,8 +161,7 @@ def _dephasing_factors(
     a = (2J/Z)(c - roll(c, kappa_x)) and b the same with kappa_y.
     """
     kappa = canonical_mode(kappa, spec.L)
-    idx = np.arange(spec.L) + _index_floor(spec.L)
-    c = np.cos(2.0 * np.pi * idx / spec.L)
+    c = _cosines(spec.L)
     scale = 2.0 * spec.J / spec.Z
     return scale * (c - np.roll(c, kappa.n)), scale * (c - np.roll(c, kappa.m))
 

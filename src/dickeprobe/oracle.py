@@ -73,7 +73,7 @@ __all__ = [
 ]
 
 GROUND, EXCITED = 0, 1
-_BOSON_DIMENSION_CAP = 1_000_000
+_DIMENSION_CAP = 1_000_000
 
 
 class BasisSizeError(RuntimeError):
@@ -87,18 +87,16 @@ class BasisSizeError(RuntimeError):
 class FockBasis:
     """Complete occupation-number basis at fixed particle count.
 
-    Bosons use one spin channel, fermions two.  Row i of `occupations` is
-    state i; the rows are duplicate-free and canonically ordered
-    (descending-lexicographic for bosons, combination order for fermions).
-    Each state also carries an exact integer code, its occupations read as
-    digits of base max-occupation + 1 with mode 0 most significant; states
-    are looked up by binary search on the sorted codes.
+    Bosons use one spin channel, fermions two.  State i is row i of
+    `occupations` and of `_atoms`, the sorted modes of its atoms; the rows
+    run in `combinations` (fermions) or `combinations_with_replacement`
+    (bosons) order of the atoms, so the occupations descend
+    lexicographically.  A state's row is the lexicographic rank of its
+    atoms (`_rank`), found with one binomial-table lookup per atom.
     """
 
     def __init__(self, spec: LatticeSpec, statistics: Statistics, n_particles: int):
         statistics = Statistics(statistics)
-        if spec.L > 3:
-            raise BasisSizeError("the oracle only supports lattices up to 3 sites per side")
         if n_particles < 0:
             raise ValueError("particle number must be nonnegative")
         self.spec = spec
@@ -107,47 +105,45 @@ class FockBasis:
         self.n_spins = 1 if statistics is Statistics.BOSE else 2
         self.n_modes = spec.sites * self.n_spins * 2
         self.fermionic = statistics is Statistics.FERMI
-
-        if self.fermionic:
-            if n_particles > 2 * spec.sites:
-                raise BasisSizeError(
-                    f"fermionic oracle caps particles at 2 * sites = {2 * spec.sites}"
-                )
-            base = 2
-        else:
-            dim = math.comb(n_particles + self.n_modes - 1, self.n_modes - 1)
-            if dim > _BOSON_DIMENSION_CAP:
-                raise BasisSizeError(
-                    f"bosonic basis dimension {dim} exceeds cap {_BOSON_DIMENSION_CAP}"
-                )
-            base = n_particles + 1
-        if base**self.n_modes > np.iinfo(np.int64).max:
+        if self.fermionic and n_particles > 2 * spec.sites:
             raise BasisSizeError(
-                f"state codes of base {base} over {self.n_modes} modes overflow int64"
+                f"fermionic oracle caps particles at 2 * sites = {2 * spec.sites}"
             )
 
-        # each state as the sorted modes of its atoms; the caps above keep
-        # every occupation below 128
+        # adding i to the i-th atom makes a multiset of modes a strict combination
+        # of `slots`, in the same order
+        slots = self.n_modes + (0 if self.fermionic else n_particles - 1)
+        self.dimension = math.comb(slots, n_particles)
+        if self.dimension > _DIMENSION_CAP:
+            raise BasisSizeError(
+                f"basis dimension {self.dimension} exceeds cap {_DIMENSION_CAP}"
+            )
+        # rank of a strict combination c: dim - 1 - sum_i C(slots - 1 - c_i, n - i)
+        self._binomials = np.array(
+            [
+                [math.comb(slots - 1 - c, n_particles - i) for c in range(slots)]
+                for i in range(n_particles)
+            ],
+            dtype=np.int64,
+        ).reshape(n_particles, slots)
+
         choose = combinations if self.fermionic else combinations_with_replacement
         atoms = list(choose(range(self.n_modes), n_particles))
-        occupations = np.zeros((len(atoms), self.n_modes), dtype=np.int8)
-        modes = np.array(atoms, dtype=np.intp).reshape(len(atoms), n_particles)
-        np.add.at(occupations, (np.arange(len(atoms))[:, None], modes), 1)
+        self._atoms = np.array(atoms, dtype=np.intp).reshape(self.dimension, n_particles)
+        # the caps above keep every occupation below 128
+        occupations = np.zeros((self.dimension, self.n_modes), dtype=np.int8)
+        np.add.at(occupations, (np.arange(self.dimension)[:, None], self._atoms), 1)
         self.occupations = occupations
-        self.dimension = len(occupations)
-        self._weights = base ** np.arange(self.n_modes - 1, -1, -1, dtype=np.int64)
-        self._codes = occupations @ self._weights
-        self._order = np.argsort(self._codes)
-        self._sorted_codes = self._codes[self._order]
         self._cache: dict = {}
 
     def mode_id(self, site: int, spin: int, level: int) -> int:
         return (site * self.n_spins + spin) * 2 + level
 
-    def _rows(self, codes: np.ndarray) -> np.ndarray:
-        """Basis rows of the states with these codes; a code outside the basis gets some row."""
-        found = np.searchsorted(self._sorted_codes, codes)
-        return self._order[np.minimum(found, self.dimension - 1)]
+    def _rank(self, atoms: np.ndarray) -> np.ndarray:
+        """Rows of the states whose sorted atom modes are the rows of `atoms`."""
+        strict = atoms if self.fermionic else atoms + np.arange(self.n_particles)
+        terms = self._binomials[np.arange(self.n_particles), strict]
+        return self.dimension - 1 - terms.sum(axis=1)
 
 
 def _smaller(basis: FockBasis) -> FockBasis:
@@ -230,10 +226,10 @@ def _creation(basis: FockBasis, mode_id: int) -> _Operator:
     """a+_{mode_id} from the one-atom-smaller basis into `basis`, cached per mode.
 
     Every smaller state (column) that can take one more atom at `mode_id`
-    gives one entry; its target row is found from the state code.  The
-    amplitude is sqrt(n + 1) for bosons and, for fermions, the sign of the
-    parity of the occupied modes below `mode_id`.  Rows and columns are
-    each distinct.
+    gives one entry; its target row is the rank of its atoms with `mode_id`
+    inserted.  The amplitude is sqrt(n + 1) for bosons and, for fermions,
+    the sign of the parity of the occupied modes below `mode_id`.  Rows and
+    columns are each distinct.
     """
     key = ("creation", mode_id)
     if key in basis._cache:
@@ -242,7 +238,8 @@ def _creation(basis: FockBasis, mode_id: int) -> _Operator:
         empty = np.zeros(0, dtype=np.intp)
         mat = _Operator(empty, empty, np.zeros(0), (basis.dimension, 0))
     else:
-        occ = _smaller(basis).occupations
+        smaller = _smaller(basis)
+        occ = smaller.occupations
         n = occ[:, mode_id].astype(float)
         if basis.fermionic:
             cols = np.flatnonzero(n == 0)
@@ -250,8 +247,9 @@ def _creation(basis: FockBasis, mode_id: int) -> _Operator:
         else:
             cols = np.arange(len(occ))
             vals = np.sqrt(n + 1.0)
-        target = occ[cols] @ basis._weights + basis._weights[mode_id]
-        mat = _Operator(basis._rows(target), cols, vals, (basis.dimension, len(occ)))
+        added = np.full((len(cols), 1), mode_id)
+        atoms = np.sort(np.concatenate([smaller._atoms[cols], added], axis=1), axis=1)
+        mat = _Operator(basis._rank(atoms), cols, vals, (basis.dimension, len(occ)))
     basis._cache[key] = mat
     return mat
 
@@ -386,20 +384,16 @@ def _sector_labels(H: _Operator) -> np.ndarray:
 
 
 def _check_hermitian(H: _Operator) -> None:
-    """Raise unless every entry is the conjugate of its mirror entry, or of 0 where there is none.
+    """Raise unless H - H^H vanishes, to 1e-12 of the largest entry of H.
 
     The check reads the triplets, so it covers the entries of every sector,
-    diagonalized or not.  The tolerance is relative, 1e-12 of the largest entry.
+    diagonalized or not.
     """
-    if not len(H.data):
-        return
-    codes = H.row * H.shape[1] + H.col
-    order = np.argsort(codes)
-    mirror_codes = H.col * H.shape[1] + H.row
-    found = order[np.minimum(np.searchsorted(codes, mirror_codes, sorter=order), len(codes) - 1)]
-    mirror = np.where(codes[found] == mirror_codes, H.data[found], 0)
-    tolerance = 1e-12 * max(1.0, float(np.abs(H.data).max()))
-    if np.abs(H.data - mirror.conj()).max() > tolerance:
+    # H^H built here, not by getH(), which would cache it on the H a Propagator keeps
+    adjoint = _Operator(H.col, H.row, H.data.conj(), H.shape[::-1])
+    residual = _sum(H.shape, [(1.0, H), (-1.0, adjoint)]).data
+    tolerance = 1e-12 * max(1.0, float(np.abs(H.data).max(initial=0.0)))
+    if np.abs(residual).max(initial=0.0) > tolerance:
         raise ValueError("hamiltonian is not Hermitian")
 
 

@@ -360,6 +360,23 @@ class TestEmissionCurve:
         with pytest.raises(ValueError):
             emission_curve("thermal", np.linspace(0, 1, 3), spec100, geo, statistics="bose")
 
+    @pytest.mark.parametrize(
+        "scenario, statistics, kwargs",
+        [
+            ("metallic", "bose", {}),
+            ("superfluid", "fermi", {}),
+            ("partial", "fermi", {"n_condensed": 5000.0, "n_distributed": 5000.0}),
+            ("mott", "fermi", {}),
+            ("neel", "bose", {}),
+        ],
+    )
+    def test_rejects_state_of_other_statistics(self, spec100, scenario, statistics, kwargs):
+        grid = np.linspace(0, 1, 3)
+        with pytest.raises(ValueError, match=f"not available for {statistics} statistics"):
+            emission_curve(
+                scenario, grid, spec100, forward(Mode(1, 1)), statistics=statistics, **kwargs
+            )
+
     def test_scenario_discrimination(self, spec100):
         # at the envelope zero the bose quench and adiabatic curves split by ~1
         grid = np.linspace(0, 100, 500)

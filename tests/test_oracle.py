@@ -28,6 +28,7 @@ from dickeprobe.lattice import (
     mode_sub,
     site_coordinates,
 )
+from dickeprobe import oracle as oracle_module
 from dickeprobe.oracle import (
     BasisSizeError,
     FockBasis,
@@ -70,10 +71,18 @@ class TestBasis:
         assert np.all(bose_basis.occupations.sum(axis=1) == 4)
 
     def test_rows_descend_lexicographically(self, bose_basis, fermi_basis):
-        # the documented canonical order, the same for both statistics
+        # the documented canonical order, the same for both statistics: the
+        # itertools order of each state's sorted atom modes
         for basis in (bose_basis, fermi_basis):
             rows = _states(basis)
             assert rows == sorted(rows, reverse=True)
+            choose = (
+                itertools.combinations
+                if basis.fermionic
+                else itertools.combinations_with_replacement
+            )
+            atoms = [tuple(np.repeat(np.arange(basis.n_modes), occ)) for occ in basis.occupations]
+            assert atoms == list(choose(range(basis.n_modes), basis.n_particles))
 
     def test_fermi_occupancy_binary(self, fermi_basis):
         assert set(np.unique(fermi_basis.occupations)) <= {0, 1}
@@ -86,9 +95,28 @@ class TestBasis:
         with pytest.raises(BasisSizeError):
             FockBasis(spec2, Statistics.FERMI, 9)  # > 2 * sites
 
-    def test_large_lattice_rejected(self):
-        with pytest.raises(BasisSizeError):
-            FockBasis(LatticeSpec(L=4), Statistics.BOSE, 1)
+    def test_large_lattice_rejected(self, monkeypatch):
+        # 8 fermions on 4 x 4: C(64, 8) ~ 4.4e9 states, refused before any is listed
+        def enumerate_nothing(*args):
+            raise AssertionError("the basis was enumerated before the size check")
+
+        monkeypatch.setattr(oracle_module, "combinations", enumerate_nothing)
+        monkeypatch.setattr(oracle_module, "combinations_with_replacement", enumerate_nothing)
+        with pytest.raises(BasisSizeError, match="dimension"):
+            FockBasis(LatticeSpec(L=4), Statistics.FERMI, 8)
+
+    @pytest.mark.parametrize(
+        "L, statistics, n_particles",
+        [(2, s, n) for s in (Statistics.BOSE, Statistics.FERMI) for n in (0, 1, 2, 4)]
+        + [(4, Statistics.BOSE, 4), (4, Statistics.FERMI, 2)],
+    )
+    def test_rank_of_each_row_is_the_row(self, L, statistics, n_particles):
+        basis = FockBasis(LatticeSpec(L=L), statistics, n_particles)
+        modes = np.arange(basis.n_modes)
+        # each row's atoms read back from its occupations, mode by mode
+        atoms = np.repeat(np.tile(modes, basis.dimension), basis.occupations.ravel())
+        atoms = atoms.reshape(basis.dimension, n_particles)
+        assert np.array_equal(basis._rank(atoms), np.arange(basis.dimension))
 
 
 class TestHamiltonian:
@@ -777,6 +805,28 @@ class TestEmissionOracle:
             exact = exact_peak_curve(state, kappa, kappa, dts, basis, spec2)
             closed = peak_curve(dist, ProbeGeometry(kappa, kappa), dts, spec2)
             assert np.abs(exact - closed).max() < 1e-12
+
+    @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
+    def test_two_atoms_on_four_by_four_match_peak_curve(self, statistics):
+        # 2 atoms on 16 sites: the atom count is not the site count, and the
+        # rates take the values 0, +-J/2 and +-J
+        spec = LatticeSpec(L=4, J=1.0, U=0.0)
+        basis = FockBasis(spec, statistics, 2)
+        occupations = np.zeros((basis.n_spins, 4, 4))
+        if statistics is Statistics.BOSE:
+            atoms = {(Mode(0, 0), 0): 1, (Mode(1, 2), 0): 1}
+        else:
+            atoms = {(Mode(0, 0), 0): 1, (Mode(-1, 1), 1): 1}
+        for mode, spin in atoms:
+            occupations[(spin, *mode_index(mode, 4))] = 1.0
+        state = momentum_fock_state(basis, atoms)
+        dist = MomentumDistribution(statistics, occupations, 2.0)
+        dts = np.linspace(0.0, 10.0, 11)
+        for kappa in (Mode(1, 0), Mode(1, 1), Mode(2, 1)):
+            exact = exact_peak_curve(state, kappa, kappa, dts, basis, spec)
+            closed = peak_curve(dist, ProbeGeometry(kappa, kappa), dts, spec)
+            assert np.abs(exact - closed).max() < 1e-12
+        assert basis.dimension == (528 if statistics is Statistics.BOSE else 2016)
 
     def test_rejects_empty_basis(self, spec2):
         basis = FockBasis(spec2, Statistics.BOSE, 0)
