@@ -45,8 +45,12 @@ def mean_excitations(dist: MomentumDistribution, rotation_in: float) -> float:
 
     N is the distribution's atom total, the N that metastable_population
     normalizes by; the lattice site count differs from it for metallic.
+    Raises ValueError when that count is not finite.
     """
-    return dist.total_target * rotation_in**2 / 4.0
+    excitations = dist.total_target * (rotation_in * rotation_in) / 4.0
+    if not math.isfinite(excitations):
+        raise ValueError(f"N alpha^2 / 4 is not finite for alpha = {rotation_in!r}")
+    return excitations
 
 
 def _cosine_sum(dist: MomentumDistribution, kappa, dt, spec: LatticeSpec):

@@ -254,6 +254,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"dickeprobe: error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        reason = exc.strerror or exc
+        print(f"dickeprobe: error: cannot write {args.output}: {reason}", file=sys.stderr)
+        return 1
     except RuntimeError as exc:
         print(f"dickeprobe: numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ so anticommutation is exact by construction.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
@@ -667,23 +668,19 @@ def four_point_tensor(state: np.ndarray, basis: FockBasis) -> np.ndarray:
     the ground-level spins (one spin for bosons).  With
     V[:, s, a, b] = a+_{a,s} a_{b,s} |state>, each expectation
     <B(c, d) B(a, b)> = <B(d, c) state | B(a, b) state> is one entry of the
-    Gram matrix V^H V.
+    Gram matrix V^H V, which is read from the site-mode images alone.
     """
     N, S = basis.spec.sites, basis.n_spins
-    W = np.stack(
-        [
-            _bilinear(basis, basis.mode_id(mu, s, GROUND), basis.mode_id(nu, s, GROUND)) @ state
-            for s in range(S)
-            for mu in range(N)
-            for nu in range(N)
-        ],
-        axis=1,
-    ).reshape(-1, N * N)
+    # W[:, (s, mu, nu)] = a+_{mu,s} a_{nu,s} |state>, in site modes
+    W = np.empty((basis.dimension, S * N * N), dtype=complex)
+    for column, (s, mu, nu) in enumerate(np.ndindex(S, N, N)):
+        bilinear = _bilinear(basis, basis.mode_id(mu, s, GROUND), basis.mode_id(nu, s, GROUND))
+        W[:, column] = bilinear @ state
     phases = np.stack([_site_phases(basis, mode) for mode in mode_grid(basis.spec)])
-    # V[., a, b] = sum_{mu nu} phases[a, mu] W[., mu, nu] conj(phases[b, nu]) / N
-    V = W @ np.kron(phases, phases.conj()).T / N
-    V = V.reshape(basis.dimension, -1)
-    gram = (V.conj().T @ V).reshape((S, N, N) * 2)
+    # V = W K^T with K[(s, a, b), (s, mu, nu)] = phases[a, mu] conj(phases[b, nu]) / N,
+    # so V^H V = K^* (W^H W) K^T: only the small Gram matrix is rotated to momenta
+    K = np.kron(np.eye(S), np.kron(phases, phases.conj())) / N
+    gram = (K.conj() @ (W.conj().T @ W) @ K.T).reshape((S, N, N) * 2)
     D = _mode_difference(basis.spec)
     k, q, kin, kout, s1, s2 = np.ix_(*[range(N)] * 4, range(S), range(S))
     return gram[s2, D[q, kout], D[q, kin], s1, D[k, kout], D[k, kin]]
@@ -810,13 +807,14 @@ def _ladder_deviation(basis: FockBasis, ground: np.ndarray, kappa: Mode) -> floa
     return worst
 
 
-def _commutator_deviation(basis: FockBasis, kappa: Mode, rng: np.random.Generator) -> float:
+def _commutator_deviation(basis: FockBasis, kappa: Mode, rng: random.Random) -> float:
     plus = exciton_matrix(basis, kappa)
     minus = plus.getH()
     sz = sigma_z_diagonal(basis)
     worst = 0.0
     for _ in range(3):
-        v = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+        # real and imaginary parts uniform in [-1, 1]
+        v = np.array([rng.uniform(-1, 1) for _ in range(2 * basis.dimension)]).view(complex)
         v /= np.linalg.norm(v)
         lhs = 0.5 * (plus @ (minus @ v) - minus @ (plus @ v))
         worst = max(worst, float(np.linalg.norm(lhs - sz * v)))
@@ -859,16 +857,17 @@ def _zero_case_deviation(
     )
 
 
-def _random_bose_product(spec: LatticeSpec, rng: np.random.Generator):
-    counts = rng.multinomial(spec.sites, np.full(spec.sites, 1.0 / spec.sites))
-    return [{(int(n), 0): 1.0} for n in counts]
+def _random_bose_product(spec: LatticeSpec, rng: random.Random):
+    """As many bosons as sites, each on a uniformly drawn site."""
+    picks = rng.choices(range(spec.sites), k=spec.sites)
+    return [{(picks.count(site), 0): 1.0} for site in range(spec.sites)]
 
 
-def _random_fermi_product(spec: LatticeSpec, rng: np.random.Generator):
+def _random_fermi_product(spec: LatticeSpec, rng: random.Random):
     states = []
     for _ in range(spec.sites):
-        theta = rng.uniform(0, np.pi)
-        chi = rng.uniform(0, 2 * np.pi)
+        theta = rng.uniform(0, math.pi)
+        chi = rng.uniform(0, 2 * math.pi)
         states.append(
             {
                 (1, 0, 0, 0): complex(np.cos(theta / 2)),
@@ -879,9 +878,13 @@ def _random_fermi_product(spec: LatticeSpec, rng: np.random.Generator):
 
 
 def verification_suite() -> list[CheckResult]:
-    """Run every oracle cross-check on the 2 x 2 lattice; returns one row per check."""
+    """Run every oracle cross-check on the 2 x 2 lattice; returns one row per check.
+
+    The random commutator vectors and product states are drawn from
+    `random.Random(1905)`, so every run checks the same inputs.
+    """
     spec = LatticeSpec(L=2, J=1.0, U=0.0)
-    rng = np.random.default_rng(1905)
+    rng = random.Random(1905)
     results = []
 
     bose = FockBasis(spec, Statistics.BOSE, spec.sites)

@@ -170,3 +170,11 @@ class TestSmallAngleAgreement:
             exact = expected_sigma_z(dist, params, spec) + spec.sites / 2
             approx = metastable_population(dist, nbar, Mode(1, 1), t, spec)
             assert exact == pytest.approx(approx, rel=1e-3)
+
+
+class TestMeanExcitations:
+    @pytest.mark.parametrize("alpha", [1.3e154, 1e300, np.inf, np.nan])
+    def test_rejects_non_finite_count(self, alpha):
+        # N alpha^2 / 4 with N = 16: N alpha^2 overflows at 1.3e154, alpha^2 at 1e300
+        with pytest.raises(ValueError, match="not finite"):
+            mean_excitations(uniform(LatticeSpec(L=4)), alpha)

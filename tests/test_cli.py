@@ -239,6 +239,29 @@ class TestErrors:
             csv[state] = out.read_text()
         assert csv["thermal:1e-300"] == csv["uniform"]
 
+    @pytest.mark.parametrize("alpha", ["1.3e154", "1e300"])
+    def test_alpha_with_non_finite_mean_excitations(self, alpha, tmp_path, capsys):
+        # N alpha^2 / 4 overflows at 1.3e154 (n_meta would be inf * 0 = nan at
+        # dt = 0), and alpha^2 itself overflows at 1e300
+        out = tmp_path / "out.csv"
+        argv = ["classical", "--statistics", "bose", "--state", "uniform", "--alpha", alpha]
+        assert main([*argv, "--L", "4", "--steps", "3", "-o", str(out)]) == 1
+        assert not out.exists()
+        assert "dickeprobe: error: N alpha^2 / 4 is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--statistics", "bose", "--state", "uniform", "--L", "4", "--steps", "3"],
+            ["oracle"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_output(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        assert main([*argv, "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"dickeprobe: error: cannot write {out}: ")
+
     def test_bad_thermal_parameter(self):
         assert (
             main(["curve", "--statistics", "bose", "--state", "thermal:-2",
