@@ -11,7 +11,6 @@ from .classical import (
     expected_sigma_z,
     mean_excitations,
     metastable_population,
-    metastable_population_partial_condensation,
 )
 from .correlators import (
     bosonic_four_point,
@@ -35,10 +34,8 @@ from .emission import (
     EmissionCurve,
     ProbeGeometry,
     adiabatic_peak,
-    bessel_envelope,
     coherent_amplitude,
     emission_curve,
-    normalized_peak,
     peak_curve,
     phase_sum,
     quench_peak,
@@ -49,7 +46,6 @@ from .lattice import (
     Mode,
     adjacency_matrix,
     canonical_mode,
-    condensate_phase,
     mode_grid,
     mode_sub,
 )
@@ -67,12 +63,10 @@ __all__ = [
     "Statistics",
     "adiabatic_peak",
     "adjacency_matrix",
-    "bessel_envelope",
     "bose_einstein",
     "bosonic_four_point",
     "canonical_mode",
     "coherent_amplitude",
-    "condensate_phase",
     "dicke_ladder_factor",
     "emission_curve",
     "expected_sigma_z",
@@ -81,12 +75,10 @@ __all__ = [
     "mean_excitations",
     "metallic",
     "metastable_population",
-    "metastable_population_partial_condensation",
     "mode_grid",
     "mode_sub",
     "mott_correlator",
     "neel_correlator",
-    "normalized_peak",
     "partial_condensation",
     "peak_curve",
     "phase_sum",

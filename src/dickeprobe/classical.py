@@ -14,15 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import MomentumDistribution
-from .emission import coherent_amplitude, phase_sum
-from .lattice import LatticeSpec, Mode, condensate_phase
+from .emission import coherent_amplitude
+from .lattice import LatticeSpec, Mode
 
 __all__ = [
     "DriveParameters",
     "expected_sigma_z",
     "mean_excitations",
     "metastable_population",
-    "metastable_population_partial_condensation",
 ]
 
 
@@ -89,25 +88,3 @@ def metastable_population(
     """
     return 2.0 * nbar * (1.0 - coherent_amplitude(dist, kappa, dt, spec).real)
 
-
-def metastable_population_partial_condensation(
-    n_condensed: float,
-    n_distributed: float,
-    nbar: float,
-    kappa: tuple[int, int],
-    dt: float,
-    spec: LatticeSpec,
-) -> float:
-    """Closed form of metastable_population for the partial-condensation state.
-
-    2 nbar (1 - (N1/N) cos(varphi(dt)) - (N2/N) phase_sum(dt)); the condensate
-    contributes a Larmor-like cosine, the distributed atoms the real phase sum.
-    """
-    N = spec.sites
-    if abs(n_condensed + n_distributed - N) > 1e-9 * N:
-        raise ValueError(f"n_condensed + n_distributed must equal N = {N}")
-    phi = condensate_phase(kappa, dt, spec)
-    reduction = (n_condensed / N) * math.cos(phi) + (n_distributed / N) * phase_sum(
-        spec, kappa, dt
-    )
-    return 2.0 * nbar * (1.0 - reduction)

@@ -9,7 +9,9 @@ so repeated runs are byte-identical.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 
 import numpy as np
@@ -34,19 +36,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_lattice_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--L", type=int, default=100, help="sites per side (even), default 100")
-    parser.add_argument("--ell", type=float, default=1.0, help="lattice spacing, default 1")
     parser.add_argument("--J", type=float, default=1.0, help="tunneling rate, default 1")
-    parser.add_argument(
-        "--U",
-        type=float,
-        default=0.0,
-        help="on-site interaction; the weak-interaction curves are U-independent",
-    )
     parser.add_argument(
         "--kappa",
         default="1,1",
         metavar="N,M",
-        help="photon mode as grid indices n,m; kappa = 2*pi/(L*ell) * (n, m)",
+        help="photon mode as grid indices n,m, in units of 2*pi/L: kappa = 2*pi/L * (n, m)",
     )
 
 
@@ -70,7 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help=(
             "bose: superfluid | partial:N1,N2 | thermal:inverse_temperature | uniform | mott;"
-            " fermi: metallic | thermal:inverse_temperature | uniform | neel"
+            " fermi: metallic | thermal:inverse_temperature | uniform | neel."
+            " mott and neel are frozen at unit filling (U -> infinity); every other"
+            " state evolves at U = 0"
         ),
     )
     _add_lattice_options(curve)
@@ -149,7 +146,7 @@ def _parse_state(text: str, statistics: Statistics) -> tuple[str, dict]:
 
 
 def _build_spec(args) -> LatticeSpec:
-    return LatticeSpec(L=args.L, ell=args.ell, J=args.J, U=args.U)
+    return LatticeSpec(L=args.L, J=args.J)
 
 
 def _time_grid(args) -> np.ndarray:
@@ -158,6 +155,27 @@ def _time_grid(args) -> np.ndarray:
     if not (math.isfinite(args.tmax) and args.tmax > 0):
         raise ValueError("--tmax must be finite and positive")
     return np.linspace(0.0, args.tmax, args.steps)
+
+
+def _check_output(path: str) -> None:
+    """Raise OSError now if `path` cannot be opened for writing; create nothing.
+
+    Called before any work, so an unwritable --output exits without building
+    a distribution or running the oracle suite.  The file itself is opened
+    only when its content is ready, so a run that fails leaves no file.
+    """
+    if path == "-":
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _write_columns(path: str, header: str, *columns: np.ndarray) -> None:
@@ -246,6 +264,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output(args.output)
         if args.command in ("curve", "quench", "adiabatic"):
             return _run_curve(args)
         if args.command == "classical":

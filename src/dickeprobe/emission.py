@@ -40,10 +40,8 @@ __all__ = [
     "EmissionCurve",
     "ProbeGeometry",
     "adiabatic_peak",
-    "bessel_envelope",
     "coherent_amplitude",
     "emission_curve",
-    "normalized_peak",
     "peak_curve",
     "phase_sum",
     "quench_peak",
@@ -128,46 +126,23 @@ def phase_sum(spec: LatticeSpec, kappa: tuple[int, int], dt):
     return _coherent_sum(np.ones((spec.L, spec.L)), kappa, dt, spec).real
 
 
-def bessel_envelope(kappa: tuple[int, int], dt, spec: LatticeSpec):
-    """Small-wave-number approximation J0(2 (J dt / Z) kx ell) * J0(... ky ell).
-
-    Accurate for |kappa| ell << 1 and L >> 1; degrades gracefully otherwise.
-    Accepts scalar or array dt.
-    """
-    # scipy is imported here, not at module level: no CLI command needs it,
-    # and importing scipy.special would make up most of their start-up time.
-    from scipy.special import j0
-
-    kx_ell = 2.0 * np.pi * kappa[0] / spec.L
-    ky_ell = 2.0 * np.pi * kappa[1] / spec.L
-    scale = 2.0 * spec.J / spec.Z
-    return j0(scale * kx_ell * np.asarray(dt)) * j0(scale * ky_ell * np.asarray(dt))
-
-
-def normalized_peak(
-    dist: MomentumDistribution, geometry: ProbeGeometry, dt: float, spec: LatticeSpec
-) -> float:
-    """|C(dt)|^2 at kappa_out = kappa_in; 0 otherwise (only O(N) light remains)."""
-    geometry.validate(spec)
-    if not geometry.is_forward(spec.L):
-        return 0.0
-    return abs(coherent_amplitude(dist, geometry.kappa_in, dt, spec)) ** 2
-
-
 def separable_peak(site_occupations: np.ndarray, geometry: ProbeGeometry) -> float:
-    """Zero-tunneling peak |sum_mu exp(-i (kout - kin) r_mu) n_mu|^2 / N^2.
+    """Zero-tunneling peak |sum_mu exp(-i (kout - kin) r_mu) n_mu|^2 / (sum_mu n_mu)^2.
 
-    site_occupations is an (L, L) array of per-site atom numbers.
+    site_occupations is an (L, L) array of per-site atom numbers; the peak
+    is normalized by their total, the atom count, and lies in [0, 1].
     """
     occ = np.asarray(site_occupations, dtype=float)
     if occ.ndim != 2 or occ.shape[0] != occ.shape[1]:
         raise ValueError("site_occupations must be a square (L, L) array")
+    total = occ.sum()
+    if not total > 0:
+        raise ValueError("site_occupations must hold a positive number of atoms")
     L = occ.shape[0]
     dk = mode_sub(geometry.kappa_out, geometry.kappa_in, L)
     x = np.arange(L)
     phase = np.exp(-2j * np.pi * (dk.n * x[:, None] + dk.m * x[None, :]) / L)
-    N = L * L
-    return abs(np.sum(phase * occ)) ** 2 / N**2
+    return abs(np.sum(phase * occ)) ** 2 / total**2
 
 
 def quench_peak(spec: LatticeSpec, kappa: tuple[int, int], dt):
@@ -197,7 +172,7 @@ def peak_curve(
     dt_grid: np.ndarray,
     spec: LatticeSpec,
 ) -> np.ndarray:
-    """normalized_peak evaluated on a time grid with a fixed summation order."""
+    """|C(dt)|^2 on a time grid at kappa_out = kappa_in; 0 otherwise (only O(N) light remains)."""
     geometry.validate(spec)
     dts = _check_grid(dt_grid)
     if not geometry.is_forward(spec.L):

@@ -2,15 +2,16 @@
 
 Conventions used throughout the package: hbar = 1, periodic boundary
 conditions, and integer mode indices (n, m) standing for the wave vector
-k = (2*pi / (L*ell)) * (n, m) with n, m in {-L/2+1, ..., L/2}.  Times are
-naturally measured in tunneling times 1/J.
+k = (2*pi / L) * (n, m), that is in units of 2*pi/L, with n, m in
+{-L/2+1, ..., L/2}; lengths are in lattice spacings, so k*ell = 2*pi*n/L.
+Times are naturally measured in tunneling times 1/J.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,6 @@ __all__ = [
     "adjacency_fourier_grid",
     "adjacency_matrix",
     "canonical_mode",
-    "condensate_phase",
     "dephasing_rates",
     "energy_grid",
     "mode_grid",
@@ -42,28 +42,24 @@ class Mode(NamedTuple):
 class LatticeSpec:
     """Periodic L x L square lattice with tunneling J and on-site repulsion U.
 
-    The coordination number Z is fixed at 4; every adjacency row sums to Z,
-    which at L = 2 is realized by double bonds (both hops in one direction
-    reach the same neighbor).
+    Only the oracle's Hamiltonian reads U: every closed form evolves at
+    U = 0 or holds the atoms frozen.  The coordination number Z is a class
+    constant, 4; every adjacency row sums to Z, which at L = 2 is realized
+    by double bonds (both hops in one direction reach the same neighbor).
     """
 
     L: int
-    ell: float = 1.0
     J: float = 1.0
     U: float = 0.0
-    Z: int = 4
+    Z: ClassVar[int] = 4
 
     def __post_init__(self) -> None:
         if not isinstance(self.L, int) or self.L < 2 or self.L % 2:
             raise ValueError(f"L must be an even integer >= 2, got {self.L!r}")
-        if not (math.isfinite(self.ell) and self.ell > 0):
-            raise ValueError("lattice spacing ell must be finite and positive")
         if not (math.isfinite(self.J) and self.J >= 0):
             raise ValueError("tunneling rate J must be finite and nonnegative")
         if not (math.isfinite(self.U) and self.U >= 0):
             raise ValueError("on-site interaction U must be finite and nonnegative")
-        if self.Z != 4:
-            raise ValueError("coordination number is fixed at 4 for the square lattice")
 
     @property
     def sites(self) -> int:
@@ -118,8 +114,8 @@ def _cosines(L: int) -> np.ndarray:
 def adjacency_fourier_grid(spec: LatticeSpec) -> np.ndarray:
     """Fourier transform of the adjacency matrix, T(k) = 2[cos(kx*ell) + cos(ky*ell)].
 
-    Over the whole grid; entry [i, j] belongs to mode_index inverse.  Since
-    kx*ell = 2*pi*n/L the lattice spacing drops out of the value.
+    Over the whole grid; entry [i, j] belongs to mode_index inverse, and
+    kx*ell = 2*pi*n/L.
     """
     c = _cosines(spec.L)
     return 2.0 * (c[:, None] + c[None, :])
@@ -176,16 +172,6 @@ def dephasing_rates(spec: LatticeSpec, kappa: tuple[int, int]) -> np.ndarray:
     """
     a, b = _dephasing_factors(spec, kappa)
     return a[:, None] + b[None, :]
-
-
-def condensate_phase(kappa: tuple[int, int], t: float, spec: LatticeSpec) -> float:
-    """Global phase (J/Z)(T(kappa) - T(0)) t picked up by a condensate exciton.
-
-    That is -phi_kappa^kappa(t): the dephasing rate at p = kappa, times t.
-    """
-    a, b = _dephasing_factors(spec, kappa)
-    i, j = mode_index(kappa, spec.L)
-    return float(a[i] + b[j]) * t
 
 
 def site_coordinates(spec: LatticeSpec) -> np.ndarray:

@@ -35,7 +35,7 @@ from .correlators import (
     neel_correlator,
 )
 from .distributions import MomentumDistribution, Statistics, superfluid, uniform
-from .emission import quench_peak
+from .emission import ProbeGeometry, quench_peak, separable_peak
 from .lattice import (
     LatticeSpec,
     Mode,
@@ -729,21 +729,21 @@ def separable_deviation(
 ) -> float:
     """|exact peak - product-formula peak| for a Gutzwiller product state.
 
-    The product formula sums single-site transfer amplitudes with the
-    spatial phase of kappa_out - kappa_in; it is exact at J = 0 and carries
-    an O(J/U) residual otherwise.  Site mu's amplitude
+    The product formula is separable_peak of the single-site transfer
+    amplitudes, summed with the spatial phase of kappa_out - kappa_in; it is
+    exact at J = 0 and carries an O(J/U) residual otherwise.  Site mu's amplitude
     sum_{s1,s2} <gr+ ex_{s1} ex+ gr_{s2}> is |R_mu psi|^2 with
     R_mu = sum_s a+_{mu,s,ex} a_{mu,s,gr}.  For the on-site interaction used
     here the energy is constant within a fixed site occupation, so the time
     dependence is a global phase and the equal-time value is exact at zero
-    tunneling.  Both sides are normalized by the atom count.
+    tunneling.  Both sides are normalized by the atom count: the site
+    amplitudes sum to it.
     """
     statistics = Statistics(statistics)
     basis = FockBasis(spec, statistics, _site_atoms(site_states))
     psi = product_state(basis, site_states)
     exact = exact_peak_curve(psi, kappa_in, kappa_out, np.array([dt]), basis, spec)[0]
 
-    phases = _site_phases(basis, mode_sub(kappa_out, kappa_in, spec.L)).conj()
     site_amps = np.empty(spec.sites)
     for mu in range(spec.sites):
         channels = [(mu, s) for s in range(basis.n_spins)]
@@ -751,7 +751,8 @@ def separable_deviation(
             basis, [(1.0, basis.mode_id(*c, EXCITED), basis.mode_id(*c, GROUND)) for c in channels]
         )
         site_amps[mu] = np.linalg.norm(R @ psi) ** 2
-    predicted = abs(np.sum(phases * site_amps)) ** 2 / basis.n_particles**2
+    geometry = ProbeGeometry(kappa_in, kappa_out)
+    predicted = separable_peak(site_amps.reshape(spec.L, spec.L), geometry)
     return abs(exact - predicted)
 
 

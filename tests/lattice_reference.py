@@ -3,9 +3,14 @@
 The package computes these quantities over whole grids (adjacency_fourier_grid,
 energy_grid, dephasing_rates); the plain-math versions here are written
 independently of those array paths, so comparing the two checks both.
+bessel_envelope is the paper's small-wave-number limit of the uniform phase
+sum, from scipy, which the package itself does not use.
 """
 
 import math
+
+import numpy as np
+from scipy.special import j0
 
 from dickeprobe.lattice import LatticeSpec, Mode, canonical_mode, mode_sub
 
@@ -33,3 +38,11 @@ def hopping_phase(p: tuple[int, int], k: tuple[int, int], t: float, spec: Lattic
     """Interaction-picture phase phi_p^k(t) = -(J/Z) (T(p) - T(p-k)) t."""
     dT = adjacency_fourier(p, spec) - adjacency_fourier(mode_sub(p, k, spec.L), spec)
     return -(spec.J / spec.Z) * dT * t
+
+
+def bessel_envelope(kappa: tuple[int, int], dt, spec: LatticeSpec):
+    """J0(2 (J dt / Z) kx ell) J0(2 (J dt / Z) ky ell): phase_sum for |kappa| ell << 1."""
+    scale = 2.0 * spec.J / spec.Z * np.asarray(dt)
+    kx_ell = 2.0 * math.pi * kappa[0] / spec.L
+    ky_ell = 2.0 * math.pi * kappa[1] / spec.L
+    return j0(scale * kx_ell) * j0(scale * ky_ell)

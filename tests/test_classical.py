@@ -6,12 +6,10 @@ from dickeprobe.classical import (
     expected_sigma_z,
     mean_excitations,
     metastable_population,
-    metastable_population_partial_condensation,
 )
 from dickeprobe.distributions import (
     bose_einstein,
     metallic,
-    partial_condensation,
     superfluid,
     uniform,
 )
@@ -111,50 +109,6 @@ class TestMetastablePopulation:
                 assert batched[i] == metastable_population(dist, nbar, Mode(2, -1), t, spec)
                 params = DriveParameters(0.3, -0.2, Mode(2, -1), t)
                 assert sigma_z[i] == expected_sigma_z(dist, params, spec)
-
-
-class TestPartialCondensationForm:
-    def test_matches_general_formula(self):
-        spec = LatticeSpec(L=10)
-        nbar = mean_excitations(uniform(spec), 0.01)
-        n1, n2 = 60.0, 40.0
-        dist = partial_condensation(spec, n1, n2)
-        for kappa in (Mode(1, 0), Mode(1, 1), Mode(3, 2)):
-            for t in (0.0, 0.7, 3.0, 12.0):
-                general = metastable_population(dist, nbar, kappa, t, spec)
-                closed = metastable_population_partial_condensation(
-                    n1, n2, nbar, kappa, t, spec
-                )
-                assert closed == pytest.approx(general, abs=1e-12)
-
-    def test_pure_condensate_larmor_cosine(self):
-        from dickeprobe.lattice import condensate_phase
-
-        spec = LatticeSpec(L=10)
-        nbar = 0.3
-        kappa = Mode(1, 1)
-        for t in (0.5, 2.0):
-            expected = 2.0 * nbar * (1.0 - np.cos(condensate_phase(kappa, t, spec)))
-            assert metastable_population_partial_condensation(
-                spec.sites, 0.0, nbar, kappa, t, spec
-            ) == pytest.approx(expected, abs=1e-12)
-
-    def test_fully_distributed_phase_sum(self):
-        from dickeprobe.emission import phase_sum
-
-        spec = LatticeSpec(L=10)
-        nbar = 0.3
-        kappa = Mode(2, 1)
-        for t in (0.5, 2.0):
-            expected = 2.0 * nbar * (1.0 - phase_sum(spec, kappa, t))
-            assert metastable_population_partial_condensation(
-                0.0, spec.sites, nbar, kappa, t, spec
-            ) == pytest.approx(expected, abs=1e-12)
-
-    def test_rejects_bad_split(self):
-        spec = LatticeSpec(L=4)
-        with pytest.raises(ValueError):
-            metastable_population_partial_condensation(3.0, 4.0, 0.1, Mode(1, 0), 1.0, spec)
 
 
 class TestSmallAngleAgreement:

@@ -178,8 +178,6 @@ class TestErrors:
             ["curve", "--statistics", "bose", "--state", "uniform", "--tmax", "nan"],
             ["quench", "--statistics", "fermi", "--tmax", "inf"],
             ["curve", "--statistics", "bose", "--state", "uniform", "--J", "nan"],
-            ["curve", "--statistics", "bose", "--state", "uniform", "--ell", "nan"],
-            ["curve", "--statistics", "bose", "--state", "uniform", "--U", "inf"],
             ["curve", "--statistics", "bose", "--state", "thermal:nan"],
             ["curve", "--statistics", "fermi", "--state", "thermal:inf"],
             ["curve", "--statistics", "bose", "--state", "partial:nan,16"],
@@ -193,6 +191,18 @@ class TestErrors:
         out = tmp_path / "out.csv"
         assert main([*argv, "--L", "4", "-o", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("option", [["--U", "0.5"], ["--ell", "2"]], ids=["U", "ell"])
+    @pytest.mark.parametrize("command", ["curve", "quench", "adiabatic", "classical"])
+    def test_removed_lattice_options(self, command, option, capsys):
+        # no curve depends on the spacing, and every curve is at U = 0 or frozen
+        argv = [command, "--statistics", "bose", "--L", "4", *option]
+        if command in ("curve", "classical"):
+            argv += ["--state", "uniform"]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -253,14 +263,30 @@ class TestErrors:
         "argv",
         [
             ["curve", "--statistics", "bose", "--state", "uniform", "--L", "4", "--steps", "3"],
+            ["quench", "--statistics", "fermi", "--L", "4"],
+            ["classical", "--statistics", "bose", "--state", "uniform", "--L", "4"],
             ["oracle"],
         ],
         ids=lambda argv: argv[0],
     )
-    def test_unwritable_output(self, argv, tmp_path, capsys):
-        out = tmp_path / "missing" / "out.csv"
-        assert main([*argv, "-o", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"dickeprobe: error: cannot write {out}: ")
+    def test_unwritable_output(self, argv, tmp_path, capsys, monkeypatch):
+        # checked before any work: the distribution, curve and suite must not run
+        import dickeprobe.cli
+        import dickeprobe.oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before --output was checked")
+
+        for module, name in [
+            (dickeprobe.cli, "emission_curve"),
+            (dickeprobe.cli, "_build_distribution"),
+            (dickeprobe.oracle, "verification_suite"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        for out in (tmp_path / "missing" / "out.csv", tmp_path):
+            assert main([*argv, "-o", str(out)]) == 1
+            assert capsys.readouterr().err.startswith(f"dickeprobe: error: cannot write {out}: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_thermal_parameter(self):
         assert (

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import jn_zeros
+from scipy.special import j0
 
 from dickeprobe.distributions import (
     MomentumDistribution,
@@ -17,10 +17,8 @@ from dickeprobe.distributions import (
 from dickeprobe.emission import (
     ProbeGeometry,
     adiabatic_peak,
-    bessel_envelope,
     coherent_amplitude,
     emission_curve,
-    normalized_peak,
     peak_curve,
     phase_sum,
     quench_peak,
@@ -29,16 +27,21 @@ from dickeprobe.emission import (
 from dickeprobe.lattice import (
     LatticeSpec,
     Mode,
-    condensate_phase,
     dephasing_rates,
     mode_grid,
+    mode_index,
     mode_sub,
 )
-from lattice_reference import adjacency_fourier
+from lattice_reference import adjacency_fourier, bessel_envelope
 
 
 def forward(kappa):
     return ProbeGeometry(kappa, kappa)
+
+
+def condensate_phase(kappa, t, spec):
+    """Phase of an exciton on the condensate: the dephasing rate at p = kappa, times t."""
+    return dephasing_rates(spec, kappa)[mode_index(kappa, spec.L)] * t
 
 
 def enumerated_phase_sum(spec, kappa, dt):
@@ -81,35 +84,22 @@ class TestPhaseSum:
 
 
 class TestBesselEnvelope:
-    def test_at_zero(self, spec100):
-        assert bessel_envelope(Mode(1, 1), 0.0, spec100) == pytest.approx(1.0)
-
-    def test_first_zero_location(self, spec100):
-        # argument pi t / 100 hits the first J0 root at t = j01 * 100 / pi
-        t_zero = jn_zeros(0, 1)[0] * 100.0 / np.pi
-        assert t_zero == pytest.approx(76.55, abs=0.11)
-        assert abs(bessel_envelope(Mode(1, 1), t_zero, spec100)) < 1e-9
+    """The uniform phase sum against its small-wave-number limit, a product of two J0."""
 
     def test_single_factor_when_axis_mode(self, spec100):
-        from scipy.special import j0
-
-        t = 13.7
-        expected = j0(2 * spec100.J / spec100.Z * (2 * np.pi / 100) * t)
-        assert bessel_envelope(Mode(1, 0), t, spec100) == pytest.approx(expected, abs=1e-14)
+        # along an axis the y part of every rate is 0, leaving one J0 factor
+        grid = np.linspace(0.0, 100.0, 200)
+        expected = j0(2 * spec100.J / spec100.Z * (2 * np.pi / 100) * grid)
+        assert np.abs(phase_sum(spec100, Mode(1, 0), grid) - expected).max() < 1e-3
 
     @given(st.integers(-10, 10), st.integers(-10, 10), st.floats(0, 50))
     def test_even_in_each_component(self, n, m, t):
         spec = LatticeSpec(L=100)
-        a = bessel_envelope(Mode(n, m), t, spec)
-        b = bessel_envelope(Mode(-n, m), t, spec)
-        c = bessel_envelope(Mode(n, -m), t, spec)
+        a = phase_sum(spec, Mode(n, m), t)
+        b = phase_sum(spec, Mode(-n, m), t)
+        c = phase_sum(spec, Mode(n, -m), t)
         assert a == pytest.approx(b, abs=1e-14)
         assert a == pytest.approx(c, abs=1e-14)
-
-    def test_array_input(self, spec100):
-        grid = np.linspace(0, 10, 5)
-        values = bessel_envelope(Mode(1, 1), grid, spec100)
-        assert values.shape == grid.shape
 
     def test_accuracy_degrades_with_wave_number(self, spec100):
         # the small-wave-number bound grows monotonically with |kappa|
@@ -211,15 +201,13 @@ class TestBatchedKernel:
 
 class TestNormalizedPeak:
     def test_superfluid_full_superradiance(self, spec100):
-        dist = superfluid(spec100)
-        geo = forward(Mode(1, 1))
-        for t in (0.0, 15.0, 99.0):
-            assert normalized_peak(dist, geo, t, spec100) == pytest.approx(1.0, abs=1e-12)
+        values = peak_curve(superfluid(spec100), forward(Mode(1, 1)), [0.0, 15.0, 99.0], spec100)
+        assert np.abs(values - 1.0).max() < 1e-12
 
     def test_off_forward_is_zero(self, spec100):
         dist = superfluid(spec100)
         geo = ProbeGeometry(Mode(1, 1), Mode(2, 1))
-        assert normalized_peak(dist, geo, 5.0, spec100) == 0.0
+        assert np.all(peak_curve(dist, geo, [0.0, 5.0], spec100) == 0.0)
 
     def test_metallic_matches_uniform_envelope(self, spec100):
         geo = forward(Mode(1, 1))
@@ -243,7 +231,7 @@ class TestNormalizedPeak:
     def test_rejects_off_grid_kappa(self, spec100):
         geo = ProbeGeometry(Mode(51, 0), Mode(51, 0))
         with pytest.raises(ValueError):
-            normalized_peak(superfluid(spec100), geo, 1.0, spec100)
+            peak_curve(superfluid(spec100), geo, [1.0], spec100)
 
 
 class TestSeparablePeak:
@@ -255,6 +243,15 @@ class TestSeparablePeak:
         occ = np.ones((10, 10))
         geo = ProbeGeometry(Mode(0, 0), Mode(3, 0))
         assert separable_peak(occ, geo) == pytest.approx(0.0, abs=1e-24)
+
+    def test_normalized_by_the_atom_count(self):
+        # two atoms per site, and two atoms on the diagonal of 2 x 2: both peak at 1
+        assert separable_peak(2.0 * np.ones((2, 2)), forward(Mode(1, 1))) == 1.0
+        assert separable_peak(np.eye(2), forward(Mode(1, 0))) == 1.0
+
+    def test_rejects_empty_lattice(self):
+        with pytest.raises(ValueError, match="positive number of atoms"):
+            separable_peak(np.zeros((2, 2)), forward(Mode(1, 1)))
 
     def test_checkerboard_bragg_peak(self):
         L = 10

@@ -1,9 +1,10 @@
-"""Every CLI command runs on numpy alone.
+"""The package runs on numpy alone.
 
-Importing scipy.special or the oracle cost more than the work of a typical
-command, so scipy.special is loaded only by bessel_envelope and the oracle
-only by `dickeprobe oracle`.  The oracle builds its operators from numpy
-index arrays: any scipy module would add import time and memory to every
+No module under src/dickeprobe imports scipy, so numpy is its one runtime
+dependency; scipy serves the tests only, as a reference.  Importing the
+oracle cost more than the work of a typical command, so it is loaded only by
+`dickeprobe oracle`.  The oracle builds its operators from numpy index
+arrays: any scipy module would add import time and memory to every
 `dickeprobe oracle` run.  Nor does it load numpy.ma, which numpy 2 imports
 on a plain np.unique(x) call (about 16 ms), nor numpy.random (about 16 ms
 and 5.7 MB of peak RSS): its check inputs come from the standard library's
@@ -11,6 +12,7 @@ and 5.7 MB of peak RSS): its check inputs come from the standard library's
 interpreter, because this test session has imported all of them already.
 """
 
+import ast
 import functools
 import os
 import pathlib
@@ -18,6 +20,29 @@ import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def _imported_modules(path: pathlib.Path) -> list[str]:
+    """Every module an `import` or `from ... import` statement in `path` names."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return names
+
+
+def test_package_source_imports_no_scipy():
+    sources = sorted((SRC / "dickeprobe").glob("*.py"))
+    assert sources
+    offenders = {
+        path.name: name
+        for path in sources
+        for name in _imported_modules(path)
+        if name == "scipy" or name.startswith("scipy.")
+    }
+    assert offenders == {}
 
 COMMANDS = """
 import os, sys

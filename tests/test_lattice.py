@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +11,6 @@ from dickeprobe.lattice import (
     adjacency_fourier_grid,
     adjacency_matrix,
     canonical_mode,
-    condensate_phase,
     dephasing_rates,
     mode_grid,
     mode_index,
@@ -34,10 +35,15 @@ class TestLatticeSpec:
             LatticeSpec(L=2, J=-1.0)
         with pytest.raises(ValueError):
             LatticeSpec(L=2, U=-0.5)
-        with pytest.raises(ValueError):
-            LatticeSpec(L=2, ell=0.0)
-        with pytest.raises(ValueError):
-            LatticeSpec(L=2, Z=6)
+
+    def test_spacing_and_coordination_are_not_parameters(self):
+        # k*ell = 2*pi*n/L leaves no spacing to set, and Z = 4 is the square lattice's
+        with pytest.raises(TypeError):
+            LatticeSpec(L=4, ell=1.0)
+        with pytest.raises(TypeError):
+            LatticeSpec(L=4, Z=4)
+        assert LatticeSpec(L=4).Z == 4
+        assert [field.name for field in dataclasses.fields(LatticeSpec)] == ["L", "J", "U"]
 
     def test_zero_tunneling_allowed(self):
         assert LatticeSpec(L=2, J=0.0).J == 0.0
@@ -139,13 +145,6 @@ class TestHoppingPhase:
         lhs = hopping_phase(p, k, scale * t, spec)
         rhs = scale * hopping_phase(p, k, t, spec)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-    def test_condensate_phase(self):
-        spec = LatticeSpec(L=4)
-        kappa = Mode(1, 0)
-        assert condensate_phase(kappa, 2.0, spec) == pytest.approx(
-            -hopping_phase(kappa, kappa, 2.0, spec)
-        )
 
     def test_dephasing_rates_match_phase(self):
         spec = LatticeSpec(L=6, J=1.3)

@@ -960,6 +960,22 @@ class TestSeparableCases:
             peak = exact_peak_curve(neel_state(basis), kin, kout, np.array([0.9]), basis, spec)
             assert peak[0] == pytest.approx(expected, abs=1e-12)
 
+    def test_two_bosons_on_the_diagonal_match_separable_peak(self):
+        # off unit filling: the peak is normalized by the two atoms, not the four sites
+        spec = LatticeSpec(L=2, J=0.0, U=3.0)
+        occupied, empty = {(1, 0): 1.0}, {(0, 0): 1.0}
+        site_states = [occupied, empty, empty, occupied]
+        basis = FockBasis(spec, Statistics.BOSE, 2)
+        psi = product_state(basis, site_states)
+        occupations = np.eye(2)
+        geometries = [(Mode(1, 0), Mode(1, 0)), (Mode(1, 0), Mode(0, 1)), (Mode(0, 0), Mode(1, 0))]
+        for kin, kout in geometries:
+            expected = separable_peak(occupations, ProbeGeometry(kin, kout))
+            peak = exact_peak_curve(psi, kin, kout, np.array([0.0, 0.9]), basis, spec)
+            np.testing.assert_allclose(peak, expected, rtol=0, atol=1e-12)
+            dev = separable_deviation(site_states, kin, kout, 0.9, spec, Statistics.BOSE)
+            assert dev < 1e-12
+
     def test_rejects_empty_site_state(self):
         # an empty site dict has no atom number: a ValueError, not a StopIteration
         with pytest.raises(ValueError, match="definite particle number"):

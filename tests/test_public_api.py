@@ -19,12 +19,10 @@ PACKAGE_API = [
     "Statistics",
     "adiabatic_peak",
     "adjacency_matrix",
-    "bessel_envelope",
     "bose_einstein",
     "bosonic_four_point",
     "canonical_mode",
     "coherent_amplitude",
-    "condensate_phase",
     "dicke_ladder_factor",
     "emission_curve",
     "expected_sigma_z",
@@ -33,12 +31,10 @@ PACKAGE_API = [
     "mean_excitations",
     "metallic",
     "metastable_population",
-    "metastable_population_partial_condensation",
     "mode_grid",
     "mode_sub",
     "mott_correlator",
     "neel_correlator",
-    "normalized_peak",
     "partial_condensation",
     "peak_curve",
     "phase_sum",
