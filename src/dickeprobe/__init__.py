@@ -31,11 +31,9 @@ from .distributions import (
     uniform,
 )
 from .emission import (
-    EmissionCurve,
     ProbeGeometry,
     adiabatic_peak,
     coherent_amplitude,
-    emission_curve,
     peak_curve,
     phase_sum,
     quench_peak,
@@ -55,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChemicalPotentialError",
     "DriveParameters",
-    "EmissionCurve",
     "LatticeSpec",
     "Mode",
     "MomentumDistribution",
@@ -68,7 +65,6 @@ __all__ = [
     "canonical_mode",
     "coherent_amplitude",
     "dicke_ladder_factor",
-    "emission_curve",
     "expected_sigma_z",
     "fermi_dirac",
     "fermionic_four_point",

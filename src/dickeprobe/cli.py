@@ -17,13 +17,55 @@ import sys
 import numpy as np
 
 from .classical import DriveParameters, expected_sigma_z, mean_excitations, metastable_population
-from .distributions import Statistics
-from .emission import ProbeGeometry, _build_distribution, _check_state, emission_curve
+from .distributions import (
+    MomentumDistribution,
+    Statistics,
+    bose_einstein,
+    fermi_dirac,
+    metallic,
+    partial_condensation,
+    superfluid,
+    uniform,
+)
+from .emission import ProbeGeometry, adiabatic_peak, peak_curve, quench_peak
 from .lattice import LatticeSpec, Mode, validate_mode
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
 _FMT = "%.12f"
+
+_FERMI_ADIABATIC_NOTE = (
+    "small-wave-number approximation: the slow-ramp result is derived for |kappa| ell << 1"
+)
+
+# Every `--state` selector: the statistics that offers it (None for both), the
+# number of comma-separated parameters after "name:", the error for malformed
+# parameters, and the constructor (spec, statistics, *parameters) of its
+# momentum distribution.  mott and neel have none: they are frozen at unit
+# filling, where the site Fourier sum is exactly N delta_{kin,kout}.  The
+# constructors are lambdas so that each call looks its function up in this
+# module when it runs, where a tracer or a test may have rebound it.
+_STATES = {
+    "superfluid": (Statistics.BOSE, 0, "", lambda spec, stats: superfluid(spec)),
+    "partial": (
+        Statistics.BOSE,
+        2,
+        "partial state needs parameters 'partial:N1,N2'",
+        lambda spec, stats, n1, n2: partial_condensation(spec, n1, n2),
+    ),
+    "thermal": (
+        None,
+        1,
+        "thermal state needs 'thermal:inverse_temperature'",
+        lambda spec, stats, beta: (
+            bose_einstein(spec, beta) if stats is Statistics.BOSE else fermi_dirac(spec, beta)
+        ),
+    ),
+    "uniform": (None, 0, "", lambda spec, stats: uniform(spec, stats)),
+    "metallic": (Statistics.FERMI, 0, "", lambda spec, stats: metallic(spec)),
+    "mott": (Statistics.BOSE, 0, "", None),
+    "neel": (Statistics.FERMI, 0, "", None),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,24 +167,26 @@ def _parse_kappa(text: str, L: int) -> Mode:
     return validate_mode((n, m), L)
 
 
-def _parse_state(text: str, statistics: Statistics) -> tuple[str, dict]:
-    """Split a `--state` selector into a scenario name and its keyword arguments."""
+def _build_state(
+    text: str, statistics: Statistics, spec: LatticeSpec
+) -> MomentumDistribution | None:
+    """The momentum distribution a `--state` selector names; None for a frozen state."""
     name, colon, params = text.partition(":")
-    _check_state(name, statistics)
-    if name == "partial":
+    if name not in _STATES or _STATES[name][0] not in (None, statistics):
+        raise ValueError(f"state {name!r} is not available for {statistics.value} statistics")
+    _, arity, usage, build = _STATES[name]
+    if not arity:
+        if colon:
+            raise ValueError(f"state {name!r} takes no parameters, got {text!r}")
+        values = ()
+    else:
         try:
-            n1, n2 = (float(p) for p in params.split(","))
+            values = tuple(float(p) for p in params.split(","))
         except ValueError:
-            raise ValueError("partial state needs parameters 'partial:N1,N2'") from None
-        return name, {"n_condensed": n1, "n_distributed": n2}
-    if name == "thermal":
-        try:
-            return name, {"inverse_temperature": float(params)}
-        except ValueError:
-            raise ValueError("thermal state needs 'thermal:inverse_temperature'") from None
-    if colon:
-        raise ValueError(f"state {name!r} takes no parameters, got {text!r}")
-    return name, {}
+            raise ValueError(usage) from None
+        if len(values) != arity:
+            raise ValueError(usage)
+    return None if build is None else build(spec, statistics, *values)
 
 
 def _build_spec(args) -> LatticeSpec:
@@ -194,15 +238,19 @@ def _run_curve(args) -> int:
     kappa = _parse_kappa(args.kappa, spec.L)
     grid = _time_grid(args)
     statistics = Statistics(args.statistics)
-    if args.command == "curve":
-        name, kwargs = _parse_state(args.state, statistics)
+    if args.command == "quench":
+        values = quench_peak(spec, kappa, grid)
+    elif args.command == "adiabatic":
+        values = adiabatic_peak(statistics, spec, kappa, grid)
+        if statistics is Statistics.FERMI:
+            print(f"note: {_FERMI_ADIABATIC_NOTE}", file=sys.stderr)
     else:
-        name, kwargs = args.command, {}
-    geometry = ProbeGeometry(kappa, kappa)
-    curve = emission_curve(name, grid, spec, geometry, statistics=statistics, **kwargs)
-    if curve.approximate:
-        print(f"note: {curve.note}", file=sys.stderr)
-    _write_columns(args.output, "delta_t,normalized_peak", curve.times, curve.values)
+        dist = _build_state(args.state, statistics, spec)
+        if dist is None:
+            values = np.ones_like(grid)
+        else:
+            values = peak_curve(dist, ProbeGeometry(kappa, kappa), grid, spec)
+    _write_columns(args.output, "delta_t,normalized_peak", grid, values)
     return 0
 
 
@@ -211,8 +259,9 @@ def _run_classical(args) -> int:
     kappa = _parse_kappa(args.kappa, spec.L)
     grid = _time_grid(args)
     statistics = Statistics(args.statistics)
-    name, kwargs = _parse_state(args.state, statistics)
-    dist = _build_distribution(name, spec, statistics, **kwargs)
+    dist = _build_state(args.state, statistics, spec)
+    if dist is None:
+        raise ValueError(f"state {args.state!r} has no momentum distribution")
     alpha = args.alpha
     beta_rot = -alpha if args.beta_rot is None else args.beta_rot
     drive = DriveParameters(alpha, beta_rot, kappa, grid)

@@ -1,4 +1,4 @@
-"""Normalized superradiant emission peaks P / (N^2 P_single) for every scenario.
+"""Normalized superradiant emission peaks P / (N^2 P_single) from a momentum distribution.
 
 The peak equals |C(dt)|^2 with the coherent amplitude
 
@@ -8,7 +8,9 @@ evaluated for a scalar dt or a whole 1-d dt array at once.  The rate splits
 into an x part and a y part, so C on a grid of T times is a (T x L)(L x L)
 product, taken row by row, and a row-wise dot.  The incoherent O(N)
 background and any emission with kappa_out != kappa_in are outside the
-normalized-peak contract and reported as 0.
+normalized-peak contract and reported as 0.  The frozen Mott and Neel states
+have no momentum-distribution curve (their peak is 1); cli.py alone maps a
+`--state` selector to a distribution or to that constant.
 """
 
 from __future__ import annotations
@@ -17,16 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    MomentumDistribution,
-    Statistics,
-    bose_einstein,
-    fermi_dirac,
-    metallic,
-    partial_condensation,
-    superfluid,
-    uniform,
-)
+from .distributions import MomentumDistribution, Statistics
 from .lattice import (
     LatticeSpec,
     Mode,
@@ -37,11 +30,9 @@ from .lattice import (
 )
 
 __all__ = [
-    "EmissionCurve",
     "ProbeGeometry",
     "adiabatic_peak",
     "coherent_amplitude",
-    "emission_curve",
     "peak_curve",
     "phase_sum",
     "quench_peak",
@@ -63,17 +54,6 @@ class ProbeGeometry:
 
     def is_forward(self, L: int) -> bool:
         return canonical_mode(self.kappa_in, L) == canonical_mode(self.kappa_out, L)
-
-
-@dataclass(frozen=True)
-class EmissionCurve:
-    """Normalized peak values sampled on a waiting-time grid (units 1/J)."""
-
-    scenario: str
-    times: np.ndarray
-    values: np.ndarray
-    approximate: bool = False
-    note: str = ""
 
 
 def _coherent_sum(weights: np.ndarray, kappa: tuple[int, int], dt, spec: LatticeSpec):
@@ -157,9 +137,9 @@ def quench_peak(spec: LatticeSpec, kappa: tuple[int, int], dt):
 def adiabatic_peak(statistics: Statistics, spec: LatticeSpec, kappa: tuple[int, int], dt):
     """Peak after a slow interaction ramp: 1 for bosons, |phase_sum|^2 for fermions.
 
-    The fermionic branch rests on the small-wave-number commutator argument
-    and is tagged approximate by emission_curve.  Accepts scalar or 1-d
-    array dt.
+    The fermionic branch rests on the small-wave-number commutator argument,
+    and the CLI prints that approximation note with it.  Accepts scalar or
+    1-d array dt.
     """
     if Statistics(statistics) is Statistics.BOSE:
         return 1.0 if np.ndim(dt) == 0 else np.ones(np.shape(dt))
@@ -174,122 +154,11 @@ def peak_curve(
 ) -> np.ndarray:
     """|C(dt)|^2 on a time grid at kappa_out = kappa_in; 0 otherwise (only O(N) light remains)."""
     geometry.validate(spec)
-    dts = _check_grid(dt_grid)
-    if not geometry.is_forward(spec.L):
-        return np.zeros_like(dts)
-    return np.abs(coherent_amplitude(dist, geometry.kappa_in, dts, spec)) ** 2
-
-
-def _check_grid(dt_grid) -> np.ndarray:
     dts = np.asarray(dt_grid, dtype=float)
     if dts.ndim != 1 or dts.size == 0:
         raise ValueError("dt grid must be a nonempty 1-d array")
     if np.any(dts < 0) or np.any(np.diff(dts) < 0):
         raise ValueError("dt grid must be nonnegative and nondecreasing")
-    return dts
-
-
-# the lattice states each statistics offers, by scenario name
-_BOSE_STATES = ("superfluid", "partial", "thermal", "uniform", "mott")
-_FERMI_STATES = ("metallic", "thermal", "uniform", "neel")
-
-_FERMI_ADIABATIC_NOTE = (
-    "small-wave-number approximation: the slow-ramp result is derived for |kappa| ell << 1"
-)
-
-
-def emission_curve(
-    scenario: str,
-    dt_grid: np.ndarray,
-    spec: LatticeSpec,
-    geometry: ProbeGeometry,
-    *,
-    statistics: Statistics | str | None = None,
-    inverse_temperature: float | None = None,
-    n_condensed: float | None = None,
-    n_distributed: float | None = None,
-) -> EmissionCurve:
-    """Sample the normalized peak for a named scenario.
-
-    Scenarios: superfluid, partial, thermal, uniform, metallic, mott, neel,
-    quench, adiabatic.  `thermal`, `uniform`, `quench` and `adiabatic` need
-    `statistics`; `thermal` needs `inverse_temperature`; `partial` needs the
-    two atom counts.  A state given with a statistics must be one of that
-    statistics' states: superfluid, partial and mott are bosonic, metallic
-    and neel fermionic.
-    """
-    geometry.validate(spec)
-    dts = _check_grid(dt_grid)
-    stats = None if statistics is None else Statistics(statistics)
-    forward = geometry.is_forward(spec.L)
-    label = scenario if stats is None else f"{scenario}-{stats.value}"
-    if scenario in ("quench", "adiabatic"):
-        _require(stats is not None, f"{scenario} needs statistics")
-    elif stats is not None:
-        _check_state(scenario, stats)
-    approximate = scenario == "adiabatic" and stats is Statistics.FERMI
-    note = _FERMI_ADIABATIC_NOTE if approximate else ""
-
-    if scenario in ("mott", "neel", "quench", "adiabatic") and not forward:
-        values = np.zeros_like(dts)
-    elif scenario in ("mott", "neel"):
-        # unit filling: the site Fourier sum is exactly N delta_{kin,kout}
-        values = np.ones_like(dts)
-    elif scenario == "quench":
-        values = quench_peak(spec, geometry.kappa_in, dts)
-    elif scenario == "adiabatic":
-        values = adiabatic_peak(stats, spec, geometry.kappa_in, dts)
-    else:
-        dist = _build_distribution(
-            scenario,
-            spec,
-            stats,
-            inverse_temperature=inverse_temperature,
-            n_condensed=n_condensed,
-            n_distributed=n_distributed,
-        )
-        values = peak_curve(dist, geometry, dts, spec)
-
-    return EmissionCurve(label, dts, values, approximate=approximate, note=note)
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
-def _check_state(scenario: str, stats: Statistics) -> None:
-    allowed = _BOSE_STATES if stats is Statistics.BOSE else _FERMI_STATES
-    _require(
-        scenario in allowed, f"state {scenario!r} is not available for {stats.value} statistics"
-    )
-
-
-def _build_distribution(
-    scenario: str,
-    spec: LatticeSpec,
-    stats: Statistics | None,
-    *,
-    inverse_temperature: float | None = None,
-    n_condensed: float | None = None,
-    n_distributed: float | None = None,
-) -> MomentumDistribution:
-    if scenario == "superfluid":
-        return superfluid(spec)
-    if scenario == "partial":
-        _require(
-            n_condensed is not None and n_distributed is not None,
-            "partial needs n_condensed and n_distributed",
-        )
-        return partial_condensation(spec, n_condensed, n_distributed)
-    if scenario == "uniform":
-        return uniform(spec, stats or Statistics.BOSE)
-    if scenario == "metallic":
-        return metallic(spec)
-    if scenario == "thermal":
-        _require(stats is not None, "thermal needs statistics")
-        _require(inverse_temperature is not None, "thermal needs inverse_temperature")
-        if stats is Statistics.BOSE:
-            return bose_einstein(spec, inverse_temperature)
-        return fermi_dirac(spec, inverse_temperature)
-    raise ValueError(f"scenario {scenario!r} has no momentum distribution")
+    if not geometry.is_forward(spec.L):
+        return np.zeros_like(dts)
+    return np.abs(coherent_amplitude(dist, geometry.kappa_in, dts, spec)) ** 2

@@ -26,7 +26,12 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .classical import DriveParameters, expected_sigma_z
+from .classical import (
+    DriveParameters,
+    expected_sigma_z,
+    mean_excitations,
+    metastable_population,
+)
 from .correlators import (
     bosonic_four_point,
     dicke_ladder_factor,
@@ -191,12 +196,6 @@ class _Operator:
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.data.dtype)
         out[self.row, self.col] = self.data
-        return out
-
-    def diagonal(self) -> np.ndarray:
-        out = np.zeros(min(self.shape), dtype=self.data.dtype)
-        on = self.row == self.col
-        out[self.row[on]] = self.data[on]
         return out
 
 
@@ -858,6 +857,25 @@ def _zero_case_deviation(
     )
 
 
+def _metastable_deviation(
+    basis: FockBasis, states, dist: MomentumDistribution, kappa: Mode, alpha: float
+) -> float:
+    """max |<Sigma^z> + n/2 - metastable_population| over the states, at angles (alpha, -alpha).
+
+    The exact count after the reversed sequence is (sin^2 alpha / 2)(n - S),
+    the formula's (alpha^2 / 2)(n - S): they part at O(alpha^4).
+    """
+    nbar = mean_excitations(dist, alpha)
+    dev = 0.0
+    for dt in (0.0, 0.4, 0.7, 1.4, 2.0):
+        params = DriveParameters(alpha, -alpha, kappa, dt)
+        formula = metastable_population(dist, nbar, kappa, dt, basis.spec)
+        for state in states:
+            exact = classical_sequence_sigma_z(state, basis, basis.spec, params)
+            dev = max(dev, abs(exact + basis.n_particles / 2 - formula))
+    return dev
+
+
 def _random_bose_product(spec: LatticeSpec, rng: random.Random):
     """As many bosons as sites, each on a uniformly drawn site."""
     picks = rng.choices(range(spec.sites), k=spec.sites)
@@ -1017,5 +1035,12 @@ def verification_suite() -> list[CheckResult]:
                 formula = expected_sigma_z(dist, params, spec)
                 dev = max(dev, abs(exact - formula))
     results.append(CheckResult("classical-sequence", dev, 1e-8))
+
+    # uniform occupations from a momentum Fock state and from the Mott state;
+    # the deviation is 0.647 alpha^4 for both
+    alpha = 0.05
+    uniform_states = [classical_cases[1][0], classical_cases[2][0]]
+    dev = _metastable_deviation(bose, uniform_states, uniform(spec), kappa_diag, alpha)
+    results.append(CheckResult("metastable-population", dev, 6.25e-6))  # alpha^4
 
     return results

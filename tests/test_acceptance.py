@@ -10,6 +10,7 @@ from dickeprobe.classical import (
     mean_excitations,
     metastable_population,
 )
+from dickeprobe.cli import main
 from dickeprobe.correlators import (
     bosonic_four_point,
     dicke_ladder_factor,
@@ -27,10 +28,11 @@ from dickeprobe.distributions import (
 )
 from dickeprobe.emission import (
     ProbeGeometry,
+    adiabatic_peak,
     coherent_amplitude,
-    emission_curve,
     peak_curve,
     phase_sum,
+    quench_peak,
     separable_peak,
 )
 from dickeprobe.lattice import LatticeSpec, Mode, mode_grid
@@ -85,21 +87,20 @@ def envelope_first_zero(spec100):
     return float(result.x)
 
 
-def test_criterion_1_full_superradiance_of_coherent_states(spec100, geometry):
-    sf = emission_curve("superfluid", GRID, spec100, geometry)
-    dev = float(np.abs(sf.values - 1.0).max())
-    adiabatic = emission_curve("adiabatic", GRID, spec100, geometry, statistics="bose")
-    dev = max(dev, float(np.abs(adiabatic.values - 1.0).max()))
+def test_criterion_1_full_superradiance_of_coherent_states(spec100, geometry, tmp_path):
+    sf = peak_curve(superfluid(spec100), geometry, GRID, spec100)
+    dev = float(np.abs(sf - 1.0).max())
+    adiabatic = adiabatic_peak(Statistics.BOSE, spec100, KAPPA, GRID)
+    dev = max(dev, float(np.abs(adiabatic - 1.0).max()))
     # separable unit-filling peaks are exactly 1 in the forward direction
     exact_sep = separable_peak(np.ones((spec100.L, spec100.L)), geometry)
     dev_exact = 0.0 if exact_sep == 1.0 else abs(exact_sep - 1.0)
-    mott_curve = emission_curve("mott", GRID[:10], spec100, geometry)
-    neel_curve = emission_curve("neel", GRID[:10], spec100, geometry)
-    dev_exact = max(
-        dev_exact,
-        float(np.abs(mott_curve.values - 1.0).max()),
-        float(np.abs(neel_curve.values - 1.0).max()),
-    )
+    for statistics, state in (("bose", "mott"), ("fermi", "neel")):
+        out = tmp_path / f"{state}.csv"
+        argv = ["curve", "--statistics", statistics, "--state", state, "--L", "100"]
+        assert main([*argv, "--kappa=1,1", "--steps", "10", "-o", str(out)]) == 0
+        frozen = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        dev_exact = max(dev_exact, float(np.abs(frozen - 1.0).max()))
     report(
         1,
         "superfluid and bose-adiabatic curves pinned at 1; separable peaks exactly 1",
@@ -155,18 +156,17 @@ def test_criterion_5_fermionic_curves(spec100, geometry, uniform_curve):
     report(5, "diamond-shift invariance of the metallic curve", shift_dev, 1e-12)
 
 
-def test_criterion_6_quench_vs_adiabatic(spec100, geometry):
-    quench = emission_curve("quench", GRID, spec100, geometry, statistics="bose")
-    adiabatic = emission_curve("adiabatic", GRID, spec100, geometry, statistics="bose")
-    split = float((adiabatic.values - quench.values).max())
+def test_criterion_6_quench_vs_adiabatic(spec100):
+    quench = quench_peak(spec100, KAPPA, GRID)
+    adiabatic = adiabatic_peak(Statistics.BOSE, spec100, KAPPA, GRID)
+    split = float((adiabatic - quench).max())
     # report as deviation from the required discrimination margin
     report(6, f"bose quench vs adiabatic split {split:.3f} > 0.5", max(0.0, 0.5 - split), 0.0)
-    fermi_q = emission_curve("quench", GRID, spec100, geometry, statistics="fermi")
-    fermi_a = emission_curve("adiabatic", GRID, spec100, geometry, statistics="fermi")
+    fermi_a = adiabatic_peak(Statistics.FERMI, spec100, KAPPA, GRID)
     report(
         6,
         "fermi quench and adiabatic curves identical",
-        float(np.abs(fermi_q.values - fermi_a.values).max()),
+        float(np.abs(quench_peak(spec100, KAPPA, GRID) - fermi_a).max()),
         1e-12,
     )
 

@@ -169,8 +169,50 @@ class TestErrors:
                   "--L", "10", "--steps", "1"]) == 1
         )
 
-    def test_classical_state_without_distribution(self):
+    def test_classical_state_without_distribution(self, capsys):
         assert main(["classical", "--statistics", "bose", "--state", "mott", "--L", "10"]) == 1
+        assert "state 'mott' has no momentum distribution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("statistics", ["bose", "fermi"])
+    @pytest.mark.parametrize(
+        "state, offered_by",
+        [
+            pytest.param(state, offered_by, id=state.partition(":")[0])
+            for state, offered_by in [
+                ("superfluid", {"bose"}),
+                ("partial:8,8", {"bose"}),
+                ("thermal:1", {"bose", "fermi"}),
+                ("uniform", {"bose", "fermi"}),
+                ("metallic", {"fermi"}),
+                ("mott", {"bose"}),
+                ("neel", {"fermi"}),
+            ]
+        ],
+    )
+    def test_state_offered_by_statistics(self, state, offered_by, statistics, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = ["curve", "--statistics", statistics, "--state", state, "--L", "4"]
+        code = main([*argv, "--steps", "3", "-o", str(out)])
+        if statistics in offered_by:
+            assert code == 0 and out.exists()
+        else:
+            assert code == 1 and not out.exists()
+            name = state.partition(":")[0]
+            message = f"state {name!r} is not available for {statistics} statistics"
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "state",
+        ["partial", "partial:8", "partial:8,8,0", "partial:8,x", "thermal", "thermal:", "thermal:1,2"],
+    )
+    def test_malformed_state_parameters(self, state, capsys):
+        usage = {
+            "partial": "partial state needs parameters 'partial:N1,N2'",
+            "thermal": "thermal state needs 'thermal:inverse_temperature'",
+        }[state.partition(":")[0]]
+        argv = ["curve", "--statistics", "bose", "--state", state, "--L", "4"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"dickeprobe: error: {usage}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -278,8 +320,9 @@ class TestErrors:
             raise AssertionError("work started before --output was checked")
 
         for module, name in [
-            (dickeprobe.cli, "emission_curve"),
-            (dickeprobe.cli, "_build_distribution"),
+            (dickeprobe.cli, "_build_state"),
+            (dickeprobe.cli, "peak_curve"),
+            (dickeprobe.cli, "quench_peak"),
             (dickeprobe.oracle, "verification_suite"),
         ]:
             monkeypatch.setattr(module, name, refuse)
@@ -303,7 +346,7 @@ class TestOracleCommand:
         report = out.read_text()
         lines = report.splitlines()
         assert lines[-1].startswith("oracle suite:")
-        assert "14/14 checks passed" in lines[-1]
+        assert "15/15 checks passed" in lines[-1]
         assert all(line.startswith("PASS") for line in lines[:-1])
 
     def test_json_report_matches_text_report(self, tmp_path):
@@ -314,7 +357,7 @@ class TestOracleCommand:
         assert main(["oracle", "--json", "-o", str(json_out)]) == 0
         rows = json.loads(json_out.read_text())
         lines = text_out.read_text().splitlines()[:-1]
-        assert len(rows) == len(lines) == 14
+        assert len(rows) == len(lines) == 15
         for row, line in zip(rows, lines):
             assert set(row) == {"name", "deviation", "tolerance", "passed"}
             assert row["passed"] is True

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import j0
 
+from dickeprobe.cli import main
 from dickeprobe.distributions import (
     MomentumDistribution,
     Statistics,
@@ -18,7 +19,6 @@ from dickeprobe.emission import (
     ProbeGeometry,
     adiabatic_peak,
     coherent_amplitude,
-    emission_curve,
     peak_curve,
     phase_sum,
     quench_peak,
@@ -286,102 +286,77 @@ class TestTransitions:
 
 
 class TestEmissionCurve:
+    """Whole curves as peak_curve, the transition forms and the CLI give them."""
+
     def test_superfluid_all_ones(self, spec100):
         grid = np.linspace(0, 100, 50)
-        curve = emission_curve("superfluid", grid, spec100, forward(Mode(1, 1)))
-        assert np.abs(curve.values - 1.0).max() < 1e-12
+        curve = peak_curve(superfluid(spec100), forward(Mode(1, 1)), grid, spec100)
+        assert np.abs(curve - 1.0).max() < 1e-12
 
     def test_values_bounded(self, spec100):
         grid = np.linspace(0, 100, 80)
-        for scenario, kwargs in [
-            ("uniform", {"statistics": "bose"}),
-            ("metallic", {"statistics": "fermi"}),
-            ("partial", {"n_condensed": 5000.0, "n_distributed": 5000.0}),
-            ("thermal", {"statistics": "bose", "inverse_temperature": 1.0}),
-        ]:
-            curve = emission_curve(scenario, grid, spec100, forward(Mode(1, 1)), **kwargs)
-            assert curve.values.min() >= 0.0
-            assert curve.values.max() <= 1.0 + 1e-9
-            assert curve.values[0] == pytest.approx(1.0, abs=1e-12)
+        N = spec100.sites
+        for dist in (
+            uniform(spec100),
+            metallic(spec100),
+            partial_condensation(spec100, N / 2, N / 2),
+            bose_einstein(spec100, 1.0),
+        ):
+            curve = peak_curve(dist, forward(Mode(1, 1)), grid, spec100)
+            assert curve.min() >= 0.0
+            assert curve.max() <= 1.0 + 1e-9
+            assert curve[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_high_temperature_thermal_matches_uniform(self, spec100):
         grid = np.linspace(0, 100, 100)
         geo = forward(Mode(1, 1))
-        th = emission_curve(
-            "thermal", grid, spec100, geo, statistics="bose", inverse_temperature=0.01
-        )
-        uni = emission_curve("uniform", grid, spec100, geo, statistics="bose")
-        assert np.abs(th.values - uni.values).max() < 1e-2
+        th = peak_curve(bose_einstein(spec100, 0.01), geo, grid, spec100)
+        uni = peak_curve(uniform(spec100), geo, grid, spec100)
+        assert np.abs(th - uni).max() < 1e-2
 
     def test_uniform_matches_bessel(self, spec100):
         grid = np.linspace(0, 100, 100)
-        curve = emission_curve("uniform", grid, spec100, forward(Mode(1, 1)), statistics="bose")
+        curve = peak_curve(uniform(spec100), forward(Mode(1, 1)), grid, spec100)
         envelope = bessel_envelope(Mode(1, 1), grid, spec100) ** 2
-        assert np.abs(curve.values - envelope).max() < 1e-2
+        assert np.abs(curve - envelope).max() < 1e-2
 
-    def test_separable_scenarios_constant(self, spec100):
-        grid = np.linspace(0, 100, 10)
-        mott = emission_curve("mott", grid, spec100, forward(Mode(1, 1)))
-        assert np.all(mott.values == 1.0)
-        neel = emission_curve("neel", grid, spec100, forward(Mode(1, 1)))
-        assert np.all(neel.values == 1.0)
+    def test_separable_scenarios_constant(self, tmp_path):
+        # the frozen unit-filling states are written by the CLI alone
+        for statistics, state in (("bose", "mott"), ("fermi", "neel")):
+            out = tmp_path / f"{state}.csv"
+            argv = ["curve", "--statistics", statistics, "--state", state]
+            assert main([*argv, "--L", "100", "--steps", "10", "-o", str(out)]) == 0
+            values = {line.split(",")[1] for line in out.read_text().splitlines()[1:]}
+            assert values == {"1.000000000000"}
 
-    def test_fermi_adiabatic_tagged_approximate(self, spec100):
-        grid = np.linspace(0, 10, 5)
-        curve = emission_curve("adiabatic", grid, spec100, forward(Mode(1, 1)), statistics="fermi")
-        assert curve.approximate
-        assert curve.note
-        bose = emission_curve("adiabatic", grid, spec100, forward(Mode(1, 1)), statistics="bose")
-        assert not bose.approximate
+    def test_fermi_adiabatic_tagged_approximate(self, tmp_path, capsys):
+        out = tmp_path / "adiabatic.csv"
+        for statistics, noted in (("fermi", True), ("bose", False)):
+            argv = ["adiabatic", "--statistics", statistics, "--L", "10", "--steps", "5"]
+            assert main([*argv, "-o", str(out)]) == 0
+            err = capsys.readouterr().err
+            assert ("note: small-wave-number approximation" in err) is noted
 
     def test_off_forward_geometry_gives_zeros(self, spec100):
         grid = np.linspace(0, 10, 5)
         geo = ProbeGeometry(Mode(1, 1), Mode(2, 2))
-        for scenario, kwargs in [
-            ("superfluid", {}),
-            ("quench", {"statistics": "bose"}),
-            ("adiabatic", {"statistics": "bose"}),
-            ("mott", {}),
-        ]:
-            curve = emission_curve(scenario, grid, spec100, geo, **kwargs)
-            assert np.all(curve.values == 0.0)
+        for dist in (superfluid(spec100), uniform(spec100), metallic(spec100)):
+            assert np.all(peak_curve(dist, geo, grid, spec100) == 0.0)
 
     def test_grid_validation(self, spec100):
         geo = forward(Mode(1, 1))
-        with pytest.raises(ValueError):
-            emission_curve("superfluid", np.array([1.0, 0.5]), spec100, geo)
-        with pytest.raises(ValueError):
-            emission_curve("superfluid", np.array([-1.0, 0.5]), spec100, geo)
-        with pytest.raises(ValueError):
-            emission_curve("nonsense", np.linspace(0, 1, 3), spec100, geo)
-        with pytest.raises(ValueError):
-            emission_curve("thermal", np.linspace(0, 1, 3), spec100, geo, statistics="bose")
-
-    @pytest.mark.parametrize(
-        "scenario, statistics, kwargs",
-        [
-            ("metallic", "bose", {}),
-            ("superfluid", "fermi", {}),
-            ("partial", "fermi", {"n_condensed": 5000.0, "n_distributed": 5000.0}),
-            ("mott", "fermi", {}),
-            ("neel", "bose", {}),
-        ],
-    )
-    def test_rejects_state_of_other_statistics(self, spec100, scenario, statistics, kwargs):
-        grid = np.linspace(0, 1, 3)
-        with pytest.raises(ValueError, match=f"not available for {statistics} statistics"):
-            emission_curve(
-                scenario, grid, spec100, forward(Mode(1, 1)), statistics=statistics, **kwargs
-            )
+        dist = superfluid(spec100)
+        for grid in ([1.0, 0.5], [-1.0, 0.5], [], [[0.0, 1.0]]):
+            with pytest.raises(ValueError, match="dt grid"):
+                peak_curve(dist, geo, np.array(grid), spec100)
 
     def test_scenario_discrimination(self, spec100):
         # at the envelope zero the bose quench and adiabatic curves split by ~1
         grid = np.linspace(0, 100, 500)
-        geo = forward(Mode(1, 1))
-        quench = emission_curve("quench", grid, spec100, geo, statistics="bose")
-        adiabatic = emission_curve("adiabatic", grid, spec100, geo, statistics="bose")
-        idx = np.argmin(quench.values[: len(grid) // 2 + 150])
-        assert adiabatic.values[idx] - quench.values[idx] > 0.5
-        fermi_q = emission_curve("quench", grid, spec100, geo, statistics="fermi")
-        fermi_a = emission_curve("adiabatic", grid, spec100, geo, statistics="fermi")
-        assert np.abs(fermi_q.values - fermi_a.values).max() < 1e-12
+        kappa = Mode(1, 1)
+        quench = quench_peak(spec100, kappa, grid)
+        adiabatic = adiabatic_peak(Statistics.BOSE, spec100, kappa, grid)
+        idx = np.argmin(quench[: len(grid) // 2 + 150])
+        assert adiabatic[idx] - quench[idx] > 0.5
+        fermi_a = adiabatic_peak(Statistics.FERMI, spec100, kappa, grid)
+        assert np.abs(quench - fermi_a).max() < 1e-12

@@ -11,7 +11,6 @@ MODULES = ["classical", "cli", "correlators", "distributions", "emission", "latt
 PACKAGE_API = [
     "ChemicalPotentialError",
     "DriveParameters",
-    "EmissionCurve",
     "LatticeSpec",
     "Mode",
     "MomentumDistribution",
@@ -24,7 +23,6 @@ PACKAGE_API = [
     "canonical_mode",
     "coherent_amplitude",
     "dicke_ladder_factor",
-    "emission_curve",
     "expected_sigma_z",
     "fermi_dirac",
     "fermionic_four_point",
