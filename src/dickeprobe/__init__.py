@@ -6,12 +6,7 @@ transitions, classical-laser drive observables, and validates all closed
 forms against an exact-diagonalization oracle on tiny lattices.
 """
 
-from .classical import (
-    DriveParameters,
-    expected_sigma_z,
-    mean_excitations,
-    metastable_population,
-)
+from .classical import expected_sigma_z, mean_excitations, metastable_population
 from .correlators import (
     bosonic_four_point,
     dicke_ladder_factor,
@@ -31,7 +26,6 @@ from .distributions import (
     uniform,
 )
 from .emission import (
-    ProbeGeometry,
     adiabatic_peak,
     coherent_amplitude,
     peak_curve,
@@ -52,11 +46,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChemicalPotentialError",
-    "DriveParameters",
     "LatticeSpec",
     "Mode",
     "MomentumDistribution",
-    "ProbeGeometry",
     "Statistics",
     "adiabatic_peak",
     "adjacency_matrix",

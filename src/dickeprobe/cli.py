@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .classical import DriveParameters, expected_sigma_z, mean_excitations, metastable_population
+from .classical import expected_sigma_z, mean_excitations, metastable_population
 from .distributions import (
     MomentumDistribution,
     Statistics,
@@ -27,7 +27,7 @@ from .distributions import (
     superfluid,
     uniform,
 )
-from .emission import ProbeGeometry, adiabatic_peak, peak_curve, quench_peak
+from .emission import adiabatic_peak, coherent_amplitude, peak_curve, quench_peak
 from .lattice import LatticeSpec, Mode, validate_mode
 
 __all__ = ["build_parser", "entrypoint", "main"]
@@ -211,7 +211,7 @@ def _check_output(path: str) -> None:
     if path == "-":
         return
     parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
+    if not path or not os.path.isdir(parent):
         code = errno.ENOENT
     elif os.path.isdir(path):
         code = errno.EISDIR
@@ -249,7 +249,7 @@ def _run_curve(args) -> int:
         if dist is None:
             values = np.ones_like(grid)
         else:
-            values = peak_curve(dist, ProbeGeometry(kappa, kappa), grid, spec)
+            values = peak_curve(dist, kappa, grid, spec)
     _write_columns(args.output, "delta_t,normalized_peak", grid, values)
     return 0
 
@@ -264,9 +264,9 @@ def _run_classical(args) -> int:
         raise ValueError(f"state {args.state!r} has no momentum distribution")
     alpha = args.alpha
     beta_rot = -alpha if args.beta_rot is None else args.beta_rot
-    drive = DriveParameters(alpha, beta_rot, kappa, grid)
-    sigma_z = expected_sigma_z(dist, drive, spec)
-    n_meta = metastable_population(dist, mean_excitations(dist, alpha), kappa, grid, spec)
+    amplitude = coherent_amplitude(dist, kappa, grid, spec)
+    sigma_z = expected_sigma_z(dist, amplitude, alpha, beta_rot)
+    n_meta = metastable_population(mean_excitations(dist, alpha), amplitude)
     _write_columns(args.output, "delta_t,sigma_z,n_meta", grid, sigma_z, n_meta)
     return 0
 

@@ -6,31 +6,19 @@ The peak equals |C(dt)|^2 with the coherent amplitude
 
 evaluated for a scalar dt or a whole 1-d dt array at once.  The rate splits
 into an x part and a y part, so C on a grid of T times is a (T x L)(L x L)
-product, taken row by row, and a row-wise dot.  The incoherent O(N)
-background and any emission with kappa_out != kappa_in are outside the
-normalized-peak contract and reported as 0.  The frozen Mott and Neel states
+product, taken row by row, and a row-wise dot.  The frozen Mott and Neel states
 have no momentum-distribution curve (their peak is 1); cli.py alone maps a
 `--state` selector to a distribution or to that constant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .distributions import MomentumDistribution, Statistics
-from .lattice import (
-    LatticeSpec,
-    Mode,
-    _dephasing_factors,
-    canonical_mode,
-    mode_sub,
-    validate_mode,
-)
+from .lattice import LatticeSpec, _dephasing_factors, mode_sub, validate_mode
 
 __all__ = [
-    "ProbeGeometry",
     "adiabatic_peak",
     "coherent_amplitude",
     "peak_curve",
@@ -40,32 +28,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProbeGeometry:
-    """Absorbed and emitted photon wave vectors, restricted to lattice modes."""
-
-    kappa_in: Mode
-    kappa_out: Mode
-
-    def validate(self, spec: LatticeSpec) -> "ProbeGeometry":
-        validate_mode(self.kappa_in, spec.L)
-        validate_mode(self.kappa_out, spec.L)
-        return self
-
-    def is_forward(self, L: int) -> bool:
-        return canonical_mode(self.kappa_in, L) == canonical_mode(self.kappa_out, L)
-
-
 def _coherent_sum(weights: np.ndarray, kappa: tuple[int, int], dt, spec: LatticeSpec):
     """sum_p weights(p) exp(i (J/Z)(T(p) - T(p-kappa)) dt) / sum_p weights(p).
 
     With the rate split a(p_x) + b(p_y) this is e_a(dt)^T W e_b(dt): the
     temporaries are (T, L) arrays, never (T, L, L).  A scalar dt returns a
-    Python complex, a 1-d dt an array of the same length.
+    Python complex, a 1-d dt an array of the same length.  Every caller of
+    the kernel passes through here, so a NaN or infinite dt is rejected once.
     """
     t = np.asarray(dt, dtype=float)
     if t.ndim > 1:
         raise ValueError("dt must be a scalar or a 1-d array")
+    if not np.isfinite(t).all():
+        raise ValueError("dt must be finite")
     a, b = _dephasing_factors(spec, kappa)
     # Row 0 is dt = 0, the sum of the weights taken by the same products as
     # every other row, so the value at dt = 0 is exactly 1.
@@ -106,7 +81,9 @@ def phase_sum(spec: LatticeSpec, kappa: tuple[int, int], dt):
     return _coherent_sum(np.ones((spec.L, spec.L)), kappa, dt, spec).real
 
 
-def separable_peak(site_occupations: np.ndarray, geometry: ProbeGeometry) -> float:
+def separable_peak(
+    site_occupations: np.ndarray, kappa_in: tuple[int, int], kappa_out: tuple[int, int]
+) -> float:
     """Zero-tunneling peak |sum_mu exp(-i (kout - kin) r_mu) n_mu|^2 / (sum_mu n_mu)^2.
 
     site_occupations is an (L, L) array of per-site atom numbers; the peak
@@ -119,7 +96,7 @@ def separable_peak(site_occupations: np.ndarray, geometry: ProbeGeometry) -> flo
     if not total > 0:
         raise ValueError("site_occupations must hold a positive number of atoms")
     L = occ.shape[0]
-    dk = mode_sub(geometry.kappa_out, geometry.kappa_in, L)
+    dk = mode_sub(kappa_out, kappa_in, L)
     x = np.arange(L)
     phase = np.exp(-2j * np.pi * (dk.n * x[:, None] + dk.m * x[None, :]) / L)
     return abs(np.sum(phase * occ)) ** 2 / total**2
@@ -148,17 +125,15 @@ def adiabatic_peak(statistics: Statistics, spec: LatticeSpec, kappa: tuple[int, 
 
 def peak_curve(
     dist: MomentumDistribution,
-    geometry: ProbeGeometry,
+    kappa: tuple[int, int],
     dt_grid: np.ndarray,
     spec: LatticeSpec,
 ) -> np.ndarray:
-    """|C(dt)|^2 on a time grid at kappa_out = kappa_in; 0 otherwise (only O(N) light remains)."""
-    geometry.validate(spec)
+    """|C(dt)|^2 on a nonnegative, nondecreasing time grid for the photon mode kappa."""
+    validate_mode(kappa, spec.L)
     dts = np.asarray(dt_grid, dtype=float)
     if dts.ndim != 1 or dts.size == 0:
         raise ValueError("dt grid must be a nonempty 1-d array")
-    if np.any(dts < 0) or np.any(np.diff(dts) < 0):
+    if np.any(dts < 0) or np.any(dts[1:] < dts[:-1]):
         raise ValueError("dt grid must be nonnegative and nondecreasing")
-    if not geometry.is_forward(spec.L):
-        return np.zeros_like(dts)
-    return np.abs(coherent_amplitude(dist, geometry.kappa_in, dts, spec)) ** 2
+    return np.abs(coherent_amplitude(dist, kappa, dts, spec)) ** 2

@@ -26,12 +26,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .classical import (
-    DriveParameters,
-    expected_sigma_z,
-    mean_excitations,
-    metastable_population,
-)
+from .classical import expected_sigma_z, mean_excitations, metastable_population
 from .correlators import (
     bosonic_four_point,
     dicke_ladder_factor,
@@ -40,7 +35,7 @@ from .correlators import (
     neel_correlator,
 )
 from .distributions import MomentumDistribution, Statistics, superfluid, uniform
-from .emission import ProbeGeometry, quench_peak, separable_peak
+from .emission import coherent_amplitude, quench_peak, separable_peak
 from .lattice import (
     LatticeSpec,
     Mode,
@@ -750,8 +745,7 @@ def separable_deviation(
             basis, [(1.0, basis.mode_id(*c, EXCITED), basis.mode_id(*c, GROUND)) for c in channels]
         )
         site_amps[mu] = np.linalg.norm(R @ psi) ** 2
-    geometry = ProbeGeometry(kappa_in, kappa_out)
-    predicted = separable_peak(site_amps.reshape(spec.L, spec.L), geometry)
+    predicted = separable_peak(site_amps.reshape(spec.L, spec.L), kappa_in, kappa_out)
     return abs(exact - predicted)
 
 
@@ -759,23 +753,26 @@ def classical_sequence_sigma_z(
     state: np.ndarray,
     basis: FockBasis,
     spec: LatticeSpec,
-    params: DriveParameters,
+    rotation_in: float,
+    rotation_out: float,
+    kappa: tuple[int, int],
+    dt: float,
 ) -> float:
-    """<Sigma^z> after pulse, tunneling evolution, pulse, simulated exactly.
+    """<Sigma^z> after pulse, tunneling evolution for dt, pulse, simulated exactly.
 
     Pulses are exp(-i angle Sigma^x(kappa)); tunneling runs at U = 0.
     """
     if spec.U != 0:
         raise ValueError("the classical sequence oracle requires U = 0")
     _check_excitation_free(state, basis)
-    key = ("pulse", canonical_mode(params.kappa, spec.L))
+    key = ("pulse", canonical_mode(kappa, spec.L))
     if key not in basis._cache:
-        basis._cache[key] = Propagator(sigma_x_matrix(basis, params.kappa))
+        basis._cache[key] = Propagator(sigma_x_matrix(basis, kappa))
     pulse = basis._cache[key]
     prop = _cached_propagator(basis, spec)
-    v = pulse.advance(state, params.rotation_in)
-    v = prop.advance(v, params.dt)
-    v = pulse.advance(v, params.rotation_out)
+    v = pulse.advance(state, rotation_in)
+    v = prop.advance(v, dt)
+    v = pulse.advance(v, rotation_out)
     return float(np.real(np.vdot(v, sigma_z_diagonal(basis) * v)))
 
 
@@ -868,10 +865,9 @@ def _metastable_deviation(
     nbar = mean_excitations(dist, alpha)
     dev = 0.0
     for dt in (0.0, 0.4, 0.7, 1.4, 2.0):
-        params = DriveParameters(alpha, -alpha, kappa, dt)
-        formula = metastable_population(dist, nbar, kappa, dt, basis.spec)
+        formula = metastable_population(nbar, coherent_amplitude(dist, kappa, dt, basis.spec))
         for state in states:
-            exact = classical_sequence_sigma_z(state, basis, basis.spec, params)
+            exact = classical_sequence_sigma_z(state, basis, basis.spec, alpha, -alpha, kappa, dt)
             dev = max(dev, abs(exact + basis.n_particles / 2 - formula))
     return dev
 
@@ -1029,10 +1025,10 @@ def verification_suite() -> list[CheckResult]:
     ]
     for angles in ((0.2, -0.2), (0.3, 0.5)):
         for dt in (0.0, 0.7, 1.4):
-            params = DriveParameters(angles[0], angles[1], kappa_diag, dt)
             for state, dist in classical_cases:
-                exact = classical_sequence_sigma_z(state, bose, spec, params)
-                formula = expected_sigma_z(dist, params, spec)
+                exact = classical_sequence_sigma_z(state, bose, spec, *angles, kappa_diag, dt)
+                amplitude = coherent_amplitude(dist, kappa_diag, dt, spec)
+                formula = expected_sigma_z(dist, amplitude, *angles)
                 dev = max(dev, abs(exact - formula))
     results.append(CheckResult("classical-sequence", dev, 1e-8))
 

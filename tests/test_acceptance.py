@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from dickeprobe.classical import (
-    DriveParameters,
-    expected_sigma_z,
-    mean_excitations,
-    metastable_population,
-)
+from dickeprobe.classical import expected_sigma_z, mean_excitations, metastable_population
 from dickeprobe.cli import main
 from dickeprobe.correlators import (
     bosonic_four_point,
@@ -27,7 +22,6 @@ from dickeprobe.distributions import (
     uniform,
 )
 from dickeprobe.emission import (
-    ProbeGeometry,
     adiabatic_peak,
     coherent_amplitude,
     peak_curve,
@@ -66,13 +60,8 @@ def report(criterion: int, detail: str, deviation: float, tolerance: float) -> N
 
 
 @pytest.fixture(scope="module")
-def geometry():
-    return ProbeGeometry(KAPPA, KAPPA)
-
-
-@pytest.fixture(scope="module")
-def uniform_curve(spec100, geometry):
-    return peak_curve(uniform(spec100), geometry, GRID, spec100)
+def uniform_curve(spec100):
+    return peak_curve(uniform(spec100), KAPPA, GRID, spec100)
 
 
 @pytest.fixture(scope="module")
@@ -87,13 +76,13 @@ def envelope_first_zero(spec100):
     return float(result.x)
 
 
-def test_criterion_1_full_superradiance_of_coherent_states(spec100, geometry, tmp_path):
-    sf = peak_curve(superfluid(spec100), geometry, GRID, spec100)
+def test_criterion_1_full_superradiance_of_coherent_states(spec100, tmp_path):
+    sf = peak_curve(superfluid(spec100), KAPPA, GRID, spec100)
     dev = float(np.abs(sf - 1.0).max())
     adiabatic = adiabatic_peak(Statistics.BOSE, spec100, KAPPA, GRID)
     dev = max(dev, float(np.abs(adiabatic - 1.0).max()))
     # separable unit-filling peaks are exactly 1 in the forward direction
-    exact_sep = separable_peak(np.ones((spec100.L, spec100.L)), geometry)
+    exact_sep = separable_peak(np.ones((spec100.L, spec100.L)), KAPPA, KAPPA)
     dev_exact = 0.0 if exact_sep == 1.0 else abs(exact_sep - 1.0)
     for statistics, state in (("bose", "mott"), ("fermi", "neel")):
         out = tmp_path / f"{state}.csv"
@@ -121,23 +110,23 @@ def test_criterion_2_uniform_curve_bessel_envelope(spec100, uniform_curve, envel
     )
 
 
-def test_criterion_3_partial_condensation_plateau(spec100, geometry, envelope_first_zero):
+def test_criterion_3_partial_condensation_plateau(spec100, envelope_first_zero):
     N = spec100.sites
     dist = partial_condensation(spec100, N / 2, N / 2)
-    value = peak_curve(dist, geometry, [envelope_first_zero], spec100)[0]
+    value = peak_curve(dist, KAPPA, [envelope_first_zero], spec100)[0]
     report(3, "half-condensed curve at the envelope zero vs 1/4", abs(value - 0.25), 1e-2)
 
 
-def test_criterion_4_high_temperature_bose_limit(spec100, geometry, uniform_curve):
-    thermal = peak_curve(bose_einstein(spec100, 0.01), geometry, GRID, spec100)
+def test_criterion_4_high_temperature_bose_limit(spec100, uniform_curve):
+    thermal = peak_curve(bose_einstein(spec100, 0.01), KAPPA, GRID, spec100)
     dev = float(np.abs(thermal - uniform_curve).max())
     report(4, "Bose-Einstein curve at inverse temperature 0.01/J vs uniform", dev, 1e-2)
 
 
-def test_criterion_5_fermionic_curves(spec100, geometry, uniform_curve):
-    dev = float(np.abs(peak_curve(metallic(spec100), geometry, GRID, spec100) - uniform_curve).max())
+def test_criterion_5_fermionic_curves(spec100, uniform_curve):
+    dev = float(np.abs(peak_curve(metallic(spec100), KAPPA, GRID, spec100) - uniform_curve).max())
     for beta in (0.01, 1.0, 100.0):
-        curve = peak_curve(fermi_dirac(spec100, beta), geometry, GRID, spec100)
+        curve = peak_curve(fermi_dirac(spec100, beta), KAPPA, GRID, spec100)
         dev = max(dev, float(np.abs(curve - uniform_curve).max()))
     report(5, "metallic and Fermi-Dirac curves vs the uniform bosonic curve", dev, 1e-2)
 
@@ -149,8 +138,8 @@ def test_criterion_5_fermionic_curves(spec100, geometry, uniform_curve):
     )
     shift_dev = float(
         np.abs(
-            peak_curve(met, geometry, GRID, spec100)
-            - peak_curve(shifted, geometry, GRID, spec100)
+            peak_curve(met, KAPPA, GRID, spec100)
+            - peak_curve(shifted, KAPPA, GRID, spec100)
         ).max()
     )
     report(5, "diamond-shift invariance of the metallic curve", shift_dev, 1e-12)
@@ -287,10 +276,11 @@ def test_criterion_8_classical_drive(spec2, spec100, oracle_setup):
     # perfect reversal at dt = 0 and at J = 0
     dist = uniform(spec100)
     nbar = mean_excitations(dist, 0.01)
-    dev = abs(metastable_population(dist, nbar, KAPPA, 0.0, spec100))
+    dev = abs(metastable_population(nbar, coherent_amplitude(dist, KAPPA, 0.0, spec100)))
     frozen = LatticeSpec(L=100, J=0.0)
     for t in (0.0, 5.0, 60.0):
-        dev = max(dev, abs(metastable_population(uniform(frozen), nbar, KAPPA, t, frozen)))
+        amplitude = coherent_amplitude(uniform(frozen), KAPPA, t, frozen)
+        dev = max(dev, abs(metastable_population(nbar, amplitude)))
     report(8, "perfect reversal gives zero metastable population", dev, 1e-12)
 
     # small-angle agreement between the exact expectation and the quadratic form
@@ -298,9 +288,9 @@ def test_criterion_8_classical_drive(spec2, spec100, oracle_setup):
     nbar = mean_excitations(dist, alpha)
     rel_dev = 0.0
     for t in (0.5, 2.0, 7.0, 20.0):
-        params = DriveParameters(alpha, -alpha, KAPPA, t)
-        exact = expected_sigma_z(dist, params, spec100) + spec100.sites / 2
-        approx = metastable_population(dist, nbar, KAPPA, t, spec100)
+        amplitude = coherent_amplitude(dist, KAPPA, t, spec100)
+        exact = expected_sigma_z(dist, amplitude, alpha, -alpha) + spec100.sites / 2
+        approx = metastable_population(nbar, amplitude)
         rel_dev = max(rel_dev, abs(exact - approx) / abs(exact))
     report(8, "small-angle shifted expectation vs metastable population", rel_dev, 1e-3)
 
@@ -313,10 +303,10 @@ def test_criterion_8_classical_drive(spec2, spec100, oracle_setup):
     ]
     for angles in ((0.2, -0.2), (0.3, 0.5)):
         for t in (0.0, 0.7, 1.4):
-            params = DriveParameters(angles[0], angles[1], Mode(1, 1), t)
             for state, dist2 in cases:
-                exact = classical_sequence_sigma_z(state, bose, spec2, params)
-                dev = max(dev, abs(exact - expected_sigma_z(dist2, params, spec2)))
+                exact = classical_sequence_sigma_z(state, bose, spec2, *angles, Mode(1, 1), t)
+                amplitude = coherent_amplitude(dist2, Mode(1, 1), t, spec2)
+                dev = max(dev, abs(exact - expected_sigma_z(dist2, amplitude, *angles)))
     report(8, "oracle pulse sequence vs closed-form expectation", dev, 1e-8)
 
 

@@ -124,6 +124,32 @@ class TestClassicalCommand:
         assert n_meta.max() > 0.1
 
 
+class TestKernelCalls:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--statistics", "bose", "--state", "thermal:1"],
+            ["classical", "--statistics", "bose", "--state", "thermal:1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_kernel_call_per_command(self, argv, tmp_path, monkeypatch):
+        # sigma_z and n_meta are both read from the one C(dt) the command computes
+        import dickeprobe.emission
+
+        kernel = dickeprobe.emission._coherent_sum
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(dickeprobe.emission, "_coherent_sum", counted)
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--L", "10", "--steps", "5", "-o", str(out)]) == 0
+        assert len(calls) == 1
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         args = [
@@ -226,13 +252,19 @@ class TestErrors:
             ["classical", "--statistics", "bose", "--state", "thermal:nan"],
             ["classical", "--statistics", "bose", "--state", "partial:nan,16"],
             ["classical", "--statistics", "bose", "--state", "uniform", "--alpha", "nan"],
+            ["classical", "--statistics", "bose", "--state", "uniform", "--beta-rot", "nan"],
+            ["classical", "--statistics", "bose", "--state", "uniform", "--beta-rot", "inf"],
         ],
         ids=lambda argv: " ".join(argv),
     )
-    def test_non_finite_input(self, argv, tmp_path):
+    def test_non_finite_input(self, argv, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert main([*argv, "--L", "4", "-o", str(out)]) == 1
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("dickeprobe: error: ")
+        if "--alpha" in argv or "--beta-rot" in argv:
+            assert err == "dickeprobe: error: rotation angles must be finite\n"
 
     @pytest.mark.parametrize("option", [["--U", "0.5"], ["--ell", "2"]], ids=["U", "ell"])
     @pytest.mark.parametrize("command", ["curve", "quench", "adiabatic", "classical"])
@@ -322,11 +354,12 @@ class TestErrors:
         for module, name in [
             (dickeprobe.cli, "_build_state"),
             (dickeprobe.cli, "peak_curve"),
+            (dickeprobe.cli, "coherent_amplitude"),
             (dickeprobe.cli, "quench_peak"),
             (dickeprobe.oracle, "verification_suite"),
         ]:
             monkeypatch.setattr(module, name, refuse)
-        for out in (tmp_path / "missing" / "out.csv", tmp_path):
+        for out in (tmp_path / "missing" / "out.csv", tmp_path, ""):
             assert main([*argv, "-o", str(out)]) == 1
             assert capsys.readouterr().err.startswith(f"dickeprobe: error: cannot write {out}: ")
         assert list(tmp_path.iterdir()) == []

@@ -16,7 +16,6 @@ from dickeprobe.distributions import (
     uniform,
 )
 from dickeprobe.emission import (
-    ProbeGeometry,
     adiabatic_peak,
     coherent_amplitude,
     peak_curve,
@@ -33,10 +32,6 @@ from dickeprobe.lattice import (
     mode_sub,
 )
 from lattice_reference import adjacency_fourier, bessel_envelope
-
-
-def forward(kappa):
-    return ProbeGeometry(kappa, kappa)
 
 
 def condensate_phase(kappa, t, spec):
@@ -195,70 +190,71 @@ class TestBatchedKernel:
             assert np.array_equal(batched, scalar)
 
     def test_rejects_2d_times(self, spec100):
-        with pytest.raises(ValueError):
-            phase_sum(spec100, Mode(1, 1), np.zeros((2, 2)))
+        # and non-finite times: the kernel every caller shares rejects them
+        dist = superfluid(spec100)
+        for fn in (
+            lambda dt: phase_sum(spec100, Mode(1, 1), dt),
+            lambda dt: quench_peak(spec100, Mode(1, 1), dt),
+            lambda dt: coherent_amplitude(dist, Mode(1, 1), dt, spec100),
+        ):
+            for dt in (np.zeros((2, 2)), np.nan, np.inf, -np.inf, np.array([0.0, np.nan])):
+                with pytest.raises(ValueError, match="dt must be"):
+                    fn(dt)
 
 
 class TestNormalizedPeak:
     def test_superfluid_full_superradiance(self, spec100):
-        values = peak_curve(superfluid(spec100), forward(Mode(1, 1)), [0.0, 15.0, 99.0], spec100)
+        values = peak_curve(superfluid(spec100), Mode(1, 1), [0.0, 15.0, 99.0], spec100)
         assert np.abs(values - 1.0).max() < 1e-12
 
-    def test_off_forward_is_zero(self, spec100):
-        dist = superfluid(spec100)
-        geo = ProbeGeometry(Mode(1, 1), Mode(2, 1))
-        assert np.all(peak_curve(dist, geo, [0.0, 5.0], spec100) == 0.0)
-
     def test_metallic_matches_uniform_envelope(self, spec100):
-        geo = forward(Mode(1, 1))
+        kappa = Mode(1, 1)
         grid = np.linspace(0.0, 100.0, 120)
-        met = peak_curve(metallic(spec100), geo, grid, spec100)
-        uni = peak_curve(uniform(spec100), geo, grid, spec100)
+        met = peak_curve(metallic(spec100), kappa, grid, spec100)
+        uni = peak_curve(uniform(spec100), kappa, grid, spec100)
         assert np.abs(met - uni).max() < 1e-2
 
     def test_diamond_shift_invariance(self, spec100):
-        geo = forward(Mode(1, 1))
+        kappa = Mode(1, 1)
         grid = np.linspace(0.0, 100.0, 60)
         met = metallic(spec100)
         shifted = np.roll(
             np.asarray(met.occupations), shift=(0, 50, 50), axis=(0, 1, 2)
         )
         met_shifted = MomentumDistribution(Statistics.FERMI, shifted, met.total_target)
-        a = peak_curve(met, geo, grid, spec100)
-        b = peak_curve(met_shifted, geo, grid, spec100)
+        a = peak_curve(met, kappa, grid, spec100)
+        b = peak_curve(met_shifted, kappa, grid, spec100)
         assert np.abs(a - b).max() < 1e-12
 
     def test_rejects_off_grid_kappa(self, spec100):
-        geo = ProbeGeometry(Mode(51, 0), Mode(51, 0))
         with pytest.raises(ValueError):
-            peak_curve(superfluid(spec100), geo, [1.0], spec100)
+            peak_curve(superfluid(spec100), Mode(51, 0), [1.0], spec100)
 
 
 class TestSeparablePeak:
     def test_unit_filling_forward(self):
         occ = np.ones((10, 10))
-        assert separable_peak(occ, forward(Mode(1, 1))) == 1.0
+        assert separable_peak(occ, Mode(1, 1), Mode(1, 1)) == 1.0
 
     def test_unit_filling_off_forward(self):
         occ = np.ones((10, 10))
-        geo = ProbeGeometry(Mode(0, 0), Mode(3, 0))
-        assert separable_peak(occ, geo) == pytest.approx(0.0, abs=1e-24)
+        assert separable_peak(occ, Mode(0, 0), Mode(3, 0)) == pytest.approx(0.0, abs=1e-24)
 
     def test_normalized_by_the_atom_count(self):
         # two atoms per site, and two atoms on the diagonal of 2 x 2: both peak at 1
-        assert separable_peak(2.0 * np.ones((2, 2)), forward(Mode(1, 1))) == 1.0
-        assert separable_peak(np.eye(2), forward(Mode(1, 0))) == 1.0
+        assert separable_peak(2.0 * np.ones((2, 2)), Mode(1, 1), Mode(1, 1)) == 1.0
+        assert separable_peak(np.eye(2), Mode(1, 0), Mode(1, 0)) == 1.0
 
     def test_rejects_empty_lattice(self):
         with pytest.raises(ValueError, match="positive number of atoms"):
-            separable_peak(np.zeros((2, 2)), forward(Mode(1, 1)))
+            separable_peak(np.zeros((2, 2)), Mode(1, 1), Mode(1, 1))
 
     def test_checkerboard_bragg_peak(self):
         L = 10
         x = np.arange(L)
         occ = 2.0 * ((x[:, None] + x[None, :]) % 2 == 0)
-        geo = ProbeGeometry(Mode(0, 0), Mode(L // 2, L // 2))
-        assert separable_peak(occ, geo) == pytest.approx(1.0, abs=1e-12)
+        peak = separable_peak(occ, Mode(0, 0), Mode(L // 2, L // 2))
+        assert peak == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTransitions:
@@ -290,7 +286,7 @@ class TestEmissionCurve:
 
     def test_superfluid_all_ones(self, spec100):
         grid = np.linspace(0, 100, 50)
-        curve = peak_curve(superfluid(spec100), forward(Mode(1, 1)), grid, spec100)
+        curve = peak_curve(superfluid(spec100), Mode(1, 1), grid, spec100)
         assert np.abs(curve - 1.0).max() < 1e-12
 
     def test_values_bounded(self, spec100):
@@ -302,21 +298,21 @@ class TestEmissionCurve:
             partial_condensation(spec100, N / 2, N / 2),
             bose_einstein(spec100, 1.0),
         ):
-            curve = peak_curve(dist, forward(Mode(1, 1)), grid, spec100)
+            curve = peak_curve(dist, Mode(1, 1), grid, spec100)
             assert curve.min() >= 0.0
             assert curve.max() <= 1.0 + 1e-9
             assert curve[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_high_temperature_thermal_matches_uniform(self, spec100):
         grid = np.linspace(0, 100, 100)
-        geo = forward(Mode(1, 1))
-        th = peak_curve(bose_einstein(spec100, 0.01), geo, grid, spec100)
-        uni = peak_curve(uniform(spec100), geo, grid, spec100)
+        kappa = Mode(1, 1)
+        th = peak_curve(bose_einstein(spec100, 0.01), kappa, grid, spec100)
+        uni = peak_curve(uniform(spec100), kappa, grid, spec100)
         assert np.abs(th - uni).max() < 1e-2
 
     def test_uniform_matches_bessel(self, spec100):
         grid = np.linspace(0, 100, 100)
-        curve = peak_curve(uniform(spec100), forward(Mode(1, 1)), grid, spec100)
+        curve = peak_curve(uniform(spec100), Mode(1, 1), grid, spec100)
         envelope = bessel_envelope(Mode(1, 1), grid, spec100) ** 2
         assert np.abs(curve - envelope).max() < 1e-2
 
@@ -337,18 +333,19 @@ class TestEmissionCurve:
             err = capsys.readouterr().err
             assert ("note: small-wave-number approximation" in err) is noted
 
-    def test_off_forward_geometry_gives_zeros(self, spec100):
-        grid = np.linspace(0, 10, 5)
-        geo = ProbeGeometry(Mode(1, 1), Mode(2, 2))
-        for dist in (superfluid(spec100), uniform(spec100), metallic(spec100)):
-            assert np.all(peak_curve(dist, geo, grid, spec100) == 0.0)
-
     def test_grid_validation(self, spec100):
-        geo = forward(Mode(1, 1))
         dist = superfluid(spec100)
-        for grid in ([1.0, 0.5], [-1.0, 0.5], [], [[0.0, 1.0]]):
-            with pytest.raises(ValueError, match="dt grid"):
-                peak_curve(dist, geo, np.array(grid), spec100)
+        for grid, message in (
+            ([1.0, 0.5], "dt grid"),
+            ([-1.0, 0.5], "dt grid"),
+            ([], "dt grid"),
+            ([[0.0, 1.0]], "dt grid"),
+            ([0.0, np.nan], "dt must be finite"),
+            ([0.0, np.inf], "dt must be finite"),
+            ([np.inf, np.inf], "dt must be finite"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                peak_curve(dist, Mode(1, 1), np.array(grid), spec100)
 
     def test_scenario_discrimination(self, spec100):
         # at the envelope zero the bose quench and adiabatic curves split by ~1

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dickeprobe.classical import DriveParameters, expected_sigma_z
+from dickeprobe.classical import expected_sigma_z
 from dickeprobe.correlators import (
     bosonic_four_point,
     dicke_ladder_factor,
@@ -18,7 +18,7 @@ from dickeprobe.distributions import (
     superfluid,
     uniform,
 )
-from dickeprobe.emission import ProbeGeometry, peak_curve, quench_peak, separable_peak
+from dickeprobe.emission import coherent_amplitude, peak_curve, quench_peak, separable_peak
 from dickeprobe.lattice import (
     LatticeSpec,
     Mode,
@@ -804,7 +804,7 @@ class TestEmissionOracle:
         dts = np.linspace(0.0, 6.0, 7)
         for kappa in (Mode(1, 0), Mode(1, 1), Mode(0, 1)):
             exact = exact_peak_curve(state, kappa, kappa, dts, basis, spec2)
-            closed = peak_curve(dist, ProbeGeometry(kappa, kappa), dts, spec2)
+            closed = peak_curve(dist, kappa, dts, spec2)
             assert np.abs(exact - closed).max() < 1e-12
 
     @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
@@ -825,7 +825,7 @@ class TestEmissionOracle:
         dts = np.linspace(0.0, 10.0, 11)
         for kappa in (Mode(1, 0), Mode(1, 1), Mode(2, 1)):
             exact = exact_peak_curve(state, kappa, kappa, dts, basis, spec)
-            closed = peak_curve(dist, ProbeGeometry(kappa, kappa), dts, spec)
+            closed = peak_curve(dist, kappa, dts, spec)
             assert np.abs(exact - closed).max() < 1e-12
         assert basis.dimension == (528 if statistics is Statistics.BOSE else 2016)
 
@@ -956,7 +956,7 @@ class TestSeparableCases:
             )
             assert dev < 1e-12
             # and the prediction itself equals the unit-filling Fourier peak
-            expected = separable_peak(np.ones((2, 2)), ProbeGeometry(kin, kout))
+            expected = separable_peak(np.ones((2, 2)), kin, kout)
             basis = FockBasis(spec, Statistics.FERMI, 4)
             peak = exact_peak_curve(neel_state(basis), kin, kout, np.array([0.9]), basis, spec)
             assert peak[0] == pytest.approx(expected, abs=1e-12)
@@ -971,7 +971,7 @@ class TestSeparableCases:
         occupations = np.eye(2)
         geometries = [(Mode(1, 0), Mode(1, 0)), (Mode(1, 0), Mode(0, 1)), (Mode(0, 0), Mode(1, 0))]
         for kin, kout in geometries:
-            expected = separable_peak(occupations, ProbeGeometry(kin, kout))
+            expected = separable_peak(occupations, kin, kout)
             peak = exact_peak_curve(psi, kin, kout, np.array([0.0, 0.9]), basis, spec)
             np.testing.assert_allclose(peak, expected, rtol=0, atol=1e-12)
             dev = separable_deviation(site_states, kin, kout, 0.9, spec, Statistics.BOSE)
@@ -1013,11 +1013,13 @@ class TestClassicalSequenceOracle:
         ]
         for angles in ((0.2, -0.2), (0.3, 0.5)):
             for dt in (0.0, 0.7, 1.4):
-                params = DriveParameters(angles[0], angles[1], Mode(1, 1), dt)
                 for state, dist in cases:
-                    exact = classical_sequence_sigma_z(state, bose_basis, spec2, params)
+                    exact = classical_sequence_sigma_z(
+                        state, bose_basis, spec2, *angles, Mode(1, 1), dt
+                    )
+                    amplitude = coherent_amplitude(dist, Mode(1, 1), dt, spec2)
                     assert exact == pytest.approx(
-                        expected_sigma_z(dist, params, spec2), abs=1e-8
+                        expected_sigma_z(dist, amplitude, *angles), abs=1e-8
                     )
 
     @pytest.mark.parametrize(
@@ -1040,10 +1042,12 @@ class TestClassicalSequenceOracle:
         for kappa in (Mode(1, 0), Mode(0, 1), Mode(1, 1)):
             for angles in ((0.2, -0.2), (0.3, 0.5)):
                 for dt in (0.0, 0.7, 1.4):
-                    params = DriveParameters(angles[0], angles[1], kappa, dt)
-                    exact = classical_sequence_sigma_z(state, fermi_basis, spec2, params)
+                    exact = classical_sequence_sigma_z(
+                        state, fermi_basis, spec2, *angles, kappa, dt
+                    )
+                    amplitude = coherent_amplitude(dist, kappa, dt, spec2)
                     assert exact == pytest.approx(
-                        expected_sigma_z(dist, params, spec2), abs=1e-8
+                        expected_sigma_z(dist, amplitude, *angles), abs=1e-8
                     )
 
     def test_metastable_population_is_exact_to_fourth_order(self, spec2, bose_basis):
@@ -1061,9 +1065,10 @@ class TestClassicalSequenceOracle:
 
     def test_requires_free_hamiltonian(self, bose_basis):
         spec = LatticeSpec(L=2, J=1.0, U=2.0)
-        params = DriveParameters(0.1, -0.1, Mode(1, 0), 1.0)
         with pytest.raises(ValueError):
-            classical_sequence_sigma_z(mott_state(bose_basis), bose_basis, spec, params)
+            classical_sequence_sigma_z(
+                mott_state(bose_basis), bose_basis, spec, 0.1, -0.1, Mode(1, 0), 1.0
+            )
 
 
 class TestProductState:

@@ -59,7 +59,7 @@ def test_coherent_amplitude_bounded_and_one_at_zero(case):
 def test_metastable_population_within_zero_and_four_nbar(case, alpha):
     spec, dist, kappa, times = case
     nbar = mean_excitations(dist, alpha)
-    n_meta = metastable_population(dist, nbar, kappa, times, spec)
+    n_meta = metastable_population(nbar, coherent_amplitude(dist, kappa, times, spec))
     tol = 2.0 * nbar * TOL
     assert n_meta[0] == 0.0
     assert np.all(n_meta >= -tol)

@@ -10,11 +10,9 @@ MODULES = ["classical", "cli", "correlators", "distributions", "emission", "latt
 
 PACKAGE_API = [
     "ChemicalPotentialError",
-    "DriveParameters",
     "LatticeSpec",
     "Mode",
     "MomentumDistribution",
-    "ProbeGeometry",
     "Statistics",
     "adiabatic_peak",
     "adjacency_matrix",
