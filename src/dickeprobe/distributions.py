@@ -5,9 +5,13 @@ Bosonic states carry one channel, fermionic states two spin channels
 potential by bounded bisection.  Each trial mu sums the occupation over
 the distinct band energies weighted by how many modes share each one
 (lattice._energy_levels: about L^2/8 levels for L^2 modes); only the
-accepted mu is evaluated on the whole grid.  The bisection stops once its
-bracket has collapsed onto adjacent floats, where every further midpoint
-would repeat one already tried.
+accepted mu is evaluated on the whole grid, in place in the energy grid's
+own buffer.  The bisection stops once its bracket has collapsed onto adjacent
+floats, where every further midpoint would repeat one already tried.
+
+The spin-symmetric Fermi states (fermi_dirac, metallic, uniform) store one
+channel, read-only and broadcast to both spins, so a state at L = 400 holds
+one (L, L) array.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +27,6 @@ from .lattice import (
     LatticeSpec,
     Mode,
     _energy_levels,
-    canonical_mode,
     energy_grid,
     mode_index,
 )
@@ -55,13 +58,21 @@ class ChemicalPotentialError(RuntimeError):
     """The chemical-potential bisection did not reach its tolerance."""
 
 
+class _Owned(NamedTuple):
+    """A builder's fresh occupations buffer, adopted by MomentumDistribution without a copy."""
+
+    array: np.ndarray
+
+
 @dataclass(frozen=True)
 class MomentumDistribution:
     """Occupation numbers n_s(k) on the Brillouin-zone grid.
 
     occupations has shape (channels, L, L) with channels = 1 (bose) or
     2 (fermi); entry [s, i, j] belongs to the mode with array indices (i, j).
-    Instances are immutable; the array is marked read-only.
+    Instances are immutable; the array is marked read-only.  An array passed
+    in is copied, so its owner cannot change the distribution afterwards;
+    only this module's builders hand over a buffer of their own.
     """
 
     statistics: Statistics
@@ -71,7 +82,8 @@ class MomentumDistribution:
     chemical_potential: float | None = None
 
     def __post_init__(self) -> None:
-        occ = np.array(self.occupations, dtype=float)
+        occ = self.occupations
+        occ = occ.array if isinstance(occ, _Owned) else np.array(occ, dtype=float)
         channels = 1 if self.statistics is Statistics.BOSE else 2
         if occ.ndim != 3 or occ.shape[0] != channels or occ.shape[1] != occ.shape[2]:
             raise ValueError(
@@ -113,12 +125,6 @@ class MomentumDistribution:
         i, j = mode_index(mode, self.L)
         return self.occupations[channel, i, j]
 
-    def shifted_occupation_sum(self, kappa: tuple[int, int]) -> np.ndarray:
-        """sum_s n_s(p - kappa) evaluated on the p-grid, shape (L, L)."""
-        kappa = canonical_mode(kappa, self.L)
-        summed = self.occupations.sum(axis=0)
-        return np.roll(summed, shift=(kappa.n, kappa.m), axis=(0, 1))
-
 
 def _zero_mode_index(L: int) -> tuple[int, int]:
     return mode_index(Mode(0, 0), L)
@@ -128,7 +134,7 @@ def superfluid(spec: LatticeSpec) -> MomentumDistribution:
     """All N bosons condensed at k = 0: n(k) = N delta_{k,0}."""
     occ = np.zeros((1, spec.L, spec.L))
     occ[(0, *_zero_mode_index(spec.L))] = float(spec.sites)
-    return MomentumDistribution(Statistics.BOSE, occ, float(spec.sites))
+    return MomentumDistribution(Statistics.BOSE, _Owned(occ), float(spec.sites))
 
 
 def partial_condensation(
@@ -147,7 +153,7 @@ def partial_condensation(
         )
     occ = np.full((1, spec.L, spec.L), n_distributed / N, dtype=float)
     occ[(0, *_zero_mode_index(spec.L))] += n_condensed
-    return MomentumDistribution(Statistics.BOSE, occ, float(N))
+    return MomentumDistribution(Statistics.BOSE, _Owned(occ), float(N))
 
 
 def uniform(spec: LatticeSpec, statistics: Statistics = Statistics.BOSE) -> MomentumDistribution:
@@ -156,8 +162,8 @@ def uniform(spec: LatticeSpec, statistics: Statistics = Statistics.BOSE) -> Mome
     if statistics is Statistics.BOSE:
         occ = np.ones((1, spec.L, spec.L))
     else:
-        occ = np.full((2, spec.L, spec.L), 0.5)
-    return MomentumDistribution(statistics, occ, float(spec.sites))
+        occ = np.broadcast_to(np.full((spec.L, spec.L), 0.5), (2, spec.L, spec.L))
+    return MomentumDistribution(statistics, _Owned(occ), float(spec.sites))
 
 
 def metallic(spec: LatticeSpec) -> MomentumDistribution:
@@ -172,7 +178,7 @@ def metallic(spec: LatticeSpec) -> MomentumDistribution:
     inside = (np.abs(idx)[:, None] + np.abs(idx)[None, :]) < L // 2
     occ = np.broadcast_to(inside.astype(float), (2, L, L))
     total = float(spec.sites - 2 * (L - 1))
-    return MomentumDistribution(Statistics.FERMI, occ, total)
+    return MomentumDistribution(Statistics.FERMI, _Owned(occ), total)
 
 
 def _bisect_mu(
@@ -237,9 +243,14 @@ def bose_einstein(
     levels, counts = _energy_levels(spec)
     beta = inverse_temperature
 
-    def occupations_at(energies: np.ndarray, mu: float) -> np.ndarray:
-        x = np.minimum(beta * (energies - mu), _EXP_CLIP)
-        return 1.0 / np.expm1(x)
+    def occupations_at(energies: np.ndarray, mu: float, out=None) -> np.ndarray:
+        # 1 / expm1(min(beta (E - mu), clip)), step by step in one buffer;
+        # out=energies overwrites the energies.
+        x = np.subtract(energies, mu, out=out)
+        x *= beta
+        np.minimum(x, _EXP_CLIP, out=x)
+        np.expm1(x, out=x)
+        return np.divide(1.0, x, out=x)
 
     def occupation_sum(mu: float) -> float:
         # At tiny beta, beta (E - mu) underflows near the band bottom and the
@@ -251,7 +262,8 @@ def bose_einstein(
     pin = float(levels.min()) - 1e-12 * (spec.J if spec.J > 0 else 1.0)
     if occupation_sum(pin) < total:
         # Condensed branch: thermal cloud at the pinned mu, rest at k = 0.
-        occ = occupations_at(energy_grid(spec), pin)
+        energies = energy_grid(spec)
+        occ = occupations_at(energies, pin, out=energies)
         occ[_zero_mode_index(spec.L)] += total - occ.sum()
         mu = pin
     else:
@@ -261,7 +273,8 @@ def bose_einstein(
             span *= 2.0
         _require_finite_bracket(lo, pin, beta)
         mu, residual = _bisect_mu(occupation_sum, total, lo, pin)
-        occ = occupations_at(energy_grid(spec), mu)
+        energies = energy_grid(spec)
+        occ = occupations_at(energies, mu, out=energies)
         if residual > _TOTAL_RTOL * max(total, 1.0):
             # The sum jumps by more than the tolerance per ulp of mu near the
             # band bottom; the leftover is condensate ambiguity at k = 0.
@@ -274,7 +287,7 @@ def bose_einstein(
             occ[zero] += deficit
     return MomentumDistribution(
         Statistics.BOSE,
-        occ[None, :, :],
+        _Owned(occ[None, :, :]),
         float(total),
         inverse_temperature=beta,
         chemical_potential=mu,
@@ -298,9 +311,15 @@ def fermi_dirac(
         raise ValueError(f"total must lie in [0, 2N] = [0, {2 * N}]")
     beta = inverse_temperature
 
-    def occupations_at(energies: np.ndarray, mu: float) -> np.ndarray:
-        x = np.clip(beta * (energies - mu), -_EXP_CLIP, _EXP_CLIP)
-        return 1.0 / (np.exp(x) + 1.0)
+    def occupations_at(energies: np.ndarray, mu: float, out=None) -> np.ndarray:
+        # 1 / (exp(clip(beta (E - mu))) + 1), step by step in one buffer;
+        # out=energies overwrites the energies.
+        x = np.subtract(energies, mu, out=out)
+        x *= beta
+        np.clip(x, -_EXP_CLIP, _EXP_CLIP, out=x)
+        np.exp(x, out=x)
+        x += 1.0
+        return np.divide(1.0, x, out=x)
 
     if total == 0:
         occ = np.zeros((spec.L, spec.L))
@@ -327,10 +346,11 @@ def fermi_dirac(
             raise ChemicalPotentialError(
                 f"mu bisection stalled with residual {residual:.3e} on target {total}"
             )
-        occ = occupations_at(energy_grid(spec), mu)
+        energies = energy_grid(spec)
+        occ = occupations_at(energies, mu, out=energies)
     return MomentumDistribution(
         Statistics.FERMI,
-        np.broadcast_to(occ, (2, spec.L, spec.L)),
+        _Owned(np.broadcast_to(occ, (2, spec.L, spec.L))),
         float(total),
         inverse_temperature=beta,
         chemical_potential=mu,

@@ -2,16 +2,21 @@
 
 The peak equals |C(dt)|^2 with the coherent amplitude
 
-    C(dt) = (1/N_atoms) sum_{p,s} n_s(p - kappa) exp{i (J/Z) (T(p) - T(p-kappa)) dt},
+    C(dt) = (1/N_atoms) sum_{q,s} n_s(q) exp{i (J/Z) (T(q + kappa) - T(q)) dt},
 
 evaluated for a scalar dt or a whole 1-d dt array at once.  The rate splits
-into an x part and a y part, so C on a grid of T times is a (T x L)(L x L)
-product, taken row by row, and a row-wise dot.  The frozen Mott and Neel states
-have no momentum-distribution curve (their peak is 1); cli.py alone maps a
-`--state` selector to a distribution or to that constant.
+into an x part a(q_x) and a y part b(q_y), so C(dt) = e_a(dt)^T W e_b(dt)
+with W = sum_s n_s and e_a = exp(i a dt).  The kernel evaluates that in real
+arithmetic, cos and sin rows against the real W, walking the time grid in
+blocks of _TIME_BLOCK times: besides the occupations themselves it holds
+two (_TIME_BLOCK, 2, L) buffers, never an (L, L) temporary.  The frozen Mott
+and Neel states have no momentum-distribution curve (their peak is 1);
+cli.py alone maps a `--state` selector to a distribution or to that constant.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,14 +32,24 @@ __all__ = [
     "separable_peak",
 ]
 
+_TIME_BLOCK = 16  # times per block; each block's buffers are 4 * 16 * L floats
+
+
+def _cos_sin_rows(rates: np.ndarray, times: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[t] = (cos(rates * times[t]), sin(rates * times[t])), shape (T, 2, L)."""
+    np.multiply(times[:, None], rates, out=out[:, 1])
+    np.cos(out[:, 1], out=out[:, 0])
+    np.sin(out[:, 1], out=out[:, 1])
+    return out
+
 
 def _coherent_sum(weights: np.ndarray, kappa: tuple[int, int], dt, spec: LatticeSpec):
-    """sum_p weights(p) exp(i (J/Z)(T(p) - T(p-kappa)) dt) / sum_p weights(p).
+    """sum_q weights(q) exp(i (J/Z)(T(q + kappa) - T(q)) dt) / sum_q weights(q).
 
-    With the rate split a(p_x) + b(p_y) this is e_a(dt)^T W e_b(dt): the
-    temporaries are (T, L) arrays, never (T, L, L).  A scalar dt returns a
-    Python complex, a 1-d dt an array of the same length.  Every caller of
-    the kernel passes through here, so a NaN or infinite dt is rejected once.
+    weights is a real (L, L) array over the occupied modes q.  A scalar dt
+    returns a Python complex, a 1-d dt an array of the same length.  Every
+    caller of the kernel passes through here, so a NaN or infinite dt, and a
+    rate or rate * dt that overflows, are rejected once.
     """
     t = np.asarray(dt, dtype=float)
     if t.ndim > 1:
@@ -44,15 +59,34 @@ def _coherent_sum(weights: np.ndarray, kappa: tuple[int, int], dt, spec: Lattice
     a, b = _dephasing_factors(spec, kappa)
     # Row 0 is dt = 0, the sum of the weights taken by the same products as
     # every other row, so the value at dt = 0 is exactly 1.
-    times = np.concatenate(([0.0], t.ravel()))[:, None]
-    # A stack of T (1 x L)(L x L) products rather than one (T x L)(L x L)
-    # product: BLAS sums a single row in another order than a block of rows,
-    # and the stack keeps every time's value independent of the grid it is in.
-    projected = (np.exp(1j * a * times)[:, None, :] @ weights)[:, 0, :]
-    values = np.einsum("ti,ti->t", projected, np.exp(1j * b * times))
-    # Each part divided by the real sum: complex division would multiply by
-    # a reciprocal, and x * (1/x) can miss 1 by an ulp.
-    values = (values[1:].view(float) / values[0].real).view(complex)
+    times = np.concatenate(([0.0], t.ravel()))
+    # Python floats: an overflowing product is inf here, not a numpy warning.
+    peak_rate = max(float(np.abs(a).max()), float(np.abs(b).max()))
+    if not math.isfinite(peak_rate * float(np.abs(times).max())):
+        raise ValueError("the dephasing phase rate * dt overflows")
+    rows = np.empty((min(times.size, _TIME_BLOCK), 2, spec.L))
+    projected = np.empty_like(rows)
+    # For each time, projected = [cos(a t); sin(a t)] W holds Re and Im of
+    # e_a^T W, and parts = projected [cos(b t); sin(b t)]^T, so that
+    # Re C = parts[0, 0] - parts[1, 1] and Im C = parts[0, 1] + parts[1, 0].
+    # Every time gets its own (2 x L)(L x L) and (2 x L)(L x 2) products, not
+    # rows of one larger product: BLAS may sum a row of a larger block in
+    # another order, and per-time products keep each value independent of the
+    # grid and of the block it falls in.
+    parts = np.empty((times.size, 2, 2))
+    for start in range(0, times.size, _TIME_BLOCK):
+        block = times[start : start + _TIME_BLOCK]
+        r, p = rows[: block.size], projected[: block.size]
+        np.matmul(_cos_sin_rows(a, block, r), weights, out=p)
+        e_b = _cos_sin_rows(b, block, r).transpose(0, 2, 1)
+        np.matmul(p, e_b, out=parts[start : start + block.size])
+    real = parts[:, 0, 0] - parts[:, 1, 1]
+    imag = parts[:, 0, 1] + parts[:, 1, 0]
+    # Each part divided by the real sum at dt = 0: complex division would
+    # multiply by a reciprocal, and x * (1/x) can miss 1 by an ulp.
+    values = np.empty(times.size - 1, dtype=complex)
+    values.real = real[1:] / real[0]
+    values.imag = imag[1:] / real[0]
     return complex(values[0]) if t.ndim == 0 else values
 
 
@@ -67,10 +101,14 @@ def coherent_amplitude(
     """
     if dist.L != spec.L:
         raise ValueError("distribution grid does not match the lattice spec")
-    weights = dist.shifted_occupation_sum(kappa)
-    if weights.sum() <= 0:
+    if not dist.total() > 0:
         raise ValueError("distribution holds no atoms")
-    return _coherent_sum(weights, kappa, dt, spec)
+    occ = dist.occupations
+    # A spin-symmetric state stores one channel broadcast to both (stride 0).
+    # n + n = 2n exactly, and the kernel's normalization cancels that factor
+    # 2 exactly, so the stored channel stands for the sum.
+    shared = occ.shape[0] == 1 or occ.strides[0] == 0
+    return _coherent_sum(occ[0] if shared else occ.sum(axis=0), kappa, dt, spec)
 
 
 def phase_sum(spec: LatticeSpec, kappa: tuple[int, int], dt):

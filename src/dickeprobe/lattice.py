@@ -118,12 +118,19 @@ def adjacency_fourier_grid(spec: LatticeSpec) -> np.ndarray:
     kx*ell = 2*pi*n/L.
     """
     c = _cosines(spec.L)
-    return 2.0 * (c[:, None] + c[None, :])
+    grid = c[:, None] + c[None, :]
+    grid *= 2.0
+    return grid
 
 
 def energy_grid(spec: LatticeSpec) -> np.ndarray:
-    """Single-particle dispersion E(k) = -(J/Z) T(k) over the whole grid."""
-    return -(spec.J / spec.Z) * adjacency_fourier_grid(spec)
+    """Single-particle dispersion E(k) = -(J/Z) T(k) over the whole grid.
+
+    Evaluated in one (L, L) buffer, which the caller owns.
+    """
+    grid = adjacency_fourier_grid(spec)
+    grid *= -(spec.J / spec.Z)
+    return grid
 
 
 def _energy_levels(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -150,16 +157,21 @@ def _energy_levels(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
 def _dephasing_factors(
     spec: LatticeSpec, kappa: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The x and y parts a(p_x), b(p_y) of the dephasing rate, each of length L.
+    """The x and y parts a(q_x), b(q_y) of the dephasing rate, indexed by q = p - kappa.
 
     With c(n) = cos(2 pi n / L), T(p) = 2 (c(p_x) + c(p_y)) makes the rate
-    (J/Z)(T(p) - T(p-kappa)) = a(p_x) + b(p_y) exactly, with
-    a = (2J/Z)(c - roll(c, kappa_x)) and b the same with kappa_y.
+    (J/Z)(T(q + kappa) - T(q)) = a(q_x) + b(q_y) exactly, with
+    a = (2J/Z)(roll(c, -kappa_x) - c) and b the same with kappa_y.  Indexed by
+    the occupied mode q, the rates pair with n(q) directly, so no (L, L)
+    occupation array has to be shifted by kappa.  Raises ValueError when
+    2J/Z overflows.
     """
     kappa = canonical_mode(kappa, spec.L)
     c = _cosines(spec.L)
     scale = 2.0 * spec.J / spec.Z
-    return scale * (c - np.roll(c, kappa.n)), scale * (c - np.roll(c, kappa.m))
+    if not math.isfinite(scale):
+        raise ValueError(f"the dephasing rate 2J/Z overflows for J = {spec.J!r}")
+    return scale * (np.roll(c, -kappa.n) - c), scale * (np.roll(c, -kappa.m) - c)
 
 
 def dephasing_rates(spec: LatticeSpec, kappa: tuple[int, int]) -> np.ndarray:
@@ -170,8 +182,9 @@ def dephasing_rates(spec: LatticeSpec, kappa: tuple[int, int]) -> np.ndarray:
     phi_p^kappa(t) = -(J/Z)(T(p) - T(p-kappa)) t the interaction-picture
     hopping phase.
     """
+    kappa = canonical_mode(kappa, spec.L)
     a, b = _dephasing_factors(spec, kappa)
-    return a[:, None] + b[None, :]
+    return np.roll(a, kappa.n)[:, None] + np.roll(b, kappa.m)[None, :]
 
 
 def site_coordinates(spec: LatticeSpec) -> np.ndarray:

@@ -364,6 +364,24 @@ class TestErrors:
             assert capsys.readouterr().err.startswith(f"dickeprobe: error: cannot write {out}: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 2J/Z overflows, so every rate is inf (the dt = 0 row would be inf * 0)
+            ["quench", "--statistics", "fermi", "--J", "1e308", "--tmax", "1"],
+            # the rates are finite, but rate * dt overflows from the second row on
+            ["curve", "--statistics", "bose", "--state", "uniform", "--J", "1e300", "--tmax", "1e10"],
+            ["classical", "--statistics", "bose", "--state", "uniform", "--J", "1e300", "--tmax", "1e10"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_overflowing_dephasing_phase(self, argv, tmp_path, capsys):
+        # finite inputs whose phases overflow: exit 1 and no file, not NaN rows
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--L", "20", "--steps", "3", "-o", str(out)]) == 1
+        assert not out.exists()
+        assert "overflows" in capsys.readouterr().err
+
     def test_bad_thermal_parameter(self):
         assert (
             main(["curve", "--statistics", "bose", "--state", "thermal:-2",

@@ -57,16 +57,39 @@ class TestContainer:
         with pytest.raises(ValueError):
             dist.occupations[0, 0, 0] = 5.0
 
-    def test_shifted_occupation_sum(self):
-        spec = LatticeSpec(L=4)
-        dist = superfluid(spec)
-        shifted = dist.shifted_occupation_sum(Mode(1, 0))
-        # n(p - kappa) peaks where p = kappa
-        from dickeprobe.lattice import mode_index
+    @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
+    def test_copies_a_callers_array(self, statistics):
+        # neither the caller's array nor the base of a read-only view of it
+        # can change the distribution afterwards
+        channels = 1 if statistics is Statistics.BOSE else 2
+        mine = np.full((channels, 4, 4), 0.25)
+        view = mine[...]
+        view.setflags(write=False)
+        for given in (mine, view):
+            dist = MomentumDistribution(statistics, given, 4.0 * channels)
+            before = dist.occupations.copy()
+            mine[0, 0, 0] = 0.75
+            np.testing.assert_array_equal(dist.occupations, before)
+            mine[0, 0, 0] = 0.25
+            assert not np.shares_memory(dist.occupations, mine)
 
-        i, j = mode_index(Mode(1, 0), 4)
-        assert shifted[i, j] == spec.sites
-        assert shifted.sum() == spec.sites
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda spec: fermi_dirac(spec, 0.5),
+            lambda spec: fermi_dirac(spec, 0.5, total=0.0),
+            lambda spec: metallic(spec),
+            lambda spec: uniform(spec, Statistics.FERMI),
+        ],
+        ids=["fermi_dirac", "empty", "metallic", "uniform"],
+    )
+    def test_spin_symmetric_states_store_one_channel(self, build):
+        dist = build(LatticeSpec(L=6))
+        occ = dist.occupations
+        assert occ.shape == (2, 6, 6) and occ.strides[0] == 0
+        assert not occ.flags.writeable
+        with pytest.raises(ValueError):
+            occ[1, 0, 0] = 0.5
 
 
 class TestSuperfluid:

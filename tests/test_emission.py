@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from dickeprobe.distributions import (
     uniform,
 )
 from dickeprobe.emission import (
+    _TIME_BLOCK,
     adiabatic_peak,
     coherent_amplitude,
     peak_curve,
@@ -26,6 +29,7 @@ from dickeprobe.emission import (
 from dickeprobe.lattice import (
     LatticeSpec,
     Mode,
+    canonical_mode,
     dephasing_rates,
     mode_grid,
     mode_index,
@@ -162,9 +166,12 @@ class TestBatchedKernel:
         channels = 1 if statistics is Statistics.BOSE else 2
         occ = rng.uniform(0.0, 1.0, size=(channels, L, L))
         dist = MomentumDistribution(statistics, occ, float(occ.sum()))
-        grid = np.linspace(0.0, 40.0, 33)
+        # more than three blocks of times, the last one partial
+        grid = np.linspace(0.0, 40.0, 3 * _TIME_BLOCK + 5)
         for kappa in ((1, 2), (-3, 5), (L // 2, 1)):
-            w = dist.shifted_occupation_sum(kappa)
+            # n(p - kappa) on the p grid, the weights of the direct sum
+            k = canonical_mode(kappa, L)
+            w = np.roll(occ.sum(axis=0), shift=(k.n, k.m), axis=(0, 1))
             w = w / w.sum()
             rates = dephasing_rates(spec, kappa)
             reference = np.array([np.sum(w * np.exp(1j * rates * t)) for t in grid])
@@ -175,7 +182,7 @@ class TestBatchedKernel:
             assert np.array_equal(batched, scalar)
 
     def test_formulas_take_grids(self, spec100):
-        grid = np.linspace(0.0, 80.0, 21)
+        grid = np.linspace(0.0, 80.0, 3 * _TIME_BLOCK + 5)
         kappa = Mode(2, -1)
         for fn in (
             lambda t: phase_sum(spec100, kappa, t),
@@ -200,6 +207,29 @@ class TestBatchedKernel:
             for dt in (np.zeros((2, 2)), np.nan, np.inf, -np.inf, np.array([0.0, np.nan])):
                 with pytest.raises(ValueError, match="dt must be"):
                     fn(dt)
+
+
+def test_thermal_curve_needs_one_grid_array_beyond_the_occupations():
+    # The builder evaluates the energies and occupations in place and keeps
+    # one channel for both spins; the kernel holds a few (block, 2, L) buffers.
+    spec = LatticeSpec(L=200)
+    grid = np.linspace(0.0, 100.0, 500)
+    grid_bytes = spec.sites * 8
+    peak_curve(fermi_dirac(spec, 0.5), Mode(1, 2), grid, spec)  # first-call allocations
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        dist = fermi_dirac(spec, 0.5)
+        retained = tracemalloc.get_traced_memory()[0] - base
+        peak_curve(dist, Mode(1, 2), grid, spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert grid_bytes <= retained < grid_bytes + 16_384
+    assert peak <= retained + grid_bytes
 
 
 class TestNormalizedPeak:
