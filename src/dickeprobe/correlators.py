@@ -14,7 +14,6 @@ the Brillouin zone.
 from __future__ import annotations
 
 import math
-from typing import Literal
 
 import numpy as np
 
@@ -96,21 +95,12 @@ def neel_correlator(spec: LatticeSpec, k, q, kappa_in, kappa_out):
     return d_kappa + 0.5 * d_kq
 
 
-def dicke_ladder_factor(
-    n_atoms: int, n_excitations: int, direction: Literal["raise", "lower"]
-) -> float:
-    """Matrix element of the collective raising/lowering operator.
+def dicke_ladder_factor(n_atoms: int, n_excitations: int) -> float:
+    """Matrix element sqrt((N - n)(n + 1)) of the collective raising operator at n.
 
-    raise: sqrt((N - n)(n + 1)); lower: sqrt((N - n + 1) n).  Hermiticity
-    pairs raise at n with lower at n + 1.
+    By Hermiticity it is also the lowering element at n + 1.
     """
     N, n = n_atoms, n_excitations
-    if direction == "raise":
-        if not 0 <= n < N:
-            raise ValueError(f"raising needs 0 <= n < N, got n={n}, N={N}")
-        return math.sqrt((N - n) * (n + 1))
-    if direction == "lower":
-        if not 1 <= n <= N:
-            raise ValueError(f"lowering needs 1 <= n <= N, got n={n}, N={N}")
-        return math.sqrt((N - n + 1) * n)
-    raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
+    if not 0 <= n < N:
+        raise ValueError(f"raising needs 0 <= n < N, got n={n}, N={N}")
+    return math.sqrt((N - n) * (n + 1))

@@ -261,11 +261,8 @@ def bose_einstein(
 
     pin = float(levels.min()) - 1e-12 * (spec.J if spec.J > 0 else 1.0)
     if occupation_sum(pin) < total:
-        # Condensed branch: thermal cloud at the pinned mu, rest at k = 0.
-        energies = energy_grid(spec)
-        occ = occupations_at(energies, pin, out=energies)
-        occ[_zero_mode_index(spec.L)] += total - occ.sum()
-        mu = pin
+        # Condensed branch: thermal cloud at the pinned mu, the rest at k = 0.
+        mu, residual = pin, math.inf
     else:
         lo, span = pin, max(spec.J, 1.0 / beta)
         while occupation_sum(lo) >= total:
@@ -273,18 +270,19 @@ def bose_einstein(
             span *= 2.0
         _require_finite_bracket(lo, pin, beta)
         mu, residual = _bisect_mu(occupation_sum, total, lo, pin)
-        energies = energy_grid(spec)
-        occ = occupations_at(energies, mu, out=energies)
-        if residual > _TOTAL_RTOL * max(total, 1.0):
-            # The sum jumps by more than the tolerance per ulp of mu near the
-            # band bottom; the leftover is condensate ambiguity at k = 0.
-            zero = _zero_mode_index(spec.L)
-            deficit = total - occ.sum()
-            if occ[zero] + deficit < 0:
-                raise ChemicalPotentialError(
-                    f"mu bisection stalled with residual {residual:.3e} on target {total}"
-                )
-            occ[zero] += deficit
+    energies = energy_grid(spec)
+    occ = occupations_at(energies, mu, out=energies)
+    if residual > _TOTAL_RTOL * max(total, 1.0):
+        # Condensed: the pinned mu holds too few atoms.  Padded: the sum
+        # jumps by more than the tolerance per ulp of mu near the band
+        # bottom.  Either way the remainder is condensate, placed at k = 0.
+        zero = _zero_mode_index(spec.L)
+        deficit = total - occ.sum()
+        if occ[zero] + deficit < 0:
+            raise ChemicalPotentialError(
+                f"mu bisection stalled with residual {residual:.3e} on target {total}"
+            )
+        occ[zero] += deficit
     return MomentumDistribution(
         Statistics.BOSE,
         _Owned(occ[None, :, :]),

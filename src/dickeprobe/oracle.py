@@ -20,6 +20,7 @@ so anticommutation is exact by construction.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
@@ -459,9 +460,11 @@ class Propagator:
         """exp(-i H t) |state>: a vector for scalar t, shape (T, dim) for T times.
 
         Only the sectors where `state` has weight are evolved; the rest of
-        the result is exactly zero.
+        the result is exactly zero.  A NaN or infinite time raises ValueError.
         """
         times = np.asarray(t, dtype=float)
+        if not np.isfinite(times).all():
+            raise ValueError("evolution time must be finite")
         flat = times.reshape(1, -1, 1)
         weighted = np.zeros(len(self._starts), dtype=bool)
         weighted[self._sector[np.flatnonzero(state)]] = True
@@ -562,17 +565,20 @@ def neel_state(basis: FockBasis) -> np.ndarray:
 
 
 def momentum_fock_state(basis: FockBasis, occupations) -> np.ndarray:
-    """Normalized k-diagonal Fock state from {mode: count} or {(mode, spin): count}.
+    """Normalized k-diagonal Fock state from {(mode, spin): count}, spin 0 for bosons.
 
     a+_{k, spin, gr} = (1/sqrt N) sum_mu exp(i k r_mu) a+_{mu, spin, gr} is
-    applied from the vacuum up, through the 1, 2, ... atom bases.
+    applied from the vacuum up, through the 1, 2, ... atom bases.  A spin
+    outside range(basis.n_spins) or a count that is not a nonnegative
+    integer raises ValueError.  `_momentum_case` builds the matching
+    MomentumDistribution from the same map.
     """
     items = []
-    for key, count in occupations.items():
-        if isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], tuple):
-            mode, spin = key
-        else:
-            mode, spin = key, 0
+    for (mode, spin), count in occupations.items():
+        if not (isinstance(spin, numbers.Integral) and 0 <= spin < basis.n_spins):
+            raise ValueError(f"spin {spin!r} outside range({basis.n_spins})")
+        if not (isinstance(count, numbers.Integral) and count >= 0):
+            raise ValueError(f"count {count!r} of {(mode, spin)!r} is not a nonnegative integer")
         items.append((canonical_mode(mode, basis.spec.L), int(spin), int(count)))
     items.sort()
     total = sum(count for _, _, count in items)
@@ -597,11 +603,26 @@ def momentum_fock_state(basis: FockBasis, occupations) -> np.ndarray:
     return v / norm
 
 
+def _momentum_case(basis: FockBasis, occupations) -> tuple[np.ndarray, MomentumDistribution]:
+    """momentum_fock_state(basis, occupations) and its MomentumDistribution.
+
+    Both are read from the one {(mode, spin): count} map; each count lands
+    on the grid entry mode_index gives its mode, and the atom total is the
+    basis's.
+    """
+    state = momentum_fock_state(basis, occupations)
+    L = basis.spec.L
+    occ = np.zeros((basis.n_spins, L, L))
+    for (mode, spin), count in occupations.items():
+        occ[(spin, *mode_index(mode, L))] += count
+    return state, MomentumDistribution(basis.statistics, occ, float(basis.n_particles))
+
+
 def superfluid_state(basis: FockBasis) -> np.ndarray:
     """All atoms condensed in the k = 0 ground-level mode."""
     if basis.statistics is not Statistics.BOSE:
         raise ValueError("the condensate state is bosonic")
-    return momentum_fock_state(basis, {Mode(0, 0): basis.n_particles})
+    return momentum_fock_state(basis, {(Mode(0, 0), 0): basis.n_particles})
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +820,7 @@ def _ladder_deviation(basis: FockBasis, ground: np.ndarray, kappa: Mode) -> floa
     expected = 1.0
     for n in range(min(3, N)):
         v = plus @ v
-        expected *= dicke_ladder_factor(N, n, "raise")
+        expected *= dicke_ladder_factor(N, n)
         worst = max(worst, abs(np.linalg.norm(v) - expected) / expected)
     return worst
 
@@ -919,47 +940,21 @@ def verification_suite() -> list[CheckResult]:
     )
     results.append(CheckResult("quasispin-commutator", dev, 1e-12))
 
-    mixed_occ = np.zeros((1, 2, 2))
-    # grid order for L = 2: indices 0 -> n = 0, 1 -> n = 1
-    mixed_occ[0, 0, 0] = 2.0
-    mixed_occ[0, 1, 0] = 1.0
-    mixed_occ[0, 0, 1] = 1.0
+    uniform_case = _momentum_case(bose, {(mode, 0): 1 for mode in mode_grid(spec)})
     bose_cases = [
         (superfluid_state(bose), superfluid(spec)),
-        (
-            momentum_fock_state(bose, {Mode(0, 0): 2, Mode(1, 0): 1, Mode(0, 1): 1}),
-            MomentumDistribution(Statistics.BOSE, mixed_occ, 4.0),
-        ),
-        (
-            momentum_fock_state(bose, {Mode(0, 0): 1, Mode(1, 0): 1, Mode(0, 1): 1, Mode(1, 1): 1}),
-            uniform(spec),
-        ),
+        _momentum_case(bose, {(Mode(0, 0), 0): 2, (Mode(1, 0), 0): 1, (Mode(0, 1), 0): 1}),
+        uniform_case,
     ]
     dev = max(_four_point_deviation(bose, state, dist) for state, dist in bose_cases)
     results.append(CheckResult("four-point-bose", dev, 1e-10))
 
-    fermi_occ = np.zeros((2, 2, 2))
-    fermi_occ[0, 0, 0] = 1.0  # up at (0, 0)
-    fermi_occ[0, 1, 0] = 1.0  # up at (1, 0)
-    fermi_occ[1, 0, 0] = 1.0  # down at (0, 0)
-    fermi_occ[1, 0, 1] = 1.0  # down at (0, 1)
-    fermi_state = momentum_fock_state(
-        fermi,
-        {(Mode(0, 0), 0): 1, (Mode(1, 0), 0): 1, (Mode(0, 0), 1): 1, (Mode(0, 1), 1): 1},
-    )
     fermi2 = FockBasis(spec, Statistics.FERMI, 2)
-    diamond_occ = np.zeros((2, 2, 2))
-    diamond_occ[0, 0, 0] = 1.0
-    diamond_occ[1, 0, 0] = 1.0
     fermi_cases = [
-        (fermi, fermi_state, MomentumDistribution(Statistics.FERMI, fermi_occ, 4.0)),
-        (
-            fermi2,
-            momentum_fock_state(fermi2, {(Mode(0, 0), 0): 1, (Mode(0, 0), 1): 1}),
-            MomentumDistribution(Statistics.FERMI, diamond_occ, 2.0),
-        ),
+        (fermi, {(Mode(0, 0), 0): 1, (Mode(1, 0), 0): 1, (Mode(0, 0), 1): 1, (Mode(0, 1), 1): 1}),
+        (fermi2, {(Mode(0, 0), 0): 1, (Mode(0, 0), 1): 1}),
     ]
-    dev = max(_four_point_deviation(b, s, d) for b, s, d in fermi_cases)
+    dev = max(_four_point_deviation(b, *_momentum_case(b, occ)) for b, occ in fermi_cases)
     results.append(CheckResult("four-point-fermi", dev, 1e-10))
 
     mott = _quench_correlator_residual(bose, mott_state(bose), mott_correlator)
@@ -1017,10 +1012,7 @@ def verification_suite() -> list[CheckResult]:
     dev = 0.0
     classical_cases = [
         (superfluid_state(bose), superfluid(spec)),
-        (
-            momentum_fock_state(bose, {Mode(0, 0): 1, Mode(1, 0): 1, Mode(0, 1): 1, Mode(1, 1): 1}),
-            uniform(spec),
-        ),
+        uniform_case,
         (mott_state(bose), uniform(spec)),
     ]
     for angles in ((0.2, -0.2), (0.3, 0.5)):
@@ -1035,7 +1027,7 @@ def verification_suite() -> list[CheckResult]:
     # uniform occupations from a momentum Fock state and from the Mott state;
     # the deviation is 0.647 alpha^4 for both
     alpha = 0.05
-    uniform_states = [classical_cases[1][0], classical_cases[2][0]]
+    uniform_states = [uniform_case[0], classical_cases[2][0]]
     dev = _metastable_deviation(bose, uniform_states, uniform(spec), kappa_diag, alpha)
     results.append(CheckResult("metastable-population", dev, 6.25e-6))  # alpha^4
 

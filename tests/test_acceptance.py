@@ -37,11 +37,11 @@ from dickeprobe.oracle import (
     exact_peak_curve,
     exciton_matrix,
     four_point_tensor,
-    momentum_fock_state,
     mott_state,
     neel_state,
     product_state,
     superfluid_state,
+    _momentum_case,
 )
 from lattice_reference import bessel_envelope
 
@@ -175,7 +175,7 @@ def test_criterion_7a_dicke_ladder(spec2, oracle_setup):
         v, expected = ground, 1.0
         for n in range(3):
             v = plus @ v
-            expected *= dicke_ladder_factor(spec2.sites, n, "raise")
+            expected *= dicke_ladder_factor(spec2.sites, n)
             dev = max(dev, abs(np.linalg.norm(v) - expected) / expected)
     report(7, "(a) collective ladder norms vs matrix elements", dev, 1e-10)
 
@@ -183,21 +183,11 @@ def test_criterion_7a_dicke_ladder(spec2, oracle_setup):
 def test_criterion_7b_four_point_formulas(spec2, oracle_setup):
     bose, fermi = oracle_setup
     grid = mode_grid(spec2)
-    mixed_occ = np.zeros((1, 2, 2))
-    mixed_occ[0, 0, 0] = 2.0
-    mixed_occ[0, 1, 0] = 1.0
-    mixed_occ[0, 0, 1] = 1.0
     bose_cases = [
         (superfluid_state(bose), superfluid(spec2)),
-        (
-            momentum_fock_state(bose, {Mode(0, 0): 2, Mode(1, 0): 1, Mode(0, 1): 1}),
-            MomentumDistribution(Statistics.BOSE, mixed_occ, 4.0),
-        ),
+        _momentum_case(bose, {(Mode(0, 0), 0): 2, (Mode(1, 0), 0): 1, (Mode(0, 1), 0): 1}),
     ]
-    fermi_occ = np.zeros((2, 2, 2))
-    fermi_occ[0, 0, 0] = fermi_occ[0, 1, 0] = 1.0
-    fermi_occ[1, 0, 0] = fermi_occ[1, 0, 1] = 1.0
-    fermi_state = momentum_fock_state(
+    fermi_state, fermi_dist = _momentum_case(
         fermi,
         {(Mode(0, 0), 0): 1, (Mode(1, 0), 0): 1, (Mode(0, 0), 1): 1, (Mode(0, 1), 1): 1},
     )
@@ -210,7 +200,6 @@ def test_criterion_7b_four_point_formulas(spec2, oracle_setup):
     for state, dist in bose_cases:
         tensor = four_point_tensor(state, bose)
         dev = max(dev, np.abs(tensor - bosonic_four_point(dist, *queries)).max())
-    fermi_dist = MomentumDistribution(Statistics.FERMI, fermi_occ, 4.0)
     tensor = four_point_tensor(fermi_state, fermi)
     spins = np.arange(2)
     formula = fermionic_four_point(fermi_dist, *queries, spins[:, None], spins)

@@ -13,7 +13,6 @@ from dickeprobe.correlators import (
     neel_correlator,
 )
 from dickeprobe.distributions import (
-    MomentumDistribution,
     Statistics,
     superfluid,
     uniform,
@@ -22,9 +21,7 @@ from dickeprobe.emission import coherent_amplitude, peak_curve, quench_peak, sep
 from dickeprobe.lattice import (
     LatticeSpec,
     Mode,
-    canonical_mode,
     mode_grid,
-    mode_index,
     mode_sub,
     site_coordinates,
 )
@@ -55,6 +52,7 @@ from dickeprobe.oracle import (
     _bilinear_sum,
     _creation,
     _metastable_deviation,
+    _momentum_case,
     _sector_labels,
     _sum,
 )
@@ -85,7 +83,7 @@ class TestBasis:
             atoms = [tuple(np.repeat(np.arange(basis.n_modes), occ)) for occ in basis.occupations]
             assert atoms == list(choose(range(basis.n_modes), basis.n_particles))
 
-    def test_fermi_occupancy_binary(self, fermi_basis):
+    def test_fermionic_occupancy_binary(self, fermi_basis):
         assert set(np.unique(fermi_basis.occupations)) <= {0, 1}
 
     def test_boson_dimension_cap(self, spec2):
@@ -233,7 +231,7 @@ class TestExciton:
             expected = 1.0
             for n in range(3):
                 v = plus @ v
-                expected *= dicke_ladder_factor(N, n, "raise")
+                expected *= dicke_ladder_factor(N, n)
                 assert np.linalg.norm(v) == pytest.approx(expected, rel=1e-10)
 
 
@@ -376,7 +374,7 @@ class TestEvolve:
         basis = FockBasis(spec2, Statistics.BOSE, 1)
         prop = Propagator(build_lattice_hamiltonian(basis, spec2))
         for k in mode_grid(spec2):
-            v = momentum_fock_state(basis, {k: 1})
+            v = momentum_fock_state(basis, {(k, 0): 1})
             evolved = prop.advance(v, 0.8)
             expected = np.exp(-1j * mode_energy(k, spec2) * 0.8) * v
             assert np.allclose(evolved, expected, atol=1e-12)
@@ -540,7 +538,52 @@ class TestMomentumStates:
 
     def test_wrong_total_rejected(self, bose_basis):
         with pytest.raises(ValueError):
-            momentum_fock_state(bose_basis, {Mode(0, 0): 3})
+            momentum_fock_state(bose_basis, {(Mode(0, 0), 0): 3})
+
+    @pytest.mark.parametrize(
+        "occupations, match",
+        [
+            # the negative count would cancel one atom of the other mode
+            ({(Mode(0, 0), 0): 2, (Mode(1, 0), 0): -1}, "count"),
+            # a 1.5 would be truncated to one atom
+            ({(Mode(0, 0), 0): 1.5}, "count"),
+            # -1 would index other sites' modes, 1 past the bosons' one spin
+            ({(Mode(0, 0), -1): 1}, "spin"),
+            ({(Mode(0, 0), 1): 1}, "spin"),
+        ],
+        ids=["negative-count", "fractional-count", "negative-spin", "spin-past-bosons"],
+    )
+    def test_rejects_malformed_occupations(self, spec2, occupations, match):
+        basis = FockBasis(spec2, Statistics.BOSE, 1)
+        with pytest.raises(ValueError, match=match):
+            momentum_fock_state(basis, occupations)
+
+    @pytest.mark.parametrize(
+        "statistics, last_spin, expected",
+        [
+            (Statistics.BOSE, 0, [[[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]]),
+            (
+                Statistics.FERMI,
+                1,
+                [
+                    [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]],
+                    [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]],
+                ],
+            ),
+        ],
+        ids=["bose", "fermi"],
+    )
+    def test_momentum_case_fills_the_grid_by_mode_index(self, statistics, last_spin, expected):
+        # at L = 4 the grid runs n = -1, 0, 1, 2, so (1, -1) sits at [2, 0], and
+        # (-2, 1) wraps to (2, 1) at [3, 2]: the grid index is not n
+        spec = LatticeSpec(L=4, J=1.0, U=0.0)
+        basis = FockBasis(spec, statistics, 2)
+        atoms = {(Mode(1, -1), 0): 1, (Mode(-2, 1), last_spin): 1}
+        state, dist = _momentum_case(basis, atoms)
+        assert np.array_equal(dist.occupations, np.array(expected, dtype=float))
+        assert dist.statistics is statistics
+        assert dist.total_target == 2.0
+        assert np.array_equal(state, momentum_fock_state(basis, atoms))
 
 
 def _grid_queries(spec, ndim):
@@ -552,15 +595,10 @@ def _grid_queries(spec, ndim):
 
 class TestFourPointEquivalence:
     def test_bosonic_formula_matches_oracle(self, spec2, bose_basis):
-        occ = np.zeros((1, 2, 2))
-        occ[0, 0, 0] = 2.0  # mode (0, 0)
-        occ[0, 1, 0] = 1.0  # mode (1, 0)
-        occ[0, 0, 1] = 1.0  # mode (0, 1)
         cases = [
             (superfluid_state(bose_basis), superfluid(spec2)),
-            (
-                momentum_fock_state(bose_basis, {Mode(0, 0): 2, Mode(1, 0): 1, Mode(0, 1): 1}),
-                MomentumDistribution(Statistics.BOSE, occ, 4.0),
+            _momentum_case(
+                bose_basis, {(Mode(0, 0), 0): 2, (Mode(1, 0), 0): 1, (Mode(0, 1), 0): 1}
             ),
         ]
         for state, dist in cases:
@@ -571,14 +609,10 @@ class TestFourPointEquivalence:
             assert worst < 1e-10
 
     def test_fermionic_formula_matches_oracle(self, spec2, fermi_basis):
-        occ = np.zeros((2, 2, 2))
-        occ[0, 0, 0] = occ[0, 1, 0] = 1.0  # spin up at (0,0), (1,0)
-        occ[1, 0, 0] = occ[1, 0, 1] = 1.0  # spin down at (0,0), (0,1)
-        state = momentum_fock_state(
+        state, dist = _momentum_case(
             fermi_basis,
             {(Mode(0, 0), 0): 1, (Mode(1, 0), 0): 1, (Mode(0, 0), 1): 1, (Mode(0, 1), 1): 1},
         )
-        dist = MomentumDistribution(Statistics.FERMI, occ, 4.0)
         exact = four_point_tensor(state, fermi_basis)
         spins = np.arange(2)
         formula = fermionic_four_point(dist, *_grid_queries(spec2, 6), spins[:, None], spins)
@@ -792,15 +826,8 @@ class TestEmissionOracle:
     def test_peak_normalized_by_atom_count(self, spec2, statistics):
         # two atoms on four sites: the closed form normalizes by the atom count
         basis = FockBasis(spec2, statistics, 2)
-        if statistics is Statistics.BOSE:
-            state = momentum_fock_state(basis, {Mode(0, 0): 1, Mode(1, 0): 1})
-            occupations = np.zeros((1, 2, 2))
-            occupations[0, 0, 0] = occupations[0, 1, 0] = 1.0
-        else:
-            state = momentum_fock_state(basis, {(Mode(0, 0), 0): 1, (Mode(1, 0), 1): 1})
-            occupations = np.zeros((2, 2, 2))
-            occupations[0, 0, 0] = occupations[1, 1, 0] = 1.0
-        dist = MomentumDistribution(statistics, occupations, 2.0)
+        second_spin = 0 if statistics is Statistics.BOSE else 1
+        state, dist = _momentum_case(basis, {(Mode(0, 0), 0): 1, (Mode(1, 0), second_spin): 1})
         dts = np.linspace(0.0, 6.0, 7)
         for kappa in (Mode(1, 0), Mode(1, 1), Mode(0, 1)):
             exact = exact_peak_curve(state, kappa, kappa, dts, basis, spec2)
@@ -813,21 +840,23 @@ class TestEmissionOracle:
         # rates take the values 0, +-J/2 and +-J
         spec = LatticeSpec(L=4, J=1.0, U=0.0)
         basis = FockBasis(spec, statistics, 2)
-        occupations = np.zeros((basis.n_spins, 4, 4))
         if statistics is Statistics.BOSE:
             atoms = {(Mode(0, 0), 0): 1, (Mode(1, 2), 0): 1}
         else:
             atoms = {(Mode(0, 0), 0): 1, (Mode(-1, 1), 1): 1}
-        for mode, spin in atoms:
-            occupations[(spin, *mode_index(mode, 4))] = 1.0
-        state = momentum_fock_state(basis, atoms)
-        dist = MomentumDistribution(statistics, occupations, 2.0)
+        state, dist = _momentum_case(basis, atoms)
         dts = np.linspace(0.0, 10.0, 11)
         for kappa in (Mode(1, 0), Mode(1, 1), Mode(2, 1)):
             exact = exact_peak_curve(state, kappa, kappa, dts, basis, spec)
             closed = peak_curve(dist, kappa, dts, spec)
             assert np.abs(exact - closed).max() < 1e-12
         assert basis.dimension == (528 if statistics is Statistics.BOSE else 2016)
+
+    @pytest.mark.parametrize("dts", [[0.0, math.nan], [math.inf]], ids=["nan", "inf"])
+    def test_rejects_non_finite_times(self, spec2, bose_basis, dts):
+        mott = mott_state(bose_basis)
+        with pytest.raises(ValueError, match="finite"):
+            exact_peak_curve(mott, Mode(1, 0), Mode(1, 0), np.array(dts), bose_basis, spec2)
 
     def test_rejects_empty_basis(self, spec2):
         basis = FockBasis(spec2, Statistics.BOSE, 0)
@@ -1003,10 +1032,7 @@ class TestClassicalSequenceOracle:
         cases = [
             (superfluid_state(bose_basis), superfluid(spec2)),
             (
-                momentum_fock_state(
-                    bose_basis,
-                    {Mode(0, 0): 1, Mode(1, 0): 1, Mode(0, 1): 1, Mode(1, 1): 1},
-                ),
+                momentum_fock_state(bose_basis, {(mode, 0): 1 for mode in mode_grid(spec2)}),
                 uniform(spec2),
             ),
             (mott_state(bose_basis), uniform(spec2)),  # Mott has n(k) = 1 on every mode
@@ -1034,11 +1060,7 @@ class TestClassicalSequenceOracle:
     )
     def test_fermion_fock_state_matches_closed_form(self, spec2, fermi_basis, occupied):
         # 4 fermions on the 8 ground-level modes of the 2 x 2 lattice: half filling
-        state = momentum_fock_state(fermi_basis, occupied)
-        occupations = np.zeros((2, spec2.L, spec2.L))
-        for (mode, spin), count in occupied.items():
-            occupations[(spin, *mode_index(canonical_mode(mode, spec2.L), spec2.L))] = count
-        dist = MomentumDistribution(Statistics.FERMI, occupations, float(spec2.sites))
+        state, dist = _momentum_case(fermi_basis, occupied)
         for kappa in (Mode(1, 0), Mode(0, 1), Mode(1, 1)):
             for angles in ((0.2, -0.2), (0.3, 0.5)):
                 for dt in (0.0, 0.7, 1.4):
@@ -1052,9 +1074,7 @@ class TestClassicalSequenceOracle:
 
     def test_metastable_population_is_exact_to_fourth_order(self, spec2, bose_basis):
         # exact (sin^2 a / 2)(n - S) against the formula's (a^2 / 2)(n - S)
-        state = momentum_fock_state(
-            bose_basis, {Mode(0, 0): 1, Mode(1, 0): 1, Mode(0, 1): 1, Mode(1, 1): 1}
-        )
+        state = momentum_fock_state(bose_basis, {(mode, 0): 1 for mode in mode_grid(spec2)})
         deviations = {
             alpha: _metastable_deviation(bose_basis, [state], uniform(spec2), Mode(1, 1), alpha)
             for alpha in (0.1, 0.05)
@@ -1062,6 +1082,18 @@ class TestClassicalSequenceOracle:
         for alpha, dev in deviations.items():
             assert 0.6 * alpha**4 < dev < 0.7 * alpha**4
         assert deviations[0.1] / deviations[0.05] == pytest.approx(16.0, rel=0.01)
+
+    @pytest.mark.parametrize(
+        "angle, dt",
+        [(math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan)],
+        ids=["nan-angle", "inf-angle", "nan-dt"],
+    )
+    def test_rejects_non_finite_angle_or_time(self, spec2, bose_basis, angle, dt):
+        # a pulse's angle is its propagator's time
+        with pytest.raises(ValueError, match="finite"):
+            classical_sequence_sigma_z(
+                mott_state(bose_basis), bose_basis, spec2, angle, -0.1, Mode(1, 0), dt
+            )
 
     def test_requires_free_hamiltonian(self, bose_basis):
         spec = LatticeSpec(L=2, J=1.0, U=2.0)
