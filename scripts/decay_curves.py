@@ -17,7 +17,8 @@ import numpy as np
 
 from dickeprobe.cli import _parse_kappa, _time_grid
 from dickeprobe.cli import main as dickeprobe
-from dickeprobe.emission import phase_sum
+from dickeprobe.distributions import uniform
+from dickeprobe.emission import coherent_amplitude
 from dickeprobe.lattice import LatticeSpec
 
 
@@ -62,7 +63,8 @@ def main():
     # the CLI runs above have already rejected a bad --kappa or time grid
     spec = LatticeSpec(L=args.L)
     grid = _time_grid(args)
-    envelope = np.abs(phase_sum(spec, _parse_kappa(args.kappa, spec.L), grid))
+    kappa = _parse_kappa(args.kappa, spec.L)
+    envelope = np.abs(coherent_amplitude(uniform(spec), kappa, grid, spec).real)
     dips = np.flatnonzero((envelope[1:-1] < envelope[:-2]) & (envelope[1:-1] <= envelope[2:]))
     if dips.size:
         print(f"first envelope zero near delta_t = {grid[dips[0] + 1]:.2f} tunneling times")

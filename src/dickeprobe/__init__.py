@@ -25,22 +25,8 @@ from .distributions import (
     superfluid,
     uniform,
 )
-from .emission import (
-    adiabatic_peak,
-    coherent_amplitude,
-    peak_curve,
-    phase_sum,
-    quench_peak,
-    separable_peak,
-)
-from .lattice import (
-    LatticeSpec,
-    Mode,
-    adjacency_matrix,
-    canonical_mode,
-    mode_grid,
-    mode_sub,
-)
+from .emission import coherent_amplitude, peak_curve, separable_peak
+from .lattice import LatticeSpec, Mode
 
 __version__ = "0.1.0"
 
@@ -50,11 +36,8 @@ __all__ = [
     "Mode",
     "MomentumDistribution",
     "Statistics",
-    "adiabatic_peak",
-    "adjacency_matrix",
     "bose_einstein",
     "bosonic_four_point",
-    "canonical_mode",
     "coherent_amplitude",
     "dicke_ladder_factor",
     "expected_sigma_z",
@@ -63,14 +46,10 @@ __all__ = [
     "mean_excitations",
     "metallic",
     "metastable_population",
-    "mode_grid",
-    "mode_sub",
     "mott_correlator",
     "neel_correlator",
     "partial_condensation",
     "peak_curve",
-    "phase_sum",
-    "quench_peak",
     "separable_peak",
     "superfluid",
     "uniform",

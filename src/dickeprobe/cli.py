@@ -27,7 +27,7 @@ from .distributions import (
     superfluid,
     uniform,
 )
-from .emission import adiabatic_peak, coherent_amplitude, peak_curve, quench_peak
+from .emission import coherent_amplitude, peak_curve
 from .lattice import LatticeSpec, Mode, validate_mode
 
 __all__ = ["build_parser", "entrypoint", "main"]
@@ -116,13 +116,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_options(curve)
     _add_output_option(curve)
 
-    quench = sub.add_parser("quench", help="peak after a sudden interaction switch-off")
+    quench = sub.add_parser(
+        "quench",
+        help="peak after a sudden interaction switch-off: the curve of --state uniform",
+    )
     quench.add_argument("--statistics", choices=["bose", "fermi"], required=True)
     _add_lattice_options(quench)
     _add_grid_options(quench)
     _add_output_option(quench)
 
-    adiabatic = sub.add_parser("adiabatic", help="peak after a slow interaction ramp")
+    adiabatic = sub.add_parser(
+        "adiabatic",
+        help=(
+            "peak after a slow interaction ramp: the curve of --state superfluid (bose)"
+            " or --state uniform (fermi, small-wave-number approximation)"
+        ),
+    )
     adiabatic.add_argument("--statistics", choices=["bose", "fermi"], required=True)
     _add_lattice_options(adiabatic)
     _add_grid_options(adiabatic)
@@ -233,23 +242,24 @@ def _write_columns(path: str, header: str, *columns: np.ndarray) -> None:
 
 
 def _run_curve(args) -> int:
-    """`curve`, `quench` and `adiabatic`: one normalized-peak column."""
+    """`curve`, `quench` and `adiabatic`: one normalized-peak column, the curve of a state.
+
+    quench evaluates the uniform state, adiabatic the state the slow ramp ends in.
+    """
     spec = _build_spec(args)
     kappa = _parse_kappa(args.kappa, spec.L)
     grid = _time_grid(args)
     statistics = Statistics(args.statistics)
-    if args.command == "quench":
-        values = quench_peak(spec, kappa, grid)
-    elif args.command == "adiabatic":
-        values = adiabatic_peak(statistics, spec, kappa, grid)
-        if statistics is Statistics.FERMI:
-            print(f"note: {_FERMI_ADIABATIC_NOTE}", file=sys.stderr)
+    if args.command == "curve":
+        state = args.state
+    elif args.command == "adiabatic" and statistics is Statistics.BOSE:
+        state = "superfluid"
     else:
-        dist = _build_state(args.state, statistics, spec)
-        if dist is None:
-            values = np.ones_like(grid)
-        else:
-            values = peak_curve(dist, kappa, grid, spec)
+        state = "uniform"
+    dist = _build_state(state, statistics, spec)
+    values = np.ones_like(grid) if dist is None else peak_curve(dist, kappa, grid, spec)
+    if args.command == "adiabatic" and statistics is Statistics.FERMI:
+        print(f"note: {_FERMI_ADIABATIC_NOTE}", file=sys.stderr)
     _write_columns(args.output, "delta_t,normalized_peak", grid, values)
     return 0
 

@@ -245,9 +245,11 @@ def bose_einstein(
 
     def occupations_at(energies: np.ndarray, mu: float, out=None) -> np.ndarray:
         # 1 / expm1(min(beta (E - mu), clip)), step by step in one buffer;
-        # out=energies overwrites the energies.
+        # out=energies overwrites the energies.  A product that overflows
+        # to inf is clipped like any other large one.
         x = np.subtract(energies, mu, out=out)
-        x *= beta
+        with np.errstate(over="ignore"):
+            x *= beta
         np.minimum(x, _EXP_CLIP, out=x)
         np.expm1(x, out=x)
         return np.divide(1.0, x, out=x)
@@ -311,9 +313,11 @@ def fermi_dirac(
 
     def occupations_at(energies: np.ndarray, mu: float, out=None) -> np.ndarray:
         # 1 / (exp(clip(beta (E - mu))) + 1), step by step in one buffer;
-        # out=energies overwrites the energies.
+        # out=energies overwrites the energies.  A product that overflows
+        # to +-inf is clipped like any other large one.
         x = np.subtract(energies, mu, out=out)
-        x *= beta
+        with np.errstate(over="ignore"):
+            x *= beta
         np.clip(x, -_EXP_CLIP, _EXP_CLIP, out=x)
         np.exp(x, out=x)
         x += 1.0

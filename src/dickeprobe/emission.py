@@ -12,6 +12,9 @@ blocks of _TIME_BLOCK times: besides the occupations themselves it holds
 two (_TIME_BLOCK, 2, L) buffers, never an (L, L) temporary.  The frozen Mott
 and Neel states have no momentum-distribution curve (their peak is 1);
 cli.py alone maps a `--state` selector to a distribution or to that constant.
+The transitions are curves of states, too: the sudden quench is |C(dt)|^2 of
+the uniform state, the slow ramp that of the superfluid (bosons) or of the
+uniform state (fermions, in the small-wave-number approximation).
 """
 
 from __future__ import annotations
@@ -20,17 +23,10 @@ import math
 
 import numpy as np
 
-from .distributions import MomentumDistribution, Statistics
+from .distributions import MomentumDistribution
 from .lattice import LatticeSpec, _dephasing_factors, mode_sub, validate_mode
 
-__all__ = [
-    "adiabatic_peak",
-    "coherent_amplitude",
-    "peak_curve",
-    "phase_sum",
-    "quench_peak",
-    "separable_peak",
-]
+__all__ = ["coherent_amplitude", "peak_curve", "separable_peak"]
 
 _TIME_BLOCK = 16  # times per block; each block's buffers are 4 * 16 * L floats
 
@@ -111,14 +107,6 @@ def coherent_amplitude(
     return _coherent_sum(occ[0] if shared else occ.sum(axis=0), kappa, dt, spec)
 
 
-def phase_sum(spec: LatticeSpec, kappa: tuple[int, int], dt):
-    """Uniform-weight coherent amplitude, real by the p -> kappa - p symmetry.
-
-    Accepts scalar dt (returns float) or a 1-d array (returns an array).
-    """
-    return _coherent_sum(np.ones((spec.L, spec.L)), kappa, dt, spec).real
-
-
 def separable_peak(
     site_occupations: np.ndarray, kappa_in: tuple[int, int], kappa_out: tuple[int, int]
 ) -> float:
@@ -138,27 +126,6 @@ def separable_peak(
     x = np.arange(L)
     phase = np.exp(-2j * np.pi * (dk.n * x[:, None] + dk.m * x[None, :]) / L)
     return abs(np.sum(phase * occ)) ** 2 / total**2
-
-
-def quench_peak(spec: LatticeSpec, kappa: tuple[int, int], dt):
-    """Peak after the sudden interaction switch-off: |phase_sum(dt)|^2.
-
-    The same expression holds for the bosonic Mott and the fermionic
-    Mott-Neel initial state.  Accepts scalar or 1-d array dt.
-    """
-    return phase_sum(spec, kappa, dt) ** 2
-
-
-def adiabatic_peak(statistics: Statistics, spec: LatticeSpec, kappa: tuple[int, int], dt):
-    """Peak after a slow interaction ramp: 1 for bosons, |phase_sum|^2 for fermions.
-
-    The fermionic branch rests on the small-wave-number commutator argument,
-    and the CLI prints that approximation note with it.  Accepts scalar or
-    1-d array dt.
-    """
-    if Statistics(statistics) is Statistics.BOSE:
-        return 1.0 if np.ndim(dt) == 0 else np.ones(np.shape(dt))
-    return quench_peak(spec, kappa, dt)
 
 
 def peak_curve(

@@ -36,7 +36,7 @@ from .correlators import (
     neel_correlator,
 )
 from .distributions import MomentumDistribution, Statistics, superfluid, uniform
-from .emission import coherent_amplitude, quench_peak, separable_peak
+from .emission import coherent_amplitude, peak_curve, separable_peak
 from .lattice import (
     LatticeSpec,
     Mode,
@@ -978,13 +978,13 @@ def verification_suite() -> list[CheckResult]:
     dev = 0.0
     for kap in (kappa, kappa_diag):
         curve = exact_peak_curve(mott_state(bose), kap, kap, dts, bose, spec)
-        target = quench_peak(spec, kap, dts)
+        target = peak_curve(uniform(spec), kap, dts, spec)
         dev = max(dev, float(np.abs(curve - target).max()))
     results.append(CheckResult("quench-dephasing-bose", dev, 1e-8))
 
     dts_f = np.array([0.0, 0.9, 2.3])
     curve = exact_peak_curve(neel_state(fermi), kappa, kappa, dts_f, fermi, spec)
-    target = quench_peak(spec, kappa, dts_f)
+    target = peak_curve(uniform(spec), kappa, dts_f, spec)
     results.append(
         CheckResult("quench-dephasing-fermi", float(np.abs(curve - target).max()), 1e-8)
     )

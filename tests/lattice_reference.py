@@ -41,7 +41,7 @@ def hopping_phase(p: tuple[int, int], k: tuple[int, int], t: float, spec: Lattic
 
 
 def bessel_envelope(kappa: tuple[int, int], dt, spec: LatticeSpec):
-    """J0(2 (J dt / Z) kx ell) J0(2 (J dt / Z) ky ell): phase_sum for |kappa| ell << 1."""
+    """J0(2 (J dt / Z) kx ell) J0(2 (J dt / Z) ky ell): the uniform C(dt) for |kappa| ell << 1."""
     scale = 2.0 * spec.J / spec.Z * np.asarray(dt)
     kx_ell = 2.0 * math.pi * kappa[0] / spec.L
     ky_ell = 2.0 * math.pi * kappa[1] / spec.L

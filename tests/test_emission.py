@@ -17,15 +17,7 @@ from dickeprobe.distributions import (
     superfluid,
     uniform,
 )
-from dickeprobe.emission import (
-    _TIME_BLOCK,
-    adiabatic_peak,
-    coherent_amplitude,
-    peak_curve,
-    phase_sum,
-    quench_peak,
-    separable_peak,
-)
+from dickeprobe.emission import _TIME_BLOCK, coherent_amplitude, peak_curve, separable_peak
 from dickeprobe.lattice import (
     LatticeSpec,
     Mode,
@@ -43,8 +35,13 @@ def condensate_phase(kappa, t, spec):
     return dephasing_rates(spec, kappa)[mode_index(kappa, spec.L)] * t
 
 
-def enumerated_phase_sum(spec, kappa, dt):
-    """Independent O(N) reference: direct loop over the mode grid."""
+def uniform_amplitude(spec, kappa, dt):
+    """Re C(dt) of the uniform state, real by the p -> kappa - p symmetry."""
+    return coherent_amplitude(uniform(spec), kappa, dt, spec).real
+
+
+def enumerated_amplitude(spec, kappa, dt):
+    """Independent O(N) reference for the uniform state: direct loop over the mode grid."""
     total = 0.0 + 0.0j
     for p in mode_grid(spec):
         dT = adjacency_fourier(p, spec) - adjacency_fourier(mode_sub(p, kappa, spec.L), spec)
@@ -53,33 +50,35 @@ def enumerated_phase_sum(spec, kappa, dt):
 
 
 class TestPhaseSum:
+    """The uniform state's amplitude, a plain average of the dephasing phases."""
+
     def test_at_zero(self):
         spec = LatticeSpec(L=10)
-        assert phase_sum(spec, Mode(3, -2), 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert uniform_amplitude(spec, Mode(3, -2), 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_forward_mode_no_reduction(self):
         spec = LatticeSpec(L=10)
         for t in (0.0, 3.3, 47.0):
-            assert phase_sum(spec, Mode(0, 0), t) == pytest.approx(1.0, abs=1e-12)
+            assert uniform_amplitude(spec, Mode(0, 0), t) == pytest.approx(1.0, abs=1e-12)
 
     def test_L2_closed_form(self):
         # four modes give (2 e^{i J t} + 2 e^{-i J t}) / 4 = cos(J t)
         spec = LatticeSpec(L=2)
         for t in (0.0, 0.4, 1.0, 2.9):
-            assert phase_sum(spec, Mode(1, 0), t) == pytest.approx(np.cos(t), abs=1e-12)
+            assert uniform_amplitude(spec, Mode(1, 0), t) == pytest.approx(np.cos(t), abs=1e-12)
 
     def test_matches_enumeration(self):
         spec = LatticeSpec(L=6, J=0.7)
         for kappa in (Mode(1, 0), Mode(2, 3), Mode(1, 1)):
             for t in (0.5, 4.2):
-                ref = enumerated_phase_sum(spec, kappa, t)
+                ref = enumerated_amplitude(spec, kappa, t)
                 assert abs(ref.imag) < 1e-12
-                assert phase_sum(spec, kappa, t) == pytest.approx(ref.real, abs=1e-12)
+                assert uniform_amplitude(spec, kappa, t) == pytest.approx(ref.real, abs=1e-12)
 
     def test_imaginary_residue(self, spec100):
         for kappa in (Mode(1, 1), Mode(5, 0), Mode(17, -8)):
             for t in (1.0, 33.3, 99.0):
-                assert abs(enumerated_phase_sum(spec100, kappa, t).imag) < 1e-12
+                assert abs(enumerated_amplitude(spec100, kappa, t).imag) < 1e-12
 
 
 class TestBesselEnvelope:
@@ -89,14 +88,14 @@ class TestBesselEnvelope:
         # along an axis the y part of every rate is 0, leaving one J0 factor
         grid = np.linspace(0.0, 100.0, 200)
         expected = j0(2 * spec100.J / spec100.Z * (2 * np.pi / 100) * grid)
-        assert np.abs(phase_sum(spec100, Mode(1, 0), grid) - expected).max() < 1e-3
+        assert np.abs(uniform_amplitude(spec100, Mode(1, 0), grid) - expected).max() < 1e-3
 
     @given(st.integers(-10, 10), st.integers(-10, 10), st.floats(0, 50))
     def test_even_in_each_component(self, n, m, t):
         spec = LatticeSpec(L=100)
-        a = phase_sum(spec, Mode(n, m), t)
-        b = phase_sum(spec, Mode(-n, m), t)
-        c = phase_sum(spec, Mode(n, -m), t)
+        a = uniform_amplitude(spec, Mode(n, m), t)
+        b = uniform_amplitude(spec, Mode(-n, m), t)
+        c = uniform_amplitude(spec, Mode(n, -m), t)
         assert a == pytest.approx(b, abs=1e-14)
         assert a == pytest.approx(c, abs=1e-14)
 
@@ -106,7 +105,7 @@ class TestBesselEnvelope:
         errors = []
         for idx in (1, 5, 12):
             kappa = Mode(idx, idx)
-            amps = np.array([phase_sum(spec100, kappa, t) for t in grid])
+            amps = np.array([uniform_amplitude(spec100, kappa, t) for t in grid])
             errors.append(np.abs(amps - bessel_envelope(kappa, grid, spec100)).max())
         assert errors[0] < 1e-2
         assert errors[0] < errors[1] < errors[2]
@@ -121,12 +120,15 @@ class TestCoherentAmplitude:
             expected_phase = condensate_phase(Mode(1, 1), t, spec100)
             assert C == pytest.approx(np.exp(1j * expected_phase), abs=1e-12)
 
-    def test_uniform_equals_phase_sum(self, spec100):
-        dist = uniform(spec100)
-        for t in (0.0, 12.5, 60.0):
-            C = coherent_amplitude(dist, Mode(1, 1), t, spec100)
-            assert C.real == pytest.approx(phase_sum(spec100, Mode(1, 1), t), abs=1e-12)
-            assert abs(C.imag) < 1e-12
+    def test_uniform_is_real_for_both_statistics(self, spec100):
+        # one boson per mode and half a fermion per spin and mode: one real amplitude
+        for statistics in Statistics:
+            dist = uniform(spec100, statistics)
+            for t in (0.0, 12.5, 60.0):
+                C = coherent_amplitude(dist, Mode(1, 1), t, spec100)
+                bose = uniform_amplitude(spec100, Mode(1, 1), t)
+                assert C.real == pytest.approx(bose, abs=1e-12)
+                assert abs(C.imag) < 1e-12
 
     def test_partial_condensation_closed_form(self, spec100):
         N = spec100.sites
@@ -137,7 +139,7 @@ class TestCoherentAmplitude:
             C = coherent_amplitude(dist, kappa, t, spec100)
             expected = (
                 n1 * np.exp(1j * condensate_phase(kappa, t, spec100))
-                + n2 * phase_sum(spec100, kappa, t)
+                + n2 * uniform_amplitude(spec100, kappa, t)
             ) / N
             assert C == pytest.approx(expected, abs=1e-10)
 
@@ -184,11 +186,13 @@ class TestBatchedKernel:
     def test_formulas_take_grids(self, spec100):
         grid = np.linspace(0.0, 80.0, 3 * _TIME_BLOCK + 5)
         kappa = Mode(2, -1)
+        # the amplitudes of the quench and slow-ramp curves
+        sf, fermi = superfluid(spec100), uniform(spec100, Statistics.FERMI)
         for fn in (
-            lambda t: phase_sum(spec100, kappa, t),
-            lambda t: quench_peak(spec100, kappa, t),
-            lambda t: adiabatic_peak(Statistics.BOSE, spec100, kappa, t),
-            lambda t: adiabatic_peak(Statistics.FERMI, spec100, kappa, t),
+            lambda t: uniform_amplitude(spec100, kappa, t),
+            lambda t: coherent_amplitude(fermi, kappa, t, spec100).real,
+            lambda t: coherent_amplitude(sf, kappa, t, spec100).real,
+            lambda t: coherent_amplitude(sf, kappa, t, spec100).imag,
         ):
             batched = fn(grid)
             scalar = [fn(t) for t in grid]
@@ -198,10 +202,10 @@ class TestBatchedKernel:
 
     def test_rejects_2d_times(self, spec100):
         # and non-finite times: the kernel every caller shares rejects them
-        dist = superfluid(spec100)
+        dist, fermi = superfluid(spec100), uniform(spec100, Statistics.FERMI)
         for fn in (
-            lambda dt: phase_sum(spec100, Mode(1, 1), dt),
-            lambda dt: quench_peak(spec100, Mode(1, 1), dt),
+            lambda dt: uniform_amplitude(spec100, Mode(1, 1), dt),
+            lambda dt: coherent_amplitude(fermi, Mode(1, 1), dt, spec100),
             lambda dt: coherent_amplitude(dist, Mode(1, 1), dt, spec100),
         ):
             for dt in (np.zeros((2, 2)), np.nan, np.inf, -np.inf, np.array([0.0, np.nan])):
@@ -288,31 +292,33 @@ class TestSeparablePeak:
 
 
 class TestTransitions:
+    """The quench curve is the uniform state's; the Fermi slow ramp's is the same."""
+
     def test_quench_at_zero(self, spec100):
-        assert quench_peak(spec100, Mode(1, 1), 0.0) == pytest.approx(1.0, abs=1e-12)
+        quench = peak_curve(uniform(spec100), Mode(1, 1), [0.0], spec100)
+        assert quench[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_quench_L2_closed_form(self):
         spec = LatticeSpec(L=2)
-        for t in (0.3, 1.1, 2.2):
-            assert quench_peak(spec, Mode(1, 0), t) == pytest.approx(np.cos(t) ** 2, abs=1e-12)
+        times = [0.3, 1.1, 2.2]
+        for t, value in zip(times, peak_curve(uniform(spec), Mode(1, 0), times, spec)):
+            assert value == pytest.approx(np.cos(t) ** 2, abs=1e-12)
 
     def test_quench_forward_mode(self, spec100):
-        for t in (0.0, 5.0, 50.0):
-            assert quench_peak(spec100, Mode(0, 0), t) == pytest.approx(1.0, abs=1e-12)
-
-    def test_adiabatic_bose_is_unity(self, spec100):
-        for t in (0.0, 10.0, 76.5):
-            assert adiabatic_peak(Statistics.BOSE, spec100, Mode(1, 1), t) == 1.0
+        times = [0.0, 5.0, 50.0]
+        for value in peak_curve(uniform(spec100), Mode(0, 0), times, spec100):
+            assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_adiabatic_fermi_equals_quench(self, spec100):
-        for t in (0.0, 10.0, 76.5):
-            assert adiabatic_peak(Statistics.FERMI, spec100, Mode(1, 1), t) == pytest.approx(
-                quench_peak(spec100, Mode(1, 1), t), abs=1e-15
-            )
+        times = [0.0, 10.0, 76.5]
+        quench = peak_curve(uniform(spec100), Mode(1, 1), times, spec100)
+        fermi = uniform(spec100, Statistics.FERMI)
+        for value, q in zip(peak_curve(fermi, Mode(1, 1), times, spec100), quench):
+            assert value == pytest.approx(q, abs=1e-15)
 
 
 class TestEmissionCurve:
-    """Whole curves as peak_curve, the transition forms and the CLI give them."""
+    """Whole curves as peak_curve and the CLI give them."""
 
     def test_superfluid_all_ones(self, spec100):
         grid = np.linspace(0, 100, 50)
@@ -381,9 +387,9 @@ class TestEmissionCurve:
         # at the envelope zero the bose quench and adiabatic curves split by ~1
         grid = np.linspace(0, 100, 500)
         kappa = Mode(1, 1)
-        quench = quench_peak(spec100, kappa, grid)
-        adiabatic = adiabatic_peak(Statistics.BOSE, spec100, kappa, grid)
+        quench = peak_curve(uniform(spec100), kappa, grid, spec100)
+        adiabatic = peak_curve(superfluid(spec100), kappa, grid, spec100)
         idx = np.argmin(quench[: len(grid) // 2 + 150])
         assert adiabatic[idx] - quench[idx] > 0.5
-        fermi_a = adiabatic_peak(Statistics.FERMI, spec100, kappa, grid)
+        fermi_a = peak_curve(uniform(spec100, Statistics.FERMI), kappa, grid, spec100)
         assert np.abs(quench - fermi_a).max() < 1e-12

@@ -14,11 +14,8 @@ PACKAGE_API = [
     "Mode",
     "MomentumDistribution",
     "Statistics",
-    "adiabatic_peak",
-    "adjacency_matrix",
     "bose_einstein",
     "bosonic_four_point",
-    "canonical_mode",
     "coherent_amplitude",
     "dicke_ladder_factor",
     "expected_sigma_z",
@@ -27,14 +24,10 @@ PACKAGE_API = [
     "mean_excitations",
     "metallic",
     "metastable_population",
-    "mode_grid",
-    "mode_sub",
     "mott_correlator",
     "neel_correlator",
     "partial_condensation",
     "peak_curve",
-    "phase_sum",
-    "quench_peak",
     "separable_peak",
     "superfluid",
     "uniform",

@@ -19,10 +19,13 @@ def cli_bytes(argv, path):
     return path.read_bytes()
 
 
-def test_decay_curves_match_cli(tmp_path, monkeypatch):
+def test_decay_curves_match_cli(tmp_path, monkeypatch, capsys):
     outdir = tmp_path / "curves"
     assert run_script("decay_curves.py", ["--outdir", str(outdir), *GRID], monkeypatch) == 0
     assert len(list(outdir.glob("*.csv"))) == 14
+    # the summary reads the envelope |Re C(dt)| of the uniform state on the same grid
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary == "first envelope zero near delta_t = 3.00 tunneling times"
     cases = {
         "bose_half_condensed": ["curve", "--statistics", "bose", "--state", "partial:8,8"],
         "fermi_thermal_bJ1": ["curve", "--statistics", "fermi", "--state", "thermal:1"],
