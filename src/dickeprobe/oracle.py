@@ -5,11 +5,12 @@ quantum mechanics: occupation-number bases over (site, spin, level) modes,
 the two-level lattice Hamiltonian, collective exciton operators, exact
 unitary evolution by eigendecomposition, and first-order emission amplitudes.
 
-A basis is one occupation array; every operator derives from one creation
-primitive, a+ from the basis one atom smaller.  Bilinears a+_c a_a are
-products of two creations, momentum states are built up from the vacuum,
-and Sigma^- is the adjoint of Sigma^+.  Operators are numpy index triplets
-(`_Operator`); the oracle needs no sparse-matrix library.
+A basis is one occupation array; every operator and state derives from one
+creation primitive, a+ from the basis one atom smaller.  Bilinears a+_c a_a
+are products of two creations, every state is a product of one-atom orbital
+creations applied from the vacuum up (`orbital_state`), and Sigma^- is the
+adjoint of Sigma^+.  Operators are numpy index triplets (`_Operator`); the
+oracle needs no sparse-matrix library.
 
 Single-particle modes follow one fixed global order,
 mode_id = (site * n_spins + spin) * 2 + level, with level 0 = ground and
@@ -62,11 +63,9 @@ __all__ = [
     "exciton_matrix",
     "four_point_tensor",
     "momentum_fock_state",
-    "mott_site_states",
     "mott_state",
-    "neel_site_states",
     "neel_state",
-    "product_state",
+    "orbital_state",
     "separable_deviation",
     "sigma_x_matrix",
     "sigma_z_diagonal",
@@ -396,23 +395,16 @@ def _check_hermitian(H: _Operator) -> None:
 class Propagator:
     """Exact evolution exp(-i H t), for any time grid.
 
-    H, a dense array or an oracle operator, is diagonalized one sector at a
-    time: the sectors are the connected components of its nonzero pattern,
-    i.e. the blocks of the quantum numbers it conserves.  A sector is
-    assembled and diagonalized the first time `advance` meets a state with
-    weight on it, so sectors no state reaches cost nothing.  Sectors first
-    met together and of equal size share one stacked eigh; a 1 x 1 sector is
-    its own eigenvalue.  Hermiticity is checked on every entry up front.
+    H, an oracle operator, is diagonalized one sector at a time: the sectors
+    are the connected components of its nonzero pattern, i.e. the blocks of
+    the quantum numbers it conserves.  A sector is assembled and
+    diagonalized the first time `advance` meets a state with weight on it,
+    so sectors no state reaches cost nothing.  Sectors first met together
+    and of equal size share one stacked eigh; a 1 x 1 sector is its own
+    eigenvalue.  Hermiticity is checked on every entry up front.
     """
 
-    def __init__(self, hamiltonian):
-        H = hamiltonian
-        if not isinstance(H, _Operator):
-            dense = np.asarray(H)
-            if dense.ndim != 2:
-                raise ValueError("hamiltonian is not a matrix")
-            rows, cols = np.nonzero(dense)
-            H = _Operator(rows, cols, dense[rows, cols], dense.shape)
+    def __init__(self, H: _Operator):
         if H.shape[0] != H.shape[1]:
             raise ValueError("hamiltonian is not square")
         _check_hermitian(H)
@@ -500,78 +492,71 @@ def _cached_propagator(basis: FockBasis, spec: LatticeSpec) -> Propagator:
 # state constructors
 
 
-def _site_atoms(site_states) -> int:
-    """Atom total of Gutzwiller site states; each must hold a definite atom number."""
-    counts = [{sum(occ) for occ in local} for local in site_states]
-    if any(len(count) != 1 for count in counts):
-        raise ValueError("each site state must have a definite particle number")
-    return sum(min(count) for count in counts)
+def orbital_state(basis: FockBasis, orbitals) -> np.ndarray:
+    """Normalized product prod_j b+_j |vac> of one ground-level orbital per atom.
 
-
-def product_state(basis: FockBasis, site_states) -> np.ndarray:
-    """Normalized Gutzwiller product, sites given as {local occupation: amplitude}.
-
-    Local occupation tuples run over the site's (spin, level) modes in the
-    global sub-order, so concatenating them reproduces the global ordering
-    and no extra fermionic sign appears.
+    b+_j = sum_{site, spin} orbitals[j, site, spin] a+_{site, spin, gr}, the
+    orbitals an (n_particles, sites, n_spins) array.  The creations run from
+    the vacuum up through the 1, 2, ... atom bases, the last row first, so
+    fermions on distinct sites listed in site order pick up no sign.  A wrong
+    shape or atom count, a non-finite entry, or a product that vanishes
+    (Pauli blocking) raises ValueError.
     """
-    if len(site_states) != basis.spec.sites:
-        raise ValueError("need one local state per lattice site")
-    block = basis.n_spins * 2
-    if any(len(occ) != block for local in site_states for occ in local):
-        raise ValueError(f"local occupations must have length {block}")
-    total = _site_atoms(site_states)
-    if total != basis.n_particles:
-        raise ValueError(f"site states hold {total} atoms, basis expects {basis.n_particles}")
-    local_occupations = basis.occupations.reshape(basis.dimension, basis.spec.sites, block)
-    v = np.ones(basis.dimension, dtype=complex)
-    for site, local in enumerate(site_states):
-        amplitudes = np.zeros(basis.dimension, dtype=complex)
-        for occ, amp in local.items():
-            amplitudes[np.all(local_occupations[:, site] == occ, axis=1)] = amp
-        v *= amplitudes
+    orbitals = np.asarray(orbitals, dtype=complex)
+    shape = (basis.spec.sites, basis.n_spins)
+    if orbitals.ndim != 3 or orbitals.shape[1:] != shape:
+        raise ValueError(f"orbitals of shape {orbitals.shape}, need (atoms, *{shape})")
+    if len(orbitals) != basis.n_particles:
+        raise ValueError(f"{len(orbitals)} orbitals, basis expects {basis.n_particles} atoms")
+    bases = [basis]  # bases[n] holds n atoms
+    while bases[0].n_particles > 0:
+        bases.insert(0, _smaller(bases[0]))
+    v = np.ones(1, dtype=complex)
+    for target, orbital in zip(bases[1:], orbitals[::-1]):
+        created = np.zeros(target.dimension, dtype=complex)
+        for site, spin in zip(*np.nonzero(orbital)):
+            a_plus = _creation(target, target.mode_id(site, spin, GROUND))
+            created += orbital[site, spin] * (a_plus @ v)
+        v = created
     norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValueError("product state has zero norm")
+    if not 0 < norm < math.inf:
+        raise ValueError(f"the orbital product has norm {norm} (Pauli blocked?)")
     return v / norm
 
 
-def mott_site_states(spec: LatticeSpec):
-    """One ground-level boson per site."""
-    return [{(1, 0): 1.0} for _ in range(spec.sites)]
+def _mott_orbitals(spec: LatticeSpec) -> np.ndarray:
+    """One boson per site: atom mu's orbital is site mu."""
+    return np.eye(spec.sites).reshape(spec.sites, spec.sites, 1)
 
 
-def neel_site_states(spec: LatticeSpec):
-    """Checkerboard of single ground-level fermions, spin set by the sub-lattice."""
-    states = []
-    for x, y in site_coordinates(spec):
-        if (x + y) % 2 == 0:
-            states.append({(1, 0, 0, 0): 1.0})  # spin up
-        else:
-            states.append({(0, 0, 1, 0): 1.0})  # spin down
-    return states
+def _neel_orbitals(spec: LatticeSpec) -> np.ndarray:
+    """One fermion per site, spin up where x + y is even and down where it is odd."""
+    sites = np.arange(spec.sites)
+    orbitals = np.zeros((spec.sites, spec.sites, 2))
+    orbitals[sites, sites, site_coordinates(spec).sum(axis=1) % 2] = 1.0
+    return orbitals
 
 
 def mott_state(basis: FockBasis) -> np.ndarray:
     if basis.statistics is not Statistics.BOSE or basis.n_particles != basis.spec.sites:
         raise ValueError("Mott state needs a bosonic basis at unit filling")
-    return product_state(basis, mott_site_states(basis.spec))
+    return orbital_state(basis, _mott_orbitals(basis.spec))
 
 
 def neel_state(basis: FockBasis) -> np.ndarray:
     if basis.statistics is not Statistics.FERMI or basis.n_particles != basis.spec.sites:
         raise ValueError("Neel state needs a fermionic basis at half filling")
-    return product_state(basis, neel_site_states(basis.spec))
+    return orbital_state(basis, _neel_orbitals(basis.spec))
 
 
 def momentum_fock_state(basis: FockBasis, occupations) -> np.ndarray:
     """Normalized k-diagonal Fock state from {(mode, spin): count}, spin 0 for bosons.
 
-    a+_{k, spin, gr} = (1/sqrt N) sum_mu exp(i k r_mu) a+_{mu, spin, gr} is
-    applied from the vacuum up, through the 1, 2, ... atom bases.  A spin
-    outside range(basis.n_spins) or a count that is not a nonnegative
-    integer raises ValueError.  `_momentum_case` builds the matching
-    MomentumDistribution from the same map.
+    Each atom's orbital is the plane wave a+_{k, spin, gr} =
+    (1/sqrt N) sum_mu exp(i k r_mu) a+_{mu, spin, gr}, passed to
+    `orbital_state`.  A spin outside range(basis.n_spins) or a count that is
+    not a nonnegative integer raises ValueError.  `_momentum_case` builds the
+    matching MomentumDistribution from the same map.
     """
     items = []
     for (mode, spin), count in occupations.items():
@@ -583,24 +568,12 @@ def momentum_fock_state(basis: FockBasis, occupations) -> np.ndarray:
     items.sort()
     total = sum(count for _, _, count in items)
     if total != basis.n_particles:
-        raise ValueError(
-            f"occupations hold {total} atoms, basis expects {basis.n_particles}"
-        )
-    bases = [basis]  # bases[n] holds n atoms
-    while bases[0].n_particles > 0:
-        bases.insert(0, _smaller(bases[0]))
-    v = np.ones(1, dtype=complex)
+        raise ValueError(f"occupations hold {total} atoms, basis expects {basis.n_particles}")
+    orbitals = np.zeros((total, basis.spec.sites, basis.n_spins), dtype=complex)
     creations = [(mode, spin) for mode, spin, count in items for _ in range(count)]
-    for target, (mode, spin) in zip(bases[1:], creations):
-        phases = _site_phases(target, mode) / math.sqrt(target.spec.sites)
-        v = sum(
-            phases[site] * (_creation(target, target.mode_id(site, spin, GROUND)) @ v)
-            for site in range(target.spec.sites)
-        )
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValueError("momentum occupations are not realizable (Pauli blocked?)")
-    return v / norm
+    for orbital, (mode, spin) in zip(orbitals[::-1], creations):  # the first created last
+        orbital[:, spin] = _site_phases(basis, mode) / math.sqrt(basis.spec.sites)
+    return orbital_state(basis, orbitals)
 
 
 def _momentum_case(basis: FockBasis, occupations) -> tuple[np.ndarray, MomentumDistribution]:
@@ -735,18 +708,22 @@ def correlator_cases(
 
 
 def separable_deviation(
-    site_states,
+    orbitals,
     kappa_in: tuple[int, int],
     kappa_out: tuple[int, int],
     dt: float,
     spec: LatticeSpec,
     statistics: Statistics,
 ) -> float:
-    """|exact peak - product-formula peak| for a Gutzwiller product state.
+    """|exact peak - product-formula peak| for the orbital product of `orbitals`.
 
-    The product formula is separable_peak of the single-site transfer
-    amplitudes, summed with the spatial phase of kappa_out - kappa_in; it is
-    exact at J = 0 and carries an O(J/U) residual otherwise.  Site mu's amplitude
+    `orbitals` holds one (sites, n_spins) row per atom, as `orbital_state`
+    takes them, and the basis holds that many atoms.  Rows confined to one
+    site each give a product with a definite atom number per site, the
+    state the formula is for.  The product formula is separable_peak of the
+    single-site transfer amplitudes, summed with the spatial phase of
+    kappa_out - kappa_in; it is exact at J = 0 and carries an O(J/U)
+    residual otherwise.  Site mu's amplitude
     sum_{s1,s2} <gr+ ex_{s1} ex+ gr_{s2}> is |R_mu psi|^2 with
     R_mu = sum_s a+_{mu,s,ex} a_{mu,s,gr}.  For the on-site interaction used
     here the energy is constant within a fixed site occupation, so the time
@@ -755,8 +732,8 @@ def separable_deviation(
     amplitudes sum to it.
     """
     statistics = Statistics(statistics)
-    basis = FockBasis(spec, statistics, _site_atoms(site_states))
-    psi = product_state(basis, site_states)
+    basis = FockBasis(spec, statistics, len(orbitals))
+    psi = orbital_state(basis, orbitals)
     exact = exact_peak_curve(psi, kappa_in, kappa_out, np.array([dt]), basis, spec)[0]
 
     site_amps = np.empty(spec.sites)
@@ -883,34 +860,31 @@ def _metastable_deviation(
     The exact count after the reversed sequence is (sin^2 alpha / 2)(n - S),
     the formula's (alpha^2 / 2)(n - S): they part at O(alpha^4).
     """
-    nbar = mean_excitations(dist, alpha)
+    dts = np.array([0.0, 0.4, 0.7, 1.4, 2.0])
+    amplitudes = coherent_amplitude(dist, kappa, dts, basis.spec)
+    formulas = metastable_population(mean_excitations(dist, alpha), amplitudes)
     dev = 0.0
-    for dt in (0.0, 0.4, 0.7, 1.4, 2.0):
-        formula = metastable_population(nbar, coherent_amplitude(dist, kappa, dt, basis.spec))
+    for dt, formula in zip(dts, formulas):
         for state in states:
             exact = classical_sequence_sigma_z(state, basis, basis.spec, alpha, -alpha, kappa, dt)
             dev = max(dev, abs(exact + basis.n_particles / 2 - formula))
     return dev
 
 
-def _random_bose_product(spec: LatticeSpec, rng: random.Random):
-    """As many bosons as sites, each on a uniformly drawn site."""
-    picks = rng.choices(range(spec.sites), k=spec.sites)
-    return [{(picks.count(site), 0): 1.0} for site in range(spec.sites)]
+def _random_bose_product(spec: LatticeSpec, rng: random.Random) -> np.ndarray:
+    """Orbitals of as many bosons as sites, each on a uniformly drawn site."""
+    picks = sorted(rng.choices(range(spec.sites), k=spec.sites))
+    return np.eye(spec.sites)[picks].reshape(spec.sites, spec.sites, 1)
 
 
-def _random_fermi_product(spec: LatticeSpec, rng: random.Random):
-    states = []
-    for _ in range(spec.sites):
+def _random_fermi_product(spec: LatticeSpec, rng: random.Random) -> np.ndarray:
+    """Orbitals of one fermion per site, each with a uniformly drawn spin direction."""
+    orbitals = np.zeros((spec.sites, spec.sites, 2), dtype=complex)
+    for site in range(spec.sites):
         theta = rng.uniform(0, math.pi)
         chi = rng.uniform(0, 2 * math.pi)
-        states.append(
-            {
-                (1, 0, 0, 0): complex(np.cos(theta / 2)),
-                (0, 0, 1, 0): complex(np.exp(1j * chi) * np.sin(theta / 2)),
-            }
-        )
-    return states
+        orbitals[site, site] = np.cos(theta / 2), np.exp(1j * chi) * np.sin(theta / 2)
+    return orbitals
 
 
 def verification_suite() -> list[CheckResult]:
@@ -990,23 +964,19 @@ def verification_suite() -> list[CheckResult]:
     )
 
     spec_sep = LatticeSpec(L=2, J=0.0, U=0.8)
-    bose_states = [product_state(bose, _random_bose_product(spec, rng)) for _ in range(3)]
-    fermi_states = [product_state(fermi, _random_fermi_product(spec, rng)) for _ in range(2)]
+    bose_states = [orbital_state(bose, _random_bose_product(spec, rng)) for _ in range(3)]
+    fermi_states = [orbital_state(fermi, _random_fermi_product(spec, rng)) for _ in range(2)]
     dev = max(
         _zero_case_deviation(bose, bose_states, spec_sep, 0.4, 1.1),
         _zero_case_deviation(fermi, fermi_states, spec_sep, 0.4, 1.1),
     )
     results.append(CheckResult("separable-zero-cases", dev, 1e-12))
 
-    dev = separable_deviation(
-        mott_site_states(spec), kappa, kappa, 1.3, spec_sep, Statistics.BOSE
-    )
+    dev = separable_deviation(_mott_orbitals(spec), kappa, kappa, 1.3, spec_sep, Statistics.BOSE)
     results.append(CheckResult("separable-amplitude-frozen", dev, 1e-12))
 
     spec_u = LatticeSpec(L=2, J=1.0, U=100.0)
-    dev = separable_deviation(
-        mott_site_states(spec), kappa, kappa, 1.0, spec_u, Statistics.BOSE
-    )
+    dev = separable_deviation(_mott_orbitals(spec), kappa, kappa, 1.0, spec_u, Statistics.BOSE)
     results.append(CheckResult("separable-amplitude-residual", dev, 0.1))
 
     dev = 0.0
@@ -1015,12 +985,13 @@ def verification_suite() -> list[CheckResult]:
         uniform_case,
         (mott_state(bose), uniform(spec)),
     ]
+    dts_c = np.array([0.0, 0.7, 1.4])
+    amplitudes = [coherent_amplitude(dist, kappa_diag, dts_c, spec) for _, dist in classical_cases]
     for angles in ((0.2, -0.2), (0.3, 0.5)):
-        for dt in (0.0, 0.7, 1.4):
-            for state, dist in classical_cases:
+        for i, dt in enumerate(dts_c):
+            for (state, dist), amplitude in zip(classical_cases, amplitudes):
                 exact = classical_sequence_sigma_z(state, bose, spec, *angles, kappa_diag, dt)
-                amplitude = coherent_amplitude(dist, kappa_diag, dt, spec)
-                formula = expected_sigma_z(dist, amplitude, *angles)
+                formula = expected_sigma_z(dist, amplitude[i], *angles)
                 dev = max(dev, abs(exact - formula))
     results.append(CheckResult("classical-sequence", dev, 1e-8))
 

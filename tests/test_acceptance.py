@@ -32,7 +32,7 @@ from dickeprobe.oracle import (
     four_point_tensor,
     mott_state,
     neel_state,
-    product_state,
+    orbital_state,
     superfluid_state,
     _momentum_case,
 )
@@ -230,18 +230,15 @@ def test_criterion_7d_quench_oracle(spec2, oracle_setup):
 def test_criterion_7e_vanishing_correlator_cases(spec2, oracle_setup, rng):
     bose, fermi = oracle_setup
     spec_sep = LatticeSpec(L=2, J=0.0, U=0.8)
+    # one orbital row per atom, each on one site: counts[mu] bosons on site mu,
+    # and one fermion per site with a random spin direction
     counts = rng.multinomial(4, [0.25] * 4)
-    bose_state = product_state(bose, [{(int(n), 0): 1.0} for n in counts])
-    fermi_sites = []
-    for _ in range(4):
+    bose_state = orbital_state(bose, np.repeat(np.eye(4), counts, axis=0)[:, :, None])
+    fermi_orbitals = np.zeros((4, 4, 2), dtype=complex)
+    for site in range(4):
         theta, chi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-        fermi_sites.append(
-            {
-                (1, 0, 0, 0): complex(np.cos(theta / 2)),
-                (0, 0, 1, 0): complex(np.exp(1j * chi) * np.sin(theta / 2)),
-            }
-        )
-    fermi_state = product_state(fermi, fermi_sites)
+        fermi_orbitals[site, site] = np.cos(theta / 2), np.exp(1j * chi) * np.sin(theta / 2)
+    fermi_state = orbital_state(fermi, fermi_orbitals)
     dev = 0.0
     control = 0.0
     for basis, state in ((bose, bose_state), (fermi, fermi_state)):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -37,11 +38,9 @@ from dickeprobe.oracle import (
     exciton_matrix,
     four_point_tensor,
     momentum_fock_state,
-    mott_site_states,
     mott_state,
-    neel_site_states,
     neel_state,
-    product_state,
+    orbital_state,
     separable_deviation,
     sigma_x_matrix,
     sigma_z_diagonal,
@@ -53,6 +52,10 @@ from dickeprobe.oracle import (
     _creation,
     _metastable_deviation,
     _momentum_case,
+    _mott_orbitals,
+    _neel_orbitals,
+    _random_bose_product,
+    _random_fermi_product,
     _sector_labels,
     _sum,
 )
@@ -330,28 +333,26 @@ class TestOperator:
                     reference[r] += value * x[c]
                 assert np.abs(op @ x - reference).max() < 1e-13, name
 
-    @pytest.mark.parametrize("dense", [False, True], ids=["operator", "dense"])
-    def test_propagator_rejects_asymmetric_pair(self, dense):
+    def test_propagator_rejects_asymmetric_pair(self):
         op = _Operator(np.array([0, 1, 2]), np.array([1, 0, 2]), np.array([1.0, 2.0, 1.0]), (3, 3))
         with pytest.raises(ValueError, match="not Hermitian"):
-            Propagator(op.toarray() if dense else op)
+            Propagator(op)
 
-    @pytest.mark.parametrize("dense", [False, True], ids=["operator", "dense"])
-    def test_propagator_rejects_entry_without_mirror(self, dense):
+    def test_propagator_rejects_entry_without_mirror(self):
         op = _Operator(np.array([0, 2]), np.array([1, 2]), np.array([1.0, 1.0]), (3, 3))
         with pytest.raises(ValueError, match="not Hermitian"):
-            Propagator(op.toarray() if dense else op)
+            Propagator(op)
 
-    @pytest.mark.parametrize("dense", [False, True], ids=["operator", "dense"])
-    def test_propagator_rejects_imaginary_diagonal(self, dense):
+    def test_propagator_rejects_imaginary_diagonal(self):
         # state 1 is a 1 x 1 sector; its entry must be real
         op = _Operator(np.array([0, 1]), np.array([0, 1]), np.array([1.0, 0.5j]), (2, 2))
         with pytest.raises(ValueError, match="not Hermitian"):
-            Propagator(op.toarray() if dense else op)
+            Propagator(op)
 
     def test_propagator_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            Propagator(np.zeros((2, 3)))
+        op = _Operator(np.array([0, 1]), np.array([0, 2]), np.array([1.0, 1.0]), (2, 3))
+        with pytest.raises(ValueError, match="not square"):
+            Propagator(op)
 
 
 # (J, U) of the lattice Hamiltonian, or None for Sigma^x(1, 1)
@@ -366,7 +367,8 @@ class TestEvolve:
         assert np.allclose(Propagator(H).advance(v, 0.0), v, atol=1e-12)
 
     def test_zero_hamiltonian_is_identity(self, bose_basis, rng):
-        H = np.zeros((bose_basis.dimension, bose_basis.dimension))
+        empty = np.zeros(0, dtype=np.intp)
+        H = _Operator(empty, empty, np.zeros(0), (bose_basis.dimension,) * 2)
         v = rng.normal(size=bose_basis.dimension) + 0j
         assert np.allclose(Propagator(H).advance(v, 3.3), v, atol=1e-12)
 
@@ -381,8 +383,9 @@ class TestEvolve:
 
     def test_rejects_non_hermitian(self, rng):
         M = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        with pytest.raises(ValueError):
-            Propagator(M)
+        rows, cols = np.nonzero(M)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Propagator(_Operator(rows, cols, M[rows, cols], M.shape))
 
     def test_rejects_sparse_non_hermitian(self):
         import scipy.sparse as sparse
@@ -870,11 +873,23 @@ class TestEmissionOracle:
             exact_peak_curve(excited, Mode(1, 0), Mode(1, 0), np.array([1.0]), bose_basis, spec2)
 
 
+def _bose_orbitals(counts):
+    """counts[mu] bosons on site mu: one one-hot orbital row per atom, in site order."""
+    return np.repeat(np.eye(len(counts)), counts, axis=0)[:, :, None]
+
+
+def _fermi_orbitals(spins):
+    """One fermion on each site mu, with spin amplitudes spins[mu] = (up, down)."""
+    sites = np.arange(len(spins))
+    orbitals = np.zeros((len(spins), len(spins), 2), dtype=complex)
+    orbitals[sites, sites] = spins
+    return orbitals
+
+
 class TestSeparableCases:
     def test_zero_index_cases(self, bose_basis, rng):
         spec = LatticeSpec(L=2, J=0.0, U=0.8)
-        counts = rng.multinomial(4, [0.25] * 4)
-        state = product_state(bose_basis, [{(int(n), 0): 1.0} for n in counts])
+        state = orbital_state(bose_basis, _bose_orbitals(rng.multinomial(4, [0.25] * 4)))
         cases = correlator_cases(state, bose_basis, spec, 0.4, 1.1)
         assert cases.shape == (4, 4, 4, 4, 1, 1, 1, 1)
         worst = 0.0
@@ -893,16 +908,11 @@ class TestSeparableCases:
 
     def test_fermi_zero_cases_sampled(self, fermi_basis, rng):
         spec = LatticeSpec(L=2, J=0.0, U=0.8)
-        site_states = []
+        spins = []
         for _ in range(4):
             theta, chi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-            site_states.append(
-                {
-                    (1, 0, 0, 0): complex(np.cos(theta / 2)),
-                    (0, 0, 1, 0): complex(np.exp(1j * chi) * np.sin(theta / 2)),
-                }
-            )
-        state = product_state(fermi_basis, site_states)
+            spins.append((np.cos(theta / 2), np.exp(1j * chi) * np.sin(theta / 2)))
+        state = orbital_state(fermi_basis, _fermi_orbitals(spins))
         cases = correlator_cases(state, fermi_basis, spec, 0.4, 1.1)
         assert cases.shape == (4, 4, 4, 4, 2, 2, 2, 2)
         for mu in range(4):
@@ -928,13 +938,11 @@ class TestSeparableCases:
         rng = np.random.default_rng(11)
         basis = bose_basis if statistics is Statistics.BOSE else fermi_basis
         if basis.fermionic:
-            site_states = [
-                {(1, 0, 0, 0): complex(np.cos(th / 2)), (0, 0, 1, 0): complex(np.sin(th / 2))}
-                for th in rng.uniform(0, np.pi, size=4)
-            ]
+            angles = rng.uniform(0, np.pi, size=4)
+            orbitals = _fermi_orbitals(np.stack([np.cos(angles / 2), np.sin(angles / 2)], axis=1))
         else:
-            site_states = [{(int(n), 0): 1.0} for n in rng.multinomial(4, [0.25] * 4)]
-        state = product_state(basis, site_states)
+            orbitals = _bose_orbitals(rng.multinomial(4, [0.25] * 4))
+        state = orbital_state(basis, orbitals)
         prop = Propagator(build_lattice_hamiltonian(basis, spec))
         t_absorb, t_emit = 0.4, 1.1
 
@@ -973,7 +981,7 @@ class TestSeparableCases:
     def test_frozen_lattice_amplitude_exact(self, spec2):
         spec = LatticeSpec(L=2, J=0.0, U=0.8)
         dev = separable_deviation(
-            mott_site_states(spec2), Mode(1, 0), Mode(1, 0), 1.3, spec, Statistics.BOSE
+            _mott_orbitals(spec2), Mode(1, 0), Mode(1, 0), 1.3, spec, Statistics.BOSE
         )
         assert dev < 1e-12
 
@@ -981,7 +989,7 @@ class TestSeparableCases:
         spec = LatticeSpec(L=2, J=0.0, U=3.0)
         for kin, kout in ((Mode(1, 0), Mode(1, 0)), (Mode(1, 0), Mode(0, 1))):
             dev = separable_deviation(
-                neel_site_states(spec2), kin, kout, 0.9, spec, Statistics.FERMI
+                _neel_orbitals(spec2), kin, kout, 0.9, spec, Statistics.FERMI
             )
             assert dev < 1e-12
             # and the prediction itself equals the unit-filling Fourier peak
@@ -993,36 +1001,32 @@ class TestSeparableCases:
     def test_two_bosons_on_the_diagonal_match_separable_peak(self):
         # off unit filling: the peak is normalized by the two atoms, not the four sites
         spec = LatticeSpec(L=2, J=0.0, U=3.0)
-        occupied, empty = {(1, 0): 1.0}, {(0, 0): 1.0}
-        site_states = [occupied, empty, empty, occupied]
+        orbitals = _bose_orbitals([1, 0, 0, 1])
         basis = FockBasis(spec, Statistics.BOSE, 2)
-        psi = product_state(basis, site_states)
+        psi = orbital_state(basis, orbitals)
         occupations = np.eye(2)
         geometries = [(Mode(1, 0), Mode(1, 0)), (Mode(1, 0), Mode(0, 1)), (Mode(0, 0), Mode(1, 0))]
         for kin, kout in geometries:
             expected = separable_peak(occupations, kin, kout)
             peak = exact_peak_curve(psi, kin, kout, np.array([0.0, 0.9]), basis, spec)
             np.testing.assert_allclose(peak, expected, rtol=0, atol=1e-12)
-            dev = separable_deviation(site_states, kin, kout, 0.9, spec, Statistics.BOSE)
+            dev = separable_deviation(orbitals, kin, kout, 0.9, spec, Statistics.BOSE)
             assert dev < 1e-12
 
-    def test_rejects_empty_site_state(self):
-        # an empty site dict has no atom number: a ValueError, not a StopIteration
-        with pytest.raises(ValueError, match="definite particle number"):
+    def test_rejects_empty_orbital(self):
+        # an all-zero row creates no atom: the product vanishes
+        orbitals = _bose_orbitals([0, 1, 1, 1])
+        orbitals = np.concatenate([np.zeros((1, 4, 1)), orbitals])
+        with pytest.raises(ValueError, match="norm 0"):
             separable_deviation(
-                [{}] + [{(1, 0): 1.0}] * 3,
-                Mode(1, 0),
-                Mode(1, 0),
-                1.0,
-                LatticeSpec(L=2, J=0, U=1),
-                "bose",
+                orbitals, Mode(1, 0), Mode(1, 0), 1.0, LatticeSpec(L=2, J=0, U=1), "bose"
             )
 
     def test_interaction_dominated_residual(self, spec2):
         # J/U = 0.01: the product formula holds up to a perturbative residual
         spec = LatticeSpec(L=2, J=1.0, U=100.0)
         dev = separable_deviation(
-            mott_site_states(spec2), Mode(1, 0), Mode(1, 0), 1.0, spec, Statistics.BOSE
+            _mott_orbitals(spec2), Mode(1, 0), Mode(1, 0), 1.0, spec, Statistics.BOSE
         )
         assert dev < 0.1
 
@@ -1103,29 +1107,76 @@ class TestClassicalSequenceOracle:
             )
 
 
+def _site_product(basis, orbitals):
+    """Reference for orbitals confined to one site each, from the occupation array alone.
+
+    A boson site holding n orbitals is in the local state of n ground-level
+    atoms, with the product of the rows' amplitudes; a fermion site holds at
+    most one orbital, whose spin amplitudes are those of one ground-level
+    atom of each spin.  Each basis row gets the product over sites of the
+    local amplitude of its local occupation.
+    """
+    on_site = np.abs(orbitals).sum(axis=2) > 0  # (atoms, sites)
+    assert np.all(on_site.sum(axis=1) == 1)
+    local = basis.occupations.reshape(basis.dimension, basis.spec.sites, basis.n_spins, 2)
+    v = np.ones(basis.dimension, dtype=complex)
+    for site in range(basis.spec.sites):
+        rows = orbitals[on_site[:, site], site]  # (atoms on the site, spins)
+        ground, excited = local[:, site, :, 0], local[:, site, :, 1]
+        atoms = ground.sum(axis=1)
+        amplitude = np.zeros(basis.dimension, dtype=complex)
+        if basis.fermionic and len(rows):
+            (row,) = rows
+            for spin in range(2):
+                amplitude[(atoms == 1) & (ground[:, spin] == 1)] = row[spin]
+        else:
+            amplitude[atoms == len(rows)] = np.prod(rows[:, 0])
+        v *= np.where(excited.any(axis=1), 0, amplitude)
+    return v / np.linalg.norm(v)
+
+
 class TestProductState:
-    def test_rejects_indefinite_site_count(self, bose_basis):
-        bad = [{(1, 0): 0.7, (2, 0): 0.7}] + [{(1, 0): 1.0}] * 3
-        with pytest.raises(ValueError):
-            product_state(bose_basis, bad)
+    def test_orbital_states_equal_site_products(self, spec2, bose_basis, fermi_basis):
+        rng = random.Random(7)
+        bose = [_mott_orbitals(spec2)] + [_random_bose_product(spec2, rng) for _ in range(3)]
+        for orbitals in bose:
+            reference = _site_product(bose_basis, orbitals)
+            assert np.array_equal(orbital_state(bose_basis, orbitals), reference)
+        # the random draws put several bosons on one site
+        assert max(np.abs(o).sum(axis=0).max() for o in bose) > 1
+        neel = _neel_orbitals(spec2)
+        assert np.array_equal(orbital_state(fermi_basis, neel), _site_product(fermi_basis, neel))
+        for _ in range(2):
+            orbitals = _random_fermi_product(spec2, rng)
+            reference = _site_product(fermi_basis, orbitals)
+            assert np.count_nonzero(reference) == 16  # every spin configuration
+            assert np.abs(orbital_state(fermi_basis, orbitals) - reference).max() < 1e-15
+        # two fermions: creating the first row first would flip the sign
+        pair = _random_fermi_product(spec2, rng)[[0, 3]]
+        basis = FockBasis(spec2, Statistics.FERMI, 2)
+        assert np.abs(orbital_state(basis, pair) - _site_product(basis, pair)).max() < 1e-15
 
     def test_rejects_wrong_site_count(self, bose_basis):
-        with pytest.raises(ValueError):
-            product_state(bose_basis, [{(1, 0): 1.0}] * 3)
+        with pytest.raises(ValueError, match="shape"):
+            orbital_state(bose_basis, np.eye(3).reshape(3, 3, 1))
+        with pytest.raises(ValueError, match="shape"):
+            orbital_state(bose_basis, np.eye(4))  # no spin axis
 
     def test_rejects_wrong_atom_total(self, bose_basis):
-        with pytest.raises(ValueError):
-            product_state(bose_basis, [{(2, 0): 1.0}] + [{(1, 0): 1.0}] * 3)  # five atoms
-
-    def test_rejects_wrong_local_length(self, bose_basis):
-        with pytest.raises(ValueError):
-            product_state(bose_basis, [{(1, 0, 0): 1.0}] + [{(1, 0): 1.0}] * 3)
+        with pytest.raises(ValueError, match="5 orbitals"):
+            orbital_state(bose_basis, _bose_orbitals([2, 1, 1, 1]))
 
     def test_rejects_double_fermion_occupation(self, fermi_basis):
-        # no fermion state holds two atoms in one mode: the product has zero norm
-        sites = [{(2, 0, 0, 0): 1.0}, {(0, 0, 0, 0): 1.0}] + [{(1, 0, 0, 0): 1.0}] * 2
-        with pytest.raises(ValueError):
-            product_state(fermi_basis, sites)
+        # two fermions in one site orbital: Pauli blocking leaves nothing
+        orbitals = _fermi_orbitals([(1, 0)] * 4)
+        orbitals[1] = orbitals[0]
+        with pytest.raises(ValueError, match="norm 0"):
+            orbital_state(fermi_basis, orbitals)
+
+    def test_mott_is_single_configuration(self, bose_basis):
+        v = mott_state(bose_basis)
+        assert np.count_nonzero(v) == 1
+        assert np.linalg.norm(v) == pytest.approx(1.0)
 
     def test_neel_is_single_configuration(self, fermi_basis):
         v = neel_state(fermi_basis)

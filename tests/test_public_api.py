@@ -47,11 +47,9 @@ ORACLE_API = [
     "exciton_matrix",
     "four_point_tensor",
     "momentum_fock_state",
-    "mott_site_states",
     "mott_state",
-    "neel_site_states",
     "neel_state",
-    "product_state",
+    "orbital_state",
     "separable_deviation",
     "sigma_x_matrix",
     "sigma_z_diagonal",
