@@ -250,26 +250,24 @@ def _creation(basis: FockBasis, mode_id: int) -> _Operator:
 
 
 def _bilinear(basis: FockBasis, create_id: int, annihilate_id: int) -> _Operator:
-    """a+_{create} a_{annihilate} = a+_{create} (a+_{annihilate})^T, cached per pair.
+    """a+_{create} a_{annihilate} = a+_{create} (a+_{annihilate})^T.
 
     Both creations map each smaller state to at most one row, so the
     product pairs their entries on a shared smaller state by integer
-    indexing; its rows and columns are each distinct.
+    indexing; its rows and columns are each distinct.  Not cached: the
+    sums built from bilinears are, and a single pair costs little to redo.
     """
-    key = ("bilinear", create_id, annihilate_id)
-    if key not in basis._cache:
-        create, lower = _creation(basis, create_id), _creation(basis, annihilate_id)
-        slot = np.full(create.shape[1], -1)
-        slot[create.col] = np.arange(len(create.col))
-        shared = np.flatnonzero(slot[lower.col] >= 0)  # entries of `lower`
-        entry = slot[lower.col[shared]]  # the matching entries of `create`
-        basis._cache[key] = _Operator(
-            create.row[entry],
-            lower.row[shared],
-            create.data[entry] * lower.data[shared],
-            (basis.dimension, basis.dimension),
-        )
-    return basis._cache[key]
+    create, lower = _creation(basis, create_id), _creation(basis, annihilate_id)
+    slot = np.full(create.shape[1], -1)
+    slot[create.col] = np.arange(len(create.col))
+    shared = np.flatnonzero(slot[lower.col] >= 0)  # entries of `lower`
+    entry = slot[lower.col[shared]]  # the matching entries of `create`
+    return _Operator(
+        create.row[entry],
+        lower.row[shared],
+        create.data[entry] * lower.data[shared],
+        (basis.dimension, basis.dimension),
+    )
 
 
 def _bilinear_sum(basis: FockBasis, terms) -> _Operator:
@@ -449,33 +447,40 @@ class Propagator:
             self._groups[size] = group
 
     def advance(self, state: np.ndarray, t) -> np.ndarray:
-        """exp(-i H t) |state>: a vector for scalar t, shape (T, dim) for T times.
+        """exp(-i H t) |state>, of shape times.shape + state.shape.
 
-        Only the sectors where `state` has weight are evolved; the rest of
-        the result is exactly zero.  A NaN or infinite time raises ValueError.
+        `state` is one vector (dim,) or a block (dim, k) whose k columns
+        evolve together; t is a scalar or an array of times.  A sector is
+        evolved when any column has weight there; the rest of the result is
+        exactly zero, and so is every zero column.  A NaN or infinite time
+        raises ValueError.
         """
         times = np.asarray(t, dtype=float)
         if not np.isfinite(times).all():
             raise ValueError("evolution time must be finite")
-        flat = times.reshape(1, -1, 1)
+        flat = times.reshape(1, -1, 1, 1)
+        block = state[:, None] if state.ndim == 1 else state  # (dim, k)
         weighted = np.zeros(len(self._starts), dtype=bool)
-        weighted[self._sector[np.flatnonzero(state)]] = True
+        weighted[self._sector[np.flatnonzero(block.any(axis=1))]] = True
         touched = np.flatnonzero(weighted)
         fresh = touched[self._slot[touched] < 0]
         if len(fresh):
             self._diagonalize(fresh)
         touched_sizes = self._sizes[touched]
-        evolved = np.zeros((flat.shape[1],) + state.shape, dtype=complex)
+        evolved = np.zeros((flat.shape[1],) + block.shape, dtype=complex)  # (T, dim, k)
         for size, (members, energies, vectors) in self._groups.items():
             slots = self._slot[touched[touched_sizes == size]]
             if not len(slots):
                 continue
             if len(slots) < len(members):
                 members, energies, vectors = members[slots], energies[slots], vectors[slots]
-            # V^H s per sector, then V (phases * V^H s) on every time at once
-            coefficients = (state[members].conj()[:, None, :] @ vectors).conj()
-            phased = np.exp(-1j * flat * energies[:, None, :]) * coefficients  # (sectors, T, size)
-            evolved[:, members] = (phased @ vectors.transpose(0, 2, 1)).transpose(1, 0, 2)
+            # V^H s per sector and column, then V (phases * V^H s) on every time
+            # and column at once, as one (T k, size) matmul per sector
+            coefficients = (block[members].conj().transpose(0, 2, 1) @ vectors).conj()
+            phased = np.exp(-1j * flat * energies[:, None, None, :]) * coefficients[:, None]
+            evolved_rows = phased.reshape(len(slots), -1, size) @ vectors.transpose(0, 2, 1)
+            # (sectors, T, k, size) to (T, sectors, size, k)
+            evolved[:, members] = evolved_rows.reshape(phased.shape).transpose(1, 0, 3, 2)
         return evolved.reshape(times.shape + state.shape)
 
 
@@ -602,11 +607,26 @@ def superfluid_state(basis: FockBasis) -> np.ndarray:
 # oracle observables
 
 
+def _excitations(basis: FockBasis) -> np.ndarray:
+    """Atoms on the excited level in each basis state."""
+    return basis.occupations[:, EXCITED::2].sum(axis=1)
+
+
 def _check_excitation_free(state: np.ndarray, basis: FockBasis) -> None:
-    n_ex = basis.occupations[:, EXCITED::2].sum(axis=1)
-    weight = float(np.sum(n_ex * np.abs(state) ** 2))
-    if weight > 1e-9:
+    """Raise if the vector, or any column of a (dim, k) block, has excited weight."""
+    if np.max(_excitations(basis) @ np.abs(state) ** 2) > 1e-9:
         raise ValueError("initial state carries excited-level population")
+
+
+def _reached_rows(state: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """The rows sharing an excitation count with some row of the state's support.
+
+    Ground-level bilinears and H keep the excitation count, so every image
+    of `state` under them lies on these rows: W of `four_point_tensor` and
+    `lowered` of `correlator_cases` need no others.
+    """
+    excitations = _excitations(basis)
+    return np.flatnonzero(np.isin(excitations, excitations[np.flatnonzero(state)]))
 
 
 def exact_peak_curve(
@@ -631,9 +651,11 @@ def exact_peak_curve(
     prop = _cached_propagator(basis, spec)
     excited = exciton_matrix(basis, kappa_in) @ state
     minus = exciton_matrix(basis, kappa_out).getH()
-    emitted = (minus @ prop.advance(excited, dts).T).T
-    reference = prop.advance(state, dts)
-    return np.abs(np.sum(reference.conj() * emitted, axis=1)) ** 2 / basis.n_particles**2
+    # the excited vector and the reference evolve as one (dim, 2) block
+    evolved = prop.advance(np.stack([excited, state], axis=1), dts)
+    emitted = (minus @ evolved[..., 0].T).T
+    reference = evolved[..., 1]
+    return np.abs(np.sum(reference.conj() * emitted, axis=-1)) ** 2 / basis.n_particles**2
 
 
 def _grid_mode(spec: LatticeSpec, axis: int, ndim: int) -> Mode:
@@ -656,14 +678,17 @@ def four_point_tensor(state: np.ndarray, basis: FockBasis) -> np.ndarray:
     the ground-level spins (one spin for bosons).  With
     V[:, s, a, b] = a+_{a,s} a_{b,s} |state>, each expectation
     <B(c, d) B(a, b)> = <B(d, c) state | B(a, b) state> is one entry of the
-    Gram matrix V^H V, which is read from the site-mode images alone.
+    Gram matrix V^H V, which is read from the site-mode images alone.  The
+    images keep the excitation count of the state, so they are held only on
+    the rows with one of its counts (70 of the 1820 for the Neel state).
     """
     N, S = basis.spec.sites, basis.n_spins
-    # W[:, (s, mu, nu)] = a+_{mu,s} a_{nu,s} |state>, in site modes
-    W = np.empty((basis.dimension, S * N * N), dtype=complex)
+    rows = _reached_rows(state, basis)
+    # W[:, (s, mu, nu)] = a+_{mu,s} a_{nu,s} |state>, in site modes, on the reached rows
+    W = np.empty((len(rows), S * N * N), dtype=complex)
     for column, (s, mu, nu) in enumerate(np.ndindex(S, N, N)):
         bilinear = _bilinear(basis, basis.mode_id(mu, s, GROUND), basis.mode_id(nu, s, GROUND))
-        W[:, column] = bilinear @ state
+        W[:, column] = (bilinear @ state)[rows]
     phases = np.stack([_site_phases(basis, mode) for mode in mode_grid(basis.spec)])
     # V = W K^T with K[(s, a, b), (s, mu, nu)] = phases[a, mu] conj(phases[b, nu]) / N,
     # so V^H V = K^* (W^H W) K^T: only the small Gram matrix is rotated to momenta
@@ -682,7 +707,9 @@ def correlator_cases(
     Entry [mu, nu, rho, eta, s1, s2, s3, s4] is
     <gr+ ex (eta, s4, t) ex+ gr (rho, s3, t') gr+ ex (mu, s1, t') ex+ gr (nu, s2, t)>
     in the Heisenberg picture.  Nonzero at leading order only for
-    mu = nu and rho = eta.
+    mu = nu and rho = eta.  All N * S raised vectors evolve as one block, and
+    their lowered images are held only on the rows with an excitation count
+    of the state, where H and the raise-then-lower pair leave them.
     """
     N, S = spec.sites, basis.n_spins
     channels = [(site, s) for site in range(N) for s in range(S)]  # index site * S + s
@@ -693,14 +720,14 @@ def correlator_cases(
     prop = _cached_propagator(basis, spec)
     base = prop.advance(state, t_absorb)
     # column c: e^{-iH(t' - t)} ex+ gr (c) e^{-iH t} |state>, ex+ gr (c) being lower[c]^H
-    raised = np.stack([prop.advance(op.getH() @ base, t_emit - t_absorb) for op in lower], axis=1)
-    # column (c, d): gr+ ex (c) raised[:, d], filled in place: a stack of the C
-    # products would hold them twice.  The other rows are zero and add nothing.
-    lowered = np.empty((basis.dimension, len(lower), len(lower)), dtype=complex)
+    raised = prop.advance(np.stack([op.getH() @ base for op in lower], axis=1), t_emit - t_absorb)
+    # column (c, d): gr+ ex (c) raised[:, d] on the reached rows, filled in place:
+    # a stack of the C products would hold them twice
+    rows = _reached_rows(state, basis)
+    lowered = np.empty((len(rows), len(lower), len(lower)), dtype=complex)
     for c, op in enumerate(lower):
-        lowered[:, c] = op @ raised
-    lowered = lowered.reshape(basis.dimension, -1)
-    lowered = lowered[lowered.any(axis=1)]
+        lowered[:, c] = (op @ raised)[rows]
+    lowered = lowered.reshape(len(rows), -1)
     # <raised_b| ex+ gr (a) gr+ ex (c) |raised_d> is one entry of the Gram matrix,
     # indexed [rho s3, eta s4, mu s1, nu s2]
     values = lowered.conj().T @ lowered
@@ -754,11 +781,14 @@ def classical_sequence_sigma_z(
     rotation_in: float,
     rotation_out: float,
     kappa: tuple[int, int],
-    dt: float,
-) -> float:
+    dt: float | np.ndarray,
+) -> float | np.ndarray:
     """<Sigma^z> after pulse, tunneling evolution for dt, pulse, simulated exactly.
 
     Pulses are exp(-i angle Sigma^x(kappa)); tunneling runs at U = 0.
+    `state` is one vector or a (dim, k) block of k states and dt a scalar or
+    an array of waits, all evolved together; the result has shape
+    dt.shape + state.shape[1:], a float for one vector and a scalar dt.
     """
     if spec.U != 0:
         raise ValueError("the classical sequence oracle requires U = 0")
@@ -768,10 +798,11 @@ def classical_sequence_sigma_z(
         basis._cache[key] = Propagator(sigma_x_matrix(basis, kappa))
     pulse = basis._cache[key]
     prop = _cached_propagator(basis, spec)
-    v = pulse.advance(state, rotation_in)
-    v = prop.advance(v, dt)
-    v = pulse.advance(v, rotation_out)
-    return float(np.real(np.vdot(v, sigma_z_diagonal(basis) * v)))
+    waits = np.asarray(dt, dtype=float)
+    v = prop.advance(pulse.advance(state, rotation_in), waits)  # waits.shape + state.shape
+    v = pulse.advance(np.moveaxis(v, waits.ndim, 0).reshape(basis.dimension, -1), rotation_out)
+    values = sigma_z_diagonal(basis) @ np.abs(v) ** 2
+    return values.reshape(waits.shape + state.shape[1:])[()]
 
 
 # ---------------------------------------------------------------------------
@@ -806,10 +837,12 @@ def _commutator_deviation(basis: FockBasis, kappa: Mode, rng: random.Random) -> 
     plus = exciton_matrix(basis, kappa)
     minus = plus.getH()
     sz = sigma_z_diagonal(basis)
+    draw = rng.random
     worst = 0.0
     for _ in range(3):
-        # real and imaginary parts uniform in [-1, 1]
-        v = np.array([rng.uniform(-1, 1) for _ in range(2 * basis.dimension)]).view(complex)
+        # real and imaginary parts uniform in [-1, 1]: the values of rng.uniform(-1, 1),
+        # which is -1 + 2 * rng.random(), bit for bit
+        v = (-1.0 + 2.0 * np.array([draw() for _ in range(2 * basis.dimension)])).view(complex)
         v /= np.linalg.norm(v)
         lhs = 0.5 * (plus @ (minus @ v) - minus @ (plus @ v))
         worst = max(worst, float(np.linalg.norm(lhs - sz * v)))
@@ -863,12 +896,9 @@ def _metastable_deviation(
     dts = np.array([0.0, 0.4, 0.7, 1.4, 2.0])
     amplitudes = coherent_amplitude(dist, kappa, dts, basis.spec)
     formulas = metastable_population(mean_excitations(dist, alpha), amplitudes)
-    dev = 0.0
-    for dt, formula in zip(dts, formulas):
-        for state in states:
-            exact = classical_sequence_sigma_z(state, basis, basis.spec, alpha, -alpha, kappa, dt)
-            dev = max(dev, abs(exact + basis.n_particles / 2 - formula))
-    return dev
+    block = np.stack(states, axis=1)
+    exact = classical_sequence_sigma_z(block, basis, basis.spec, alpha, -alpha, kappa, dts)
+    return float(np.abs(exact + basis.n_particles / 2 - formulas[:, None]).max())
 
 
 def _random_bose_product(spec: LatticeSpec, rng: random.Random) -> np.ndarray:
@@ -987,12 +1017,12 @@ def verification_suite() -> list[CheckResult]:
     ]
     dts_c = np.array([0.0, 0.7, 1.4])
     amplitudes = [coherent_amplitude(dist, kappa_diag, dts_c, spec) for _, dist in classical_cases]
+    states = np.stack([state for state, _ in classical_cases], axis=1)
     for angles in ((0.2, -0.2), (0.3, 0.5)):
-        for i, dt in enumerate(dts_c):
-            for (state, dist), amplitude in zip(classical_cases, amplitudes):
-                exact = classical_sequence_sigma_z(state, bose, spec, *angles, kappa_diag, dt)
-                formula = expected_sigma_z(dist, amplitude[i], *angles)
-                dev = max(dev, abs(exact - formula))
+        exact = classical_sequence_sigma_z(states, bose, spec, *angles, kappa_diag, dts_c)
+        for column, ((_, dist), amplitude) in enumerate(zip(classical_cases, amplitudes)):
+            formula = expected_sigma_z(dist, amplitude, *angles)
+            dev = max(dev, float(np.abs(exact[:, column] - formula).max()))
     results.append(CheckResult("classical-sequence", dev, 1e-8))
 
     # uniform occupations from a momentum Fock state and from the Mott state;

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,7 @@ from dickeprobe.oracle import (
     _neel_orbitals,
     _random_bose_product,
     _random_fermi_product,
+    _reached_rows,
     _sector_labels,
     _sum,
 )
@@ -515,6 +517,110 @@ class TestLazySectors:
         v /= np.linalg.norm(v)
         # v reaches every sector: three known to `warm` already, the rest new
         assert np.abs(warm.advance(v, times) - Propagator(H).advance(v, times)).max() < 1e-13
+
+
+
+class TestBlockEvolution:
+    """advance on a (dim, k) block evolves each column as advance on it alone."""
+
+    @pytest.mark.parametrize("t", [0.8, np.array([0.0, 0.35, 1.7, 6.2])], ids=["scalar", "grid"])
+    @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI])
+    def test_matches_column_by_column(self, bose_basis, fermi_basis, statistics, t):
+        basis = bose_basis if statistics is Statistics.BOSE else fermi_basis
+        prop = Propagator(build_lattice_hamiltonian(basis, LatticeSpec(L=2, J=1.0, U=3.0)))
+        rng = np.random.default_rng(23)
+        block = rng.normal(size=(basis.dimension, 3)) + 1j * rng.normal(size=(basis.dimension, 3))
+        block[:, 1] = 0.0
+        evolved = prop.advance(block, t)
+        assert evolved.shape == np.shape(t) + block.shape
+        for column in range(3):
+            single = prop.advance(block[:, column], t)
+            assert np.abs(evolved[..., column] - single).max() < 1e-13
+        assert np.all(evolved[..., 1] == 0)
+
+    def test_each_sector_is_diagonalized_once(self, monkeypatch, spec2, fermi_basis):
+        sizes = TestLazySectors._record_eigh(monkeypatch)
+        prop = Propagator(build_lattice_hamiltonian(fermi_basis, spec2))
+        neel = neel_state(fermi_basis)
+        excited = exciton_matrix(fermi_basis, Mode(1, 0)) @ neel
+        block = np.stack([neel, excited, np.zeros_like(neel)], axis=1)
+        times = np.array([0.0, 1.3])
+        evolved = prop.advance(block, times)
+        # Neel's (2, 0, 2, 0) sector and its image's two, as in TestLazySectors
+        assert sorted(sizes) == [36, 96, 96]
+        for column in range(3):
+            single = prop.advance(block[:, column], times)
+            assert np.abs(evolved[..., column] - single).max() < 1e-13
+        assert len(sizes) == 3
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, np.array([0.0, -math.inf])])
+    def test_rejects_non_finite_time(self, spec2, bose_basis, t):
+        prop = Propagator(build_lattice_hamiltonian(bose_basis, spec2))
+        block = np.stack([mott_state(bose_basis)] * 3, axis=1)
+        with pytest.raises(ValueError, match="finite"):
+            prop.advance(block, t)
+
+
+def _traced_peak(call) -> int:
+    """Bytes tracemalloc sees `call()` hold at its peak, beyond what was held before."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+class TestReachedRows:
+    """W and the lowered vectors are held only on the rows a state's images reach."""
+
+    def test_neel_reaches_its_excitation_free_rows(self, fermi_basis):
+        rows = _reached_rows(neel_state(fermi_basis), fermi_basis)
+        assert len(rows) == 70  # 4 fermions on the 8 ground-level modes
+        assert np.all(fermi_basis.occupations[rows, 1::2] == 0)
+
+    def test_full_rows_give_the_same_arrays(self, monkeypatch, bose_basis, fermi_basis):
+        spec = LatticeSpec(L=2, J=1.0, U=0.8)
+        momentum = {(Mode(0, 0), 0): 2, (Mode(1, 0), 0): 1, (Mode(0, 1), 0): 1}
+        product = _random_fermi_product(spec, random.Random(8))
+        cases = [
+            ("neel", fermi_basis, neel_state(fermi_basis)),
+            ("mott", bose_basis, mott_state(bose_basis)),
+            ("momentum", bose_basis, momentum_fock_state(bose_basis, momentum)),
+            ("fermi-product", fermi_basis, orbital_state(fermi_basis, product)),
+        ]
+        reached = {
+            name: (four_point_tensor(state, basis), correlator_cases(state, basis, spec, 0.4, 1.1))
+            for name, basis, state in cases
+        }
+        # the reference: every row of the basis, the full-dimension W and lowered vectors
+        monkeypatch.setattr(
+            oracle_module, "_reached_rows", lambda state, basis: np.arange(basis.dimension)
+        )
+        for name, basis, state in cases:
+            tensor, values = reached[name]
+            assert np.abs(tensor - four_point_tensor(state, basis)).max() < 1e-14, name
+            full = correlator_cases(state, basis, spec, 0.4, 1.1)
+            assert np.abs(values - full).max() < 1e-14, name
+
+    def test_peak_memory_of_the_neel_gram_matrices(self, fermi_basis):
+        neel = neel_state(fermi_basis)
+        spec = LatticeSpec(L=2, J=0.0, U=0.8)
+        calls = {
+            # W on all 1820 rows alone is 0.9 MB
+            "four_point_tensor": (lambda: four_point_tensor(neel, fermi_basis), 0.5),
+            "correlator_cases": (
+                lambda: correlator_cases(neel, fermi_basis, spec, 0.4, 1.1),
+                1.2,
+            ),
+        }
+        for name, (call, bound_mb) in calls.items():
+            call()  # creations, the propagator and its sectors are built once, here
+            assert _traced_peak(call) <= bound_mb * 2**20, name
 
 
 class TestMomentumStates:
@@ -1075,6 +1181,21 @@ class TestClassicalSequenceOracle:
                     assert exact == pytest.approx(
                         expected_sigma_z(dist, amplitude, *angles), abs=1e-8
                     )
+
+    def test_block_and_grid_match_single_calls(self, spec2, bose_basis):
+        states = [superfluid_state(bose_basis), mott_state(bose_basis)]
+        dts = np.array([0.0, 0.7, 1.4])
+        block = classical_sequence_sigma_z(
+            np.stack(states, axis=1), bose_basis, spec2, 0.3, 0.5, Mode(1, 1), dts
+        )
+        assert block.shape == (3, 2)
+        for column, state in enumerate(states):
+            for row, dt in enumerate(dts):
+                single = classical_sequence_sigma_z(
+                    state, bose_basis, spec2, 0.3, 0.5, Mode(1, 1), dt
+                )
+                assert isinstance(single, float)
+                assert abs(block[row, column] - single) < 1e-13
 
     def test_metastable_population_is_exact_to_fourth_order(self, spec2, bose_basis):
         # exact (sin^2 a / 2)(n - S) against the formula's (a^2 / 2)(n - S)
