@@ -110,10 +110,6 @@ class MomentumDistribution:
     def L(self) -> int:
         return self.occupations.shape[1]
 
-    @property
-    def channels(self) -> int:
-        return self.occupations.shape[0]
-
     def total(self) -> float:
         return float(self.occupations.sum())
 

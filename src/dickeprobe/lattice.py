@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "LatticeSpec",
     "Mode",
-    "adjacency_fourier_grid",
     "adjacency_matrix",
     "canonical_mode",
     "dephasing_rates",
@@ -111,24 +110,17 @@ def _cosines(L: int) -> np.ndarray:
     return np.cos(2.0 * np.pi * idx / L)
 
 
-def adjacency_fourier_grid(spec: LatticeSpec) -> np.ndarray:
-    """Fourier transform of the adjacency matrix, T(k) = 2[cos(kx*ell) + cos(ky*ell)].
+def energy_grid(spec: LatticeSpec) -> np.ndarray:
+    """Single-particle dispersion E(k) = -(J/Z) T(k) over the whole grid.
 
-    Over the whole grid; entry [i, j] belongs to mode_index inverse, and
-    kx*ell = 2*pi*n/L.
+    T(k) = 2[cos(kx*ell) + cos(ky*ell)] is the Fourier transform of the
+    adjacency matrix, with kx*ell = 2*pi*n/L; entry [i, j] belongs to
+    mode_index inverse.  Evaluated in one (L, L) buffer, which the caller
+    owns.
     """
     c = _cosines(spec.L)
     grid = c[:, None] + c[None, :]
     grid *= 2.0
-    return grid
-
-
-def energy_grid(spec: LatticeSpec) -> np.ndarray:
-    """Single-particle dispersion E(k) = -(J/Z) T(k) over the whole grid.
-
-    Evaluated in one (L, L) buffer, which the caller owns.
-    """
-    grid = adjacency_fourier_grid(spec)
     grid *= -(spec.J / spec.Z)
     return grid
 

@@ -24,7 +24,7 @@ from lattice_reference import mode_neg
 def occupation_map(dist):
     """Helper: {mode: summed occupation} for evenness checks."""
     return {
-        mode: sum(dist.occupation(mode, ch) for ch in range(dist.channels))
+        mode: sum(dist.occupation(mode, ch) for ch in range(dist.occupations.shape[0]))
         for mode in mode_grid(LatticeSpec(L=dist.L))
     }
 

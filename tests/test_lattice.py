@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from dickeprobe.lattice import (
     LatticeSpec,
     Mode,
-    adjacency_fourier_grid,
     adjacency_matrix,
     canonical_mode,
     dephasing_rates,
+    energy_grid,
     mode_grid,
     mode_index,
     mode_sub,
@@ -90,10 +90,10 @@ class TestModeGrid:
 
     def test_mode_index_inverts_grid_order(self):
         spec = LatticeSpec(L=6)
-        grid = adjacency_fourier_grid(spec)
+        grid = energy_grid(spec)
         for mode in mode_grid(spec):
             i, j = mode_index(mode, spec.L)
-            assert grid[i, j] == pytest.approx(adjacency_fourier(mode, spec), abs=1e-14)
+            assert grid[i, j] == pytest.approx(mode_energy(mode, spec), abs=1e-14)
 
 
 class TestDispersion:
@@ -116,7 +116,7 @@ class TestDispersion:
         # each cosine sums to zero over a full period
         for L in (2, 4, 10, 100):
             spec = LatticeSpec(L=L)
-            assert abs(adjacency_fourier_grid(spec).sum()) < 1e-12 * spec.sites
+            assert abs(energy_grid(spec).sum()) < 1e-12 * spec.sites
 
     def test_energy_sign(self):
         spec = LatticeSpec(L=4, J=2.0)

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import pathlib
 import random
 import tracemalloc
 
@@ -48,13 +50,12 @@ from dickeprobe.oracle import (
     superfluid_state,
     verification_suite,
     _Operator,
-    _bilinear,
-    _bilinear_sum,
     _creation,
     _metastable_deviation,
     _momentum_case,
     _mott_orbitals,
     _neel_orbitals,
+    _one_body,
     _random_bose_product,
     _random_fermi_product,
     _reached_rows,
@@ -62,6 +63,13 @@ from dickeprobe.oracle import (
     _sum,
 )
 from lattice_reference import mode_energy
+
+
+def _pair(basis, create_id, annihilate_id):
+    """a+_{create} a_{annihilate}: the one-body operator of a one-hot matrix."""
+    h = np.zeros((basis.n_modes, basis.n_modes))
+    h[create_id, annihilate_id] = 1.0
+    return _one_body(basis, h)
 
 
 class TestBasis:
@@ -219,7 +227,7 @@ class TestExciton:
                 minus = np.zeros((basis.dimension,) * 2, dtype=complex)
                 for mu in range(4):
                     for s in range(basis.n_spins):
-                        term = _bilinear(basis, basis.mode_id(mu, s, 0), basis.mode_id(mu, s, 1))
+                        term = _pair(basis, basis.mode_id(mu, s, 0), basis.mode_id(mu, s, 1))
                         minus[term.row, term.col] += phases[mu] * term.data
                 plus = exciton_matrix(basis, kappa)
                 minus -= plus.getH().toarray()
@@ -244,7 +252,7 @@ def _operators(basis):
     """One operator of each kind the oracle builds, by name."""
     return {
         "creation": _creation(basis, 3),
-        "bilinear": _bilinear(basis, 3, 0),
+        "bilinear": _pair(basis, 3, 0),
         "exciton": exciton_matrix(basis, Mode(1, 1)),
         "sigma-x": sigma_x_matrix(basis, Mode(1, 0)),
         "hamiltonian": build_lattice_hamiltonian(basis, LatticeSpec(L=2, J=1.0, U=3.0)),
@@ -284,9 +292,10 @@ class TestOperator:
 
     def test_sum_merges_duplicates_and_drops_cancelled(self, spec2):
         basis = FockBasis(spec2, Statistics.BOSE, 2)
-        hop = _bilinear(basis, 2, 0)
+        hop, other = _pair(basis, 2, 0), _pair(basis, 4, 0)
         # the (2, 0) triplets repeat and add up; the (4, 0) ones cancel exactly
-        total = _bilinear_sum(basis, [(0.5, 2, 0), (0.25, 2, 0), (1.0, 4, 0), (-1.0, 4, 0)])
+        parts = [(0.5, hop), (0.25, hop), (1.0, other), (-1.0, other)]
+        total = _sum((basis.dimension,) * 2, parts)
         pairs = total.row * basis.dimension + total.col
         assert len(np.unique(pairs)) == len(pairs) == len(hop.data)
         assert np.all(total.data != 0)
@@ -295,7 +304,7 @@ class TestOperator:
     def test_sum_drops_exact_complex_cancellations(self, spec2):
         basis = FockBasis(spec2, Statistics.BOSE, 2)
         shape = (basis.dimension,) * 2
-        a, b = _bilinear(basis, 2, 0), _bilinear(basis, 4, 0)
+        a, b = _pair(basis, 2, 0), _pair(basis, 4, 0)
         # a cancels in its real and imaginary parts; b keeps both
         total = _sum(shape, [(1j, a), (0.5, b), (-1j, a), (0.5j, b)])
         assert len(total.data) == len(b.data)
@@ -838,12 +847,48 @@ class TestArrayFockLayer:
             rows, cols, vals = _reference_bilinear(
                 states, basis.fermionic, create_id, annihilate_id
             )
-            got = _bilinear(basis, create_id, annihilate_id)
+            got = _pair(basis, create_id, annihilate_id)
             order = np.argsort(got.col)
             assert len(got.data) == len(cols)
             assert np.array_equal(got.col[order], cols)
             assert np.array_equal(got.row[order], rows)
             assert np.array_equal(got.data[order], vals)
+
+    @pytest.mark.parametrize(
+        "statistics, n_particles",
+        [(Statistics.BOSE, 4), (Statistics.FERMI, 2)],
+        ids=["bose-4", "fermi-2"],
+    )
+    def test_one_body_equals_creation_products(self, spec2, statistics, n_particles):
+        basis = FockBasis(spec2, statistics, n_particles)
+        rng = np.random.default_rng(31)
+        shape = (basis.n_modes, basis.n_modes)
+        h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        creations = [_creation(basis, mode).toarray() for mode in range(basis.n_modes)]
+        expected = sum(
+            h[c, a] * (creations[c] @ creations[a].T)
+            for c, a in itertools.product(range(basis.n_modes), repeat=2)
+        )
+        assert np.abs(_one_body(basis, h).toarray() - expected).max() < 1e-14
+
+    def test_single_pairs_build_no_operator(self, monkeypatch, bose_basis, fermi_basis):
+        spec = LatticeSpec(L=2, J=1.0, U=0.8)
+        cases = [(mott_state(bose_basis), bose_basis), (neel_state(fermi_basis), fermi_basis)]
+
+        def run_all():
+            for state, basis in cases:
+                four_point_tensor(state, basis)
+                correlator_cases(state, basis, spec, 0.4, 1.1)
+                separable_deviation(state, Mode(1, 0), Mode(0, 1), 0.9, basis, spec)
+
+        def refuse(*args):
+            raise AssertionError("a one-body operator was built")
+
+        run_all()  # caches H and Sigma^+, the one-body sums these calls need
+        monkeypatch.setattr(oracle_module, "_one_body", refuse)
+        run_all()  # every single pair is applied as creation products
+        with pytest.raises(AssertionError, match="one-body"):  # the guard is live
+            exciton_matrix(FockBasis(LatticeSpec(L=2), Statistics.BOSE, 1), Mode(1, 0))
 
     def test_diagonals_equal_loop_reference(self, bose_basis, fermi_basis):
         spec = LatticeSpec(L=2, J=0.0, U=0.8)
@@ -881,13 +926,10 @@ class TestArrayFockLayer:
             coords = np.array([(x, y) for x in range(2) for y in range(2)])
             phase = lambda k: np.exp(1j * np.pi * (k[0] * coords[:, 0] + k[1] * coords[:, 1]))
             pc, pa = phase(k_create), np.conj(phase(k_annihilate))
-            return sum(
-                pc[mu] * pa[nu] / 4 * _bilinear(
-                    basis, basis.mode_id(mu, spin, 0), basis.mode_id(nu, spin, 0)
-                ).toarray()
-                for mu in range(4)
-                for nu in range(4)
-            )
+            ground = [basis.mode_id(mu, spin, 0) for mu in range(4)]
+            h = np.zeros((basis.n_modes,) * 2, dtype=complex)
+            h[np.ix_(ground, ground)] = np.outer(pc, pa) / 4
+            return _one_body(basis, h).toarray()
 
         for _ in range(40):
             k, q, kin, kout = (grid[i] for i in rng.integers(0, 4, size=4))
@@ -1053,7 +1095,7 @@ class TestSeparableCases:
         t_absorb, t_emit = 0.4, 1.1
 
         def op(site, spin, create, annihilate):
-            return _bilinear(
+            return _pair(
                 basis, basis.mode_id(site, spin, create), basis.mode_id(site, spin, annihilate)
             )
 
@@ -1084,24 +1126,21 @@ class TestSeparableCases:
             assert abs(cases[index] - reference(index[:4], index[4:])) < 1e-12
         assert max(abs(cases[index]) for index in survivors) > 0.1
 
-    def test_frozen_lattice_amplitude_exact(self, spec2):
+    def test_frozen_lattice_amplitude_exact(self, bose_basis):
         spec = LatticeSpec(L=2, J=0.0, U=0.8)
-        dev = separable_deviation(
-            _mott_orbitals(spec2), Mode(1, 0), Mode(1, 0), 1.3, spec, Statistics.BOSE
-        )
+        mott = mott_state(bose_basis)
+        dev = separable_deviation(mott, Mode(1, 0), Mode(1, 0), 1.3, bose_basis, spec)
         assert dev < 1e-12
 
-    def test_neel_frozen_matches_separable_peak(self, spec2):
+    def test_neel_frozen_matches_separable_peak(self, fermi_basis):
         spec = LatticeSpec(L=2, J=0.0, U=3.0)
+        neel = neel_state(fermi_basis)
         for kin, kout in ((Mode(1, 0), Mode(1, 0)), (Mode(1, 0), Mode(0, 1))):
-            dev = separable_deviation(
-                _neel_orbitals(spec2), kin, kout, 0.9, spec, Statistics.FERMI
-            )
+            dev = separable_deviation(neel, kin, kout, 0.9, fermi_basis, spec)
             assert dev < 1e-12
             # and the prediction itself equals the unit-filling Fourier peak
             expected = separable_peak(np.ones((2, 2)), kin, kout)
-            basis = FockBasis(spec, Statistics.FERMI, 4)
-            peak = exact_peak_curve(neel_state(basis), kin, kout, np.array([0.9]), basis, spec)
+            peak = exact_peak_curve(neel, kin, kout, np.array([0.9]), fermi_basis, spec)
             assert peak[0] == pytest.approx(expected, abs=1e-12)
 
     def test_two_bosons_on_the_diagonal_match_separable_peak(self):
@@ -1116,24 +1155,14 @@ class TestSeparableCases:
             expected = separable_peak(occupations, kin, kout)
             peak = exact_peak_curve(psi, kin, kout, np.array([0.0, 0.9]), basis, spec)
             np.testing.assert_allclose(peak, expected, rtol=0, atol=1e-12)
-            dev = separable_deviation(orbitals, kin, kout, 0.9, spec, Statistics.BOSE)
+            dev = separable_deviation(psi, kin, kout, 0.9, basis, spec)
             assert dev < 1e-12
 
-    def test_rejects_empty_orbital(self):
-        # an all-zero row creates no atom: the product vanishes
-        orbitals = _bose_orbitals([0, 1, 1, 1])
-        orbitals = np.concatenate([np.zeros((1, 4, 1)), orbitals])
-        with pytest.raises(ValueError, match="norm 0"):
-            separable_deviation(
-                orbitals, Mode(1, 0), Mode(1, 0), 1.0, LatticeSpec(L=2, J=0, U=1), "bose"
-            )
-
-    def test_interaction_dominated_residual(self, spec2):
+    def test_interaction_dominated_residual(self, bose_basis):
         # J/U = 0.01: the product formula holds up to a perturbative residual
         spec = LatticeSpec(L=2, J=1.0, U=100.0)
-        dev = separable_deviation(
-            _mott_orbitals(spec2), Mode(1, 0), Mode(1, 0), 1.0, spec, Statistics.BOSE
-        )
+        mott = mott_state(bose_basis)
+        dev = separable_deviation(mott, Mode(1, 0), Mode(1, 0), 1.0, bose_basis, spec)
         assert dev < 0.1
 
 
@@ -1287,6 +1316,12 @@ class TestProductState:
         with pytest.raises(ValueError, match="5 orbitals"):
             orbital_state(bose_basis, _bose_orbitals([2, 1, 1, 1]))
 
+    def test_rejects_empty_orbital(self, bose_basis):
+        # an all-zero row creates no atom: the product vanishes
+        orbitals = np.concatenate([np.zeros((1, 4, 1)), _bose_orbitals([0, 1, 1, 1])])
+        with pytest.raises(ValueError, match="norm 0"):
+            orbital_state(bose_basis, orbitals)
+
     def test_rejects_double_fermion_occupation(self, fermi_basis):
         # two fermions in one site orbital: Pauli blocking leaves nothing
         orbitals = _fermi_orbitals([(1, 0)] * 4)
@@ -1304,6 +1339,10 @@ class TestProductState:
         assert np.count_nonzero(v) == 1
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
+
+# `dickeprobe oracle --json` output; rewrite it with that command after a change
+# that is meant to move a deviation
+PINNED_REPORT = pathlib.Path(__file__).resolve().parent / "data" / "oracle_report.json"
 
 # every check in suite order, with its tolerance
 _SUITE = {
@@ -1339,6 +1378,28 @@ def test_verification_suite_all_pass(suite_results):
     # O(alpha^4) small-angle count do not
     loose = [r.name for r in results if r.deviation >= 1e-13]
     assert loose == ["separable-amplitude-residual", "metastable-population"]
+
+
+def test_report_matches_pinned_report(suite_results):
+    pinned = json.loads(PINNED_REPORT.read_text())
+    assert [(r.name, r.tolerance, r.passed) for r in suite_results] == [
+        (row["name"], row["tolerance"], row["passed"]) for row in pinned
+    ]
+    for result, row in zip(suite_results, pinned):
+        assert abs(result.deviation - row["deviation"]) <= 1e-13, result.name
+
+
+def test_suite_builds_each_basis_once(monkeypatch):
+    built = []
+    init = FockBasis.__init__
+
+    def recording(self, spec, statistics, n_particles):
+        built.append((statistics.value, n_particles))
+        init(self, spec, statistics, n_particles)
+
+    monkeypatch.setattr(FockBasis, "__init__", recording)
+    verification_suite()
+    assert sorted(built) == sorted((s.value, n) for s in Statistics for n in range(5))
 
 
 def test_report_deviations_keep_their_level(suite_results):
