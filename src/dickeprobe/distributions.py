@@ -1,13 +1,15 @@
 """Ground-level momentum occupation numbers for the lattice state catalog.
 
 Bosonic states carry one channel, fermionic states two spin channels
-(index 0 = up, 1 = down).  Thermal constructors solve the chemical
-potential by bounded bisection.  Each trial mu sums the occupation over
-the distinct band energies weighted by how many modes share each one
-(lattice._energy_levels: about L^2/8 levels for L^2 modes); only the
-accepted mu is evaluated on the whole grid, in place in the energy grid's
-own buffer.  The bisection stops once its bracket has collapsed onto adjacent
-floats, where every further midpoint would repeat one already tried.
+(index 0 = up, 1 = down).  Both thermal constructors hold N = L^2 atoms
+and share one chemical-potential solve (_thermal), a bounded bisection.
+Each trial mu sums the occupation over the distinct band energies weighted
+by how many modes share each one (lattice._energy_levels: about L^2/8
+levels for L^2 modes); only the accepted mu is evaluated on the whole grid,
+in place in the energy grid's own buffer.  The bisection stops once its
+bracket has collapsed onto adjacent floats, where every further midpoint
+would repeat one already tried; what it leaves over goes to the modes of
+the level nearest mu.
 
 The spin-symmetric Fermi states (fermi_dirac, metallic, uniform) store one
 channel, read-only and broadcast to both spins, so a state at L = 400 holds
@@ -185,12 +187,13 @@ def _bisect_mu(
 ) -> tuple[float, float]:
     """Bounded bisection on a monotonically increasing occupation sum.
 
-    Returns (mu, residual).  Deep in the condensed regime the sum can jump by
-    more than the tolerance per ulp of mu, so the caller decides what to do
-    with a nonzero residual.  Once lo and hi are adjacent floats the midpoint
-    rounds onto an endpoint that was already evaluated; from there on no
-    iteration can move the best point, so the loop stops instead of running
-    out its iteration cap.  No mu is evaluated twice.
+    Returns (mu, residual).  Deep in the condensed regime, and in a cold
+    Fermi sea, the sum can jump by more than the tolerance per ulp of mu;
+    _thermal's remainder rule places what a nonzero residual leaves over.
+    Once lo and hi are adjacent floats the midpoint rounds onto an endpoint
+    that was already evaluated; from there on no iteration can move the best
+    point, so the loop stops instead of running out its iteration cap.  No
+    mu is evaluated twice.
     """
     tol = _BISECT_RTOL * max(total, 1.0)
     best_mu, best_err = lo, abs(occupation_sum(lo) - total)
@@ -212,31 +215,82 @@ def _bisect_mu(
     return best_mu, best_err
 
 
-def _require_finite_bracket(lo: float, hi: float, beta: float) -> None:
+def _thermal(
+    spec: LatticeSpec,
+    statistics: Statistics,
+    beta: float,
+    occupations_at: Callable[..., np.ndarray],
+    bracket: Callable[[np.ndarray, Callable[[float], bool]], tuple[float, float]],
+) -> MomentumDistribution:
+    """N atoms in the thermal occupations of one channel, equal in both Fermi spins.
+
+    occupations_at(energies, mu, out=None) is one channel's occupation;
+    bracket(levels, holds_all) returns (lo, hi) around mu, where
+    holds_all(mu) tells whether mu holds all N atoms.  If even mu = hi
+    holds too few, mu stays at hi.  One remainder rule: when the atom count
+    misses its tolerance, the remainder is spread evenly over the modes of
+    the level nearest mu, which is k = 0 alone below the Bose band and the
+    straddled level of a cold Fermi sea.  A share that would take such a
+    mode below 0, or a fermion mode above 1, raises ChemicalPotentialError.
+    A bracket that overflows (beta too small) raises ValueError.
+    """
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ValueError("inverse_temperature must be finite and positive")
+    channels = 1 if statistics is Statistics.BOSE else 2
+    total = float(spec.sites)
+    levels, counts = _energy_levels(spec)
+
+    def occupation_sum(mu: float) -> float:
+        # At tiny beta, beta (E - mu) underflows near the Bose band bottom and
+        # the sum overflows to inf: the right limit there, not an error.
+        # numpy's own sum, not a BLAS dot, keeps mu independent of the
+        # thread count.
+        with np.errstate(over="ignore", divide="ignore"):
+            return channels * float((counts * occupations_at(levels, mu)).sum())
+
+    lo, hi = bracket(levels, lambda mu: occupation_sum(mu) >= total)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(
             f"inverse_temperature {beta!r} is too small: the chemical-potential "
             "bracket overflows"
         )
+    if occupation_sum(hi) < total:
+        mu, residual = hi, math.inf
+    else:
+        mu, residual = _bisect_mu(occupation_sum, total, lo, hi)
+    energies = energy_grid(spec)
+    shell = None
+    if residual > _TOTAL_RTOL * total:
+        # a bool mask, taken before the grid is overwritten with occupations
+        shell = energies == levels[np.argmin(np.abs(levels - mu))]
+    occ = occupations_at(energies, mu, out=energies)
+    if shell is not None:
+        share = (total / channels - occ.sum()) / np.count_nonzero(shell)
+        filled = occ[shell] + share
+        if filled.min() < 0 or (channels == 2 and filled.max() > 1):
+            raise ChemicalPotentialError(
+                f"mu bisection stalled with residual {residual:.3e} on target {total}"
+            )
+        occ[shell] = filled
+    return MomentumDistribution(
+        statistics,
+        _Owned(np.broadcast_to(occ, (channels, spec.L, spec.L))),
+        total,
+        inverse_temperature=beta,
+        chemical_potential=mu,
+    )
 
 
-def bose_einstein(
-    spec: LatticeSpec, inverse_temperature: float, total: float | None = None
-) -> MomentumDistribution:
-    """Bose-Einstein occupations 1/(exp(beta (E(k) - mu)) - 1) summing to `total`.
+def bose_einstein(spec: LatticeSpec, inverse_temperature: float) -> MomentumDistribution:
+    """Bose-Einstein occupations 1/(exp(beta (E(k) - mu)) - 1) of N = L^2 atoms.
 
     mu is solved by bisection below the band minimum.  If even mu pinned at
     E_min - 1e-12 J cannot hold all atoms thermally, mu stays pinned and the
-    remainder is placed at k = 0 as an explicit condensate.  An inverse
-    temperature so small that the bisection bracket overflows is rejected.
+    remainder is placed at k = 0 as a condensate, or evenly over all modes
+    at J = 0, where they share one level (_thermal's remainder rule).  An
+    inverse temperature so small that the bisection bracket overflows is
+    rejected.
     """
-    if not (inverse_temperature > 0 and math.isfinite(inverse_temperature)):
-        raise ValueError("inverse_temperature must be finite and positive")
-    if total is None:
-        total = float(spec.sites)
-    if not (total > 0 and math.isfinite(total)):
-        raise ValueError("total atom number must be finite and positive")
-    levels, counts = _energy_levels(spec)
     beta = inverse_temperature
 
     def occupations_at(energies: np.ndarray, mu: float, out=None) -> np.ndarray:
@@ -250,61 +304,27 @@ def bose_einstein(
         np.expm1(x, out=x)
         return np.divide(1.0, x, out=x)
 
-    def occupation_sum(mu: float) -> float:
-        # At tiny beta, beta (E - mu) underflows near the band bottom and the
-        # sum overflows to inf: the right limit there, not an error.  numpy's
-        # own sum, not a BLAS dot, keeps mu independent of the thread count.
-        with np.errstate(over="ignore", divide="ignore"):
-            return float((counts * occupations_at(levels, mu)).sum())
-
-    pin = float(levels.min()) - 1e-12 * (spec.J if spec.J > 0 else 1.0)
-    if occupation_sum(pin) < total:
-        # Condensed branch: thermal cloud at the pinned mu, the rest at k = 0.
-        mu, residual = pin, math.inf
-    else:
+    def bracket(levels: np.ndarray, holds_all) -> tuple[float, float]:
+        # hi is pinned just below the band; lo steps down, doubling, until
+        # it holds too few atoms (at once when the pinned mu does too)
+        pin = float(levels.min()) - 1e-12 * (spec.J if spec.J > 0 else 1.0)
         lo, span = pin, max(spec.J, 1.0 / beta)
-        while occupation_sum(lo) >= total:
+        while holds_all(lo):
             lo -= span
             span *= 2.0
-        _require_finite_bracket(lo, pin, beta)
-        mu, residual = _bisect_mu(occupation_sum, total, lo, pin)
-    energies = energy_grid(spec)
-    occ = occupations_at(energies, mu, out=energies)
-    if residual > _TOTAL_RTOL * max(total, 1.0):
-        # Condensed: the pinned mu holds too few atoms.  Padded: the sum
-        # jumps by more than the tolerance per ulp of mu near the band
-        # bottom.  Either way the remainder is condensate, placed at k = 0.
-        zero = _zero_mode_index(spec.L)
-        deficit = total - occ.sum()
-        if occ[zero] + deficit < 0:
-            raise ChemicalPotentialError(
-                f"mu bisection stalled with residual {residual:.3e} on target {total}"
-            )
-        occ[zero] += deficit
-    return MomentumDistribution(
-        Statistics.BOSE,
-        _Owned(occ[None, :, :]),
-        float(total),
-        inverse_temperature=beta,
-        chemical_potential=mu,
-    )
+        return lo, pin
+
+    return _thermal(spec, Statistics.BOSE, beta, occupations_at, bracket)
 
 
-def fermi_dirac(
-    spec: LatticeSpec, inverse_temperature: float, total: float | None = None
-) -> MomentumDistribution:
-    """Fermi-Dirac occupations 1/(exp(beta (E(k) - mu)) + 1), equal in both spins.
+def fermi_dirac(spec: LatticeSpec, inverse_temperature: float) -> MomentumDistribution:
+    """Fermi-Dirac occupations 1/(exp(beta (E(k) - mu)) + 1) at half filling.
 
-    An inverse temperature so small that the bisection bracket overflows is
-    rejected.
+    N = L^2 atoms, equal in both spins.  In a cold Fermi sea the atoms the
+    bisection cannot place go to the level at mu (_thermal's remainder
+    rule).  An inverse temperature so small that the bisection bracket
+    overflows is rejected.
     """
-    if not (inverse_temperature > 0 and math.isfinite(inverse_temperature)):
-        raise ValueError("inverse_temperature must be finite and positive")
-    N = spec.sites
-    if total is None:
-        total = float(N)
-    if not (0 <= total <= 2 * N):
-        raise ValueError(f"total must lie in [0, 2N] = [0, {2 * N}]")
     beta = inverse_temperature
 
     def occupations_at(energies: np.ndarray, mu: float, out=None) -> np.ndarray:
@@ -319,37 +339,11 @@ def fermi_dirac(
         x += 1.0
         return np.divide(1.0, x, out=x)
 
-    if total == 0:
-        occ = np.zeros((spec.L, spec.L))
-        mu = None
-    elif total == 2 * N:
-        occ = np.ones((spec.L, spec.L))
-        mu = None
-    else:
-        levels, counts = _energy_levels(spec)
-
-        def channel_total(mu: float) -> float:
-            return 2.0 * float((counts * occupations_at(levels, mu)).sum())
-
+    def bracket(levels: np.ndarray, holds_all) -> tuple[float, float]:
+        # Half filling needs no search: margin puts beta (E - mu) >= 40 at
+        # lo, where a mode holds at most 1/(e^40 + 1) ~ 4e-18 atoms, and
+        # <= -40 at hi, where it lacks at most that much.
         margin = 40.0 / beta + spec.J + 1.0
-        lo = float(levels.min()) - margin
-        hi = float(levels.max()) + margin
-        while channel_total(lo) >= total:
-            lo -= margin
-        while channel_total(hi) <= total:
-            hi += margin
-        _require_finite_bracket(lo, hi, beta)
-        mu, residual = _bisect_mu(channel_total, total, lo, hi)
-        if residual > _TOTAL_RTOL * max(total, 1.0):
-            raise ChemicalPotentialError(
-                f"mu bisection stalled with residual {residual:.3e} on target {total}"
-            )
-        energies = energy_grid(spec)
-        occ = occupations_at(energies, mu, out=energies)
-    return MomentumDistribution(
-        Statistics.FERMI,
-        _Owned(np.broadcast_to(occ, (2, spec.L, spec.L))),
-        float(total),
-        inverse_temperature=beta,
-        chemical_potential=mu,
-    )
+        return float(levels.min()) - margin, float(levels.max()) + margin
+
+    return _thermal(spec, Statistics.FERMI, beta, occupations_at, bracket)

@@ -269,7 +269,8 @@ def _one_body(basis: FockBasis, h: np.ndarray) -> _Operator:
     matched by integer indexing; the pairs are merged in row-major order of h.
     """
     shape = (basis.dimension, basis.dimension)
-    rows, cols, data = [], [], []
+    empty = np.zeros(0, dtype=np.intp)  # an all-zero h gives the zero operator
+    rows, cols, data = [empty], [empty], [np.zeros(0)]
     for c, a in zip(*np.nonzero(h)):
         create, lower = _creation(basis, c), _creation(basis, a)
         slot = np.full(create.shape[1], -1)
@@ -388,8 +389,8 @@ class Propagator:
     the quantum numbers it conserves.  A sector is assembled and
     diagonalized the first time `advance` meets a state with weight on it,
     so sectors no state reaches cost nothing.  Sectors first met together
-    and of equal size share one stacked eigh; a 1 x 1 sector is its own
-    eigenvalue.  Hermiticity is checked on every entry up front.
+    and of equal size share one stacked eigh.  Hermiticity is checked on
+    every entry up front.
     """
 
     def __init__(self, H: _Operator):
@@ -424,10 +425,7 @@ class Propagator:
             rows, cols = H.row[inside], H.col[inside]
             blocks = np.zeros((len(new), size, size), dtype=H.data.dtype)
             blocks[block[rows], position[rows], position[cols]] = H.data[inside]
-            if size == 1:
-                energies, vectors = blocks[:, 0].real, np.ones((len(new), 1, 1))
-            else:
-                energies, vectors = np.linalg.eigh(blocks)
+            energies, vectors = np.linalg.eigh(blocks)
             # complex once here: a real-by-complex matmul casts on every call
             group = (members, energies, vectors.astype(complex))
             held = self._groups.get(size)

@@ -83,6 +83,19 @@ class TestCurveCommand:
         assert csv[0] == csv[1]
         assert capsys.readouterr().err == ""
 
+    def test_cold_fermi_sea(self, tmp_path, capsys):
+        # at beta = 1e50 each diamond-edge level (|E| ~ 1e-17) is all or
+        # nothing as mu crosses it; the remainder fills the level at mu, so
+        # the curve is beta = 1e20's to the CSV's last digit
+        rows = {}
+        for beta in ("1e50", "1e20"):
+            out = tmp_path / f"{beta}.csv"
+            argv = ["curve", "--statistics", "fermi", "--state", f"thermal:{beta}"]
+            assert main([*argv, "--L", "100", "-o", str(out)]) == 0
+            rows[beta] = np.array(read_rows(out)[1])
+        assert capsys.readouterr().err == ""
+        assert np.abs(rows["1e50"] - rows["1e20"]).max() < 2e-12
+
 
 class TestTransitionCommands:
     def test_adiabatic_bose_all_ones(self, tmp_path):

@@ -149,7 +149,7 @@ class TestHamiltonian:
         assert np.linalg.norm(H @ mott_state(bose_basis)) < 1e-12
 
     def test_frozen_hamiltonian_is_diagonal(self, fermi_basis):
-        # J = 0 keeps every state its own 1 x 1 sector, so no eigh runs
+        # J = 0 keeps every state its own 1 x 1 sector
         H = build_lattice_hamiltonian(fermi_basis, LatticeSpec(L=2, J=0.0, U=0.8))
         assert np.array_equal(H.row, H.col)
         assert np.array_equal(_sector_labels(H), np.arange(fermi_basis.dimension))
@@ -870,6 +870,21 @@ class TestArrayFockLayer:
             for c, a in itertools.product(range(basis.n_modes), repeat=2)
         )
         assert np.abs(_one_body(basis, h).toarray() - expected).max() < 1e-14
+
+    @pytest.mark.parametrize(
+        "statistics, n_particles",
+        [(Statistics.BOSE, 2), (Statistics.FERMI, 4)],
+        ids=["bose-2", "fermi-4"],
+    )
+    def test_one_body_of_zero_matrix_is_zero(self, spec2, statistics, n_particles):
+        basis = FockBasis(spec2, statistics, n_particles)
+        zero = _one_body(basis, np.zeros((basis.n_modes, basis.n_modes)))
+        dim = basis.dimension
+        assert zero.shape == (dim, dim)
+        assert np.array_equal(zero.toarray(), np.zeros((dim, dim)))
+        rng = np.random.default_rng(7)
+        assert np.array_equal(zero @ rng.normal(size=dim), np.zeros(dim))
+        assert np.array_equal(zero @ rng.normal(size=(dim, 3)), np.zeros((dim, 3)))
 
     def test_single_pairs_build_no_operator(self, monkeypatch, bose_basis, fermi_basis):
         spec = LatticeSpec(L=2, J=1.0, U=0.8)
