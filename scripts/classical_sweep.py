@@ -10,10 +10,7 @@ import argparse
 import pathlib
 import sys
 
-from dickeprobe.classical import mean_excitations
 from dickeprobe.cli import main as dickeprobe
-from dickeprobe.distributions import superfluid
-from dickeprobe.lattice import LatticeSpec
 
 
 def main():
@@ -46,8 +43,8 @@ def main():
         if code:
             return code
         print(f"wrote {path}")
-    # every state above holds N = L^2 atoms, as the condensate does
-    nbar = mean_excitations(superfluid(LatticeSpec(L=args.L)), args.alpha)
+    # every state above holds N = L^2 atoms, and the first pulse excites N alpha^2 / 4
+    nbar = float(args.L * args.L) * (args.alpha * args.alpha) / 4.0
     print(f"mean excitations per pulse: {nbar:.4f}")
     return 0
 

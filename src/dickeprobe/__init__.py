@@ -6,7 +6,7 @@ transitions, classical-laser drive observables, and validates all closed
 forms against an exact-diagonalization oracle on tiny lattices.
 """
 
-from .classical import expected_sigma_z, mean_excitations, metastable_population
+from .classical import expected_sigma_z, metastable_population
 from .correlators import (
     bosonic_four_point,
     dicke_ladder_factor,
@@ -43,7 +43,6 @@ __all__ = [
     "expected_sigma_z",
     "fermi_dirac",
     "fermionic_four_point",
-    "mean_excitations",
     "metallic",
     "metastable_population",
     "mott_correlator",

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .classical import expected_sigma_z, mean_excitations, metastable_population
+from .classical import expected_sigma_z, metastable_population
 from .distributions import (
     MomentumDistribution,
     Statistics,
@@ -76,86 +76,53 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_lattice_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--L", type=int, default=100, help="sites per side (even), default 100")
-    parser.add_argument("--J", type=float, default=1.0, help="tunneling rate, default 1")
-    parser.add_argument(
-        "--kappa",
-        default="1,1",
-        metavar="N,M",
-        help="photon mode as grid indices n,m, in units of 2*pi/L: kappa = 2*pi/L * (n, m)",
-    )
-
-
-def _add_grid_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tmax", type=float, default=100.0, help="last waiting time in 1/J")
-    parser.add_argument("--steps", type=int, default=500, help="number of samples, default 500")
-
-
-def _add_output_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--output", "-o", default="-", help="output path, '-' for stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dickeprobe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    curve = sub.add_parser("curve", help="normalized emission peak for a lattice state")
-    curve.add_argument("--statistics", choices=["bose", "fermi"], required=True)
-    curve.add_argument(
-        "--state",
-        required=True,
-        help=(
+    csv_commands = {
+        "curve": "normalized emission peak for a lattice state",
+        "quench": "peak after a sudden interaction switch-off: the curve of --state uniform",
+        "adiabatic": (
+            "peak after a slow interaction ramp: the curve of --state superfluid (bose)"
+            " or --state uniform (fermi, small-wave-number approximation)"
+        ),
+        "classical": "classical-laser sequence: sigma_z and metastable population",
+    }
+    state_help = {
+        "curve": (
             "bose: superfluid | partial:N1,N2 | thermal:inverse_temperature | uniform | mott;"
             " fermi: metallic | thermal:inverse_temperature | uniform | neel."
             " mott and neel are frozen at unit filling (U -> infinity); every other"
             " state evolves at U = 0"
         ),
-    )
-    _add_lattice_options(curve)
-    _add_grid_options(curve)
-    _add_output_option(curve)
-
-    quench = sub.add_parser(
-        "quench",
-        help="peak after a sudden interaction switch-off: the curve of --state uniform",
-    )
-    quench.add_argument("--statistics", choices=["bose", "fermi"], required=True)
-    _add_lattice_options(quench)
-    _add_grid_options(quench)
-    _add_output_option(quench)
-
-    adiabatic = sub.add_parser(
-        "adiabatic",
-        help=(
-            "peak after a slow interaction ramp: the curve of --state superfluid (bose)"
-            " or --state uniform (fermi, small-wave-number approximation)"
-        ),
-    )
-    adiabatic.add_argument("--statistics", choices=["bose", "fermi"], required=True)
-    _add_lattice_options(adiabatic)
-    _add_grid_options(adiabatic)
-    _add_output_option(adiabatic)
-
-    classical = sub.add_parser(
-        "classical", help="classical-laser sequence: sigma_z and metastable population"
-    )
-    classical.add_argument("--statistics", choices=["bose", "fermi"], required=True)
-    classical.add_argument(
-        "--state", required=True, help="same selectors as `curve` except mott and neel"
-    )
-    classical.add_argument(
-        "--alpha", type=float, default=0.01, help="first pulse angle, default 0.01"
-    )
-    classical.add_argument(
-        "--beta-rot",
-        type=float,
-        default=None,
-        help="second pulse angle, default -alpha (perfect-reversal sequence)",
-    )
-    _add_lattice_options(classical)
-    _add_grid_options(classical)
-    _add_output_option(classical)
+        "classical": "same selectors as `curve` except mott and neel",
+    }
+    for name, summary in csv_commands.items():
+        cmd = sub.add_parser(name, help=summary)
+        cmd.add_argument("--statistics", choices=["bose", "fermi"], required=True)
+        if name in state_help:
+            cmd.add_argument("--state", required=True, help=state_help[name])
+        if name == "classical":
+            cmd.add_argument(
+                "--alpha", type=float, default=0.01, help="first pulse angle, default 0.01"
+            )
+            cmd.add_argument(
+                "--beta-rot",
+                type=float,
+                default=None,
+                help="second pulse angle, default -alpha (perfect-reversal sequence)",
+            )
+        cmd.add_argument("--L", type=int, default=100, help="sites per side (even), default 100")
+        cmd.add_argument("--J", type=float, default=1.0, help="tunneling rate, default 1")
+        cmd.add_argument(
+            "--kappa",
+            default="1,1",
+            metavar="N,M",
+            help="photon mode as grid indices n,m, in units of 2*pi/L: kappa = 2*pi/L * (n, m)",
+        )
+        cmd.add_argument("--tmax", type=float, default=100.0, help="last waiting time in 1/J")
+        cmd.add_argument("--steps", type=int, default=500, help="number of samples, default 500")
+        cmd.add_argument("--output", "-o", default="-", help="output path, '-' for stdout")
 
     oracle = sub.add_parser("oracle", help="run the exact-diagonalization cross-checks (2x2)")
     oracle.add_argument(
@@ -163,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="write a JSON list of {name, deviation, tolerance, passed}, one per check",
     )
-    _add_output_option(oracle)
+    oracle.add_argument("--output", "-o", default="-", help="output path, '-' for stdout")
 
     return parser
 
@@ -198,10 +165,6 @@ def _build_state(
     return None if build is None else build(spec, statistics, *values)
 
 
-def _build_spec(args) -> LatticeSpec:
-    return LatticeSpec(L=args.L, J=args.J)
-
-
 def _time_grid(args) -> np.ndarray:
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
@@ -231,53 +194,53 @@ def _check_output(path: str) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
-def _write_columns(path: str, header: str, *columns: np.ndarray) -> None:
-    table = np.column_stack(columns)
-    options = {"fmt": _FMT, "delimiter": ",", "header": header, "comments": ""}
+def _write(path: str, write) -> None:
+    """Call write(handle) on stdout for '-', else on the file at path, opened only now."""
     if path == "-":
-        np.savetxt(sys.stdout, table, **options)
+        write(sys.stdout)
     else:
         with open(path, "w", newline="") as handle:
-            np.savetxt(handle, table, **options)
+            write(handle)
 
 
-def _run_curve(args) -> int:
-    """`curve`, `quench` and `adiabatic`: one normalized-peak column, the curve of a state.
+def _run_csv(args) -> int:
+    """`curve`, `quench`, `adiabatic` and `classical`: columns from one state's C(dt).
 
-    quench evaluates the uniform state, adiabatic the state the slow ramp ends in.
+    The four CSV subcommands share this one path and the writer `_write`.
+    quench evaluates the uniform state, adiabatic the state the slow ramp ends
+    in; the curve commands write the normalized peak, classical sigma_z and
+    n_meta, both read from one coherent amplitude.
     """
-    spec = _build_spec(args)
+    spec = LatticeSpec(L=args.L, J=args.J)
     kappa = _parse_kappa(args.kappa, spec.L)
     grid = _time_grid(args)
     statistics = Statistics(args.statistics)
-    if args.command == "curve":
+    if args.command in ("curve", "classical"):
         state = args.state
     elif args.command == "adiabatic" and statistics is Statistics.BOSE:
         state = "superfluid"
     else:
         state = "uniform"
     dist = _build_state(state, statistics, spec)
-    values = np.ones_like(grid) if dist is None else peak_curve(dist, kappa, grid, spec)
-    if args.command == "adiabatic" and statistics is Statistics.FERMI:
-        print(f"note: {_FERMI_ADIABATIC_NOTE}", file=sys.stderr)
-    _write_columns(args.output, "delta_t,normalized_peak", grid, values)
-    return 0
-
-
-def _run_classical(args) -> int:
-    spec = _build_spec(args)
-    kappa = _parse_kappa(args.kappa, spec.L)
-    grid = _time_grid(args)
-    statistics = Statistics(args.statistics)
-    dist = _build_state(args.state, statistics, spec)
-    if dist is None:
-        raise ValueError(f"state {args.state!r} has no momentum distribution")
-    alpha = args.alpha
-    beta_rot = -alpha if args.beta_rot is None else args.beta_rot
-    amplitude = coherent_amplitude(dist, kappa, grid, spec)
-    sigma_z = expected_sigma_z(dist, amplitude, alpha, beta_rot)
-    n_meta = metastable_population(mean_excitations(dist, alpha), amplitude)
-    _write_columns(args.output, "delta_t,sigma_z,n_meta", grid, sigma_z, n_meta)
+    if args.command == "classical":
+        if dist is None:
+            raise ValueError(f"state {state!r} has no momentum distribution")
+        alpha = args.alpha
+        beta_rot = -alpha if args.beta_rot is None else args.beta_rot
+        amplitude = coherent_amplitude(dist, kappa, grid, spec)
+        header = "delta_t,sigma_z,n_meta"
+        columns = (
+            expected_sigma_z(dist, amplitude, alpha, beta_rot),
+            metastable_population(dist, amplitude, alpha),
+        )
+    else:
+        header = "delta_t,normalized_peak"
+        columns = (np.ones_like(grid) if dist is None else peak_curve(dist, kappa, grid, spec),)
+        if args.command == "adiabatic" and statistics is Statistics.FERMI:
+            print(f"note: {_FERMI_ADIABATIC_NOTE}", file=sys.stderr)
+    table = np.column_stack((grid, *columns))
+    options = {"fmt": _FMT, "delimiter": ",", "header": header, "comments": ""}
+    _write(args.output, lambda handle: np.savetxt(handle, table, **options))
     return 0
 
 
@@ -311,11 +274,7 @@ def _run_oracle(args) -> int:
             )
         lines.append(f"oracle suite: {n_pass}/{len(results)} checks passed")
         report = "\n".join(lines) + "\n"
-    if args.output == "-":
-        sys.stdout.write(report)
-    else:
-        with open(args.output, "w", newline="") as handle:
-            handle.write(report)
+    _write(args.output, lambda handle: handle.write(report))
     return 0 if n_pass == len(results) else 2
 
 
@@ -324,11 +283,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_output(args.output)
-        if args.command in ("curve", "quench", "adiabatic"):
-            return _run_curve(args)
-        if args.command == "classical":
-            return _run_classical(args)
-        return _run_oracle(args)
+        return _run_oracle(args) if args.command == "oracle" else _run_csv(args)
     except ValueError as exc:
         print(f"dickeprobe: error: {exc}", file=sys.stderr)
         return 1

@@ -112,12 +112,17 @@ def separable_peak(
 ) -> float:
     """Zero-tunneling peak |sum_mu exp(-i (kout - kin) r_mu) n_mu|^2 / (sum_mu n_mu)^2.
 
-    site_occupations is an (L, L) array of per-site atom numbers; the peak
-    is normalized by their total, the atom count, and lies in [0, 1].
+    site_occupations is an (L, L) array of finite, nonnegative per-site atom
+    numbers; the peak is normalized by their total, the atom count, and lies
+    in [0, 1].
     """
     occ = np.asarray(site_occupations, dtype=float)
     if occ.ndim != 2 or occ.shape[0] != occ.shape[1]:
         raise ValueError("site_occupations must be a square (L, L) array")
+    if not np.all(np.isfinite(occ)):
+        raise ValueError("site_occupations must be finite")
+    if np.any(occ < 0):
+        raise ValueError("site_occupations must be nonnegative")
     total = occ.sum()
     if not total > 0:
         raise ValueError("site_occupations must hold a positive number of atoms")

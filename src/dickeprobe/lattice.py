@@ -76,9 +76,20 @@ def canonical_mode(mode: tuple[int, int], L: int) -> Mode:
     return Mode((mode[0] - lo) % L + lo, (mode[1] - lo) % L + lo)
 
 
+def _integral_mode(mode: tuple[int, int]) -> Mode:
+    """The index pair as ints; ValueError when a part is not an integer (1.5, inf, nan)."""
+    try:
+        n, m = int(mode[0]), int(mode[1])
+        if n == mode[0] and m == mode[1]:
+            return Mode(n, m)
+    except (OverflowError, ValueError):
+        pass
+    raise ValueError(f"mode {mode!r} has a part that is not an integer")
+
+
 def validate_mode(mode: tuple[int, int], L: int) -> Mode:
     """Return the mode unchanged if it already lies in the canonical range."""
-    n, m = int(mode[0]), int(mode[1])
+    n, m = _integral_mode(mode)
     lo = _index_floor(L)
     hi = L // 2
     if not (lo <= n <= hi and lo <= m <= hi):
@@ -156,9 +167,10 @@ def _dephasing_factors(
     a = (2J/Z)(roll(c, -kappa_x) - c) and b the same with kappa_y.  Indexed by
     the occupied mode q, the rates pair with n(q) directly, so no (L, L)
     occupation array has to be shifted by kappa.  Raises ValueError when
-    2J/Z overflows.
+    2J/Z overflows or a part of kappa is not an integer; an integral kappa
+    outside the canonical range wraps onto it.
     """
-    kappa = canonical_mode(kappa, spec.L)
+    kappa = canonical_mode(_integral_mode(kappa), spec.L)
     c = _cosines(spec.L)
     scale = 2.0 * spec.J / spec.Z
     if not math.isfinite(scale):

@@ -30,7 +30,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .classical import expected_sigma_z, mean_excitations, metastable_population
+from .classical import expected_sigma_z, metastable_population
 from .correlators import (
     bosonic_four_point,
     dicke_ladder_factor,
@@ -891,7 +891,7 @@ def _metastable_deviation(
     """
     dts = np.array([0.0, 0.4, 0.7, 1.4, 2.0])
     amplitudes = coherent_amplitude(dist, kappa, dts, basis.spec)
-    formulas = metastable_population(mean_excitations(dist, alpha), amplitudes)
+    formulas = metastable_population(dist, amplitudes, alpha)
     block = np.stack(states, axis=1)
     exact = classical_sequence_sigma_z(block, basis, basis.spec, alpha, -alpha, kappa, dts)
     return float(np.abs(exact + basis.n_particles / 2 - formulas[:, None]).max())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from dickeprobe.classical import expected_sigma_z, mean_excitations, metastable_population
+from dickeprobe.classical import expected_sigma_z, metastable_population
 from dickeprobe.cli import main
 from dickeprobe.correlators import (
     bosonic_four_point,
@@ -260,22 +260,20 @@ def test_criterion_7e_vanishing_correlator_cases(spec2, oracle_setup, rng):
 def test_criterion_8_classical_drive(spec2, spec100, oracle_setup):
     # perfect reversal at dt = 0 and at J = 0
     dist = uniform(spec100)
-    nbar = mean_excitations(dist, 0.01)
-    dev = abs(metastable_population(nbar, coherent_amplitude(dist, KAPPA, 0.0, spec100)))
+    dev = abs(metastable_population(dist, coherent_amplitude(dist, KAPPA, 0.0, spec100), 0.01))
     frozen = LatticeSpec(L=100, J=0.0)
     for t in (0.0, 5.0, 60.0):
         amplitude = coherent_amplitude(uniform(frozen), KAPPA, t, frozen)
-        dev = max(dev, abs(metastable_population(nbar, amplitude)))
+        dev = max(dev, abs(metastable_population(dist, amplitude, 0.01)))
     report(8, "perfect reversal gives zero metastable population", dev, 1e-12)
 
     # small-angle agreement between the exact expectation and the quadratic form
     alpha = 0.01
-    nbar = mean_excitations(dist, alpha)
     rel_dev = 0.0
     for t in (0.5, 2.0, 7.0, 20.0):
         amplitude = coherent_amplitude(dist, KAPPA, t, spec100)
         exact = expected_sigma_z(dist, amplitude, alpha, -alpha) + spec100.sites / 2
-        approx = metastable_population(nbar, amplitude)
+        approx = metastable_population(dist, amplitude, alpha)
         rel_dev = max(rel_dev, abs(exact - approx) / abs(exact))
     report(8, "small-angle shifted expectation vs metastable population", rel_dev, 1e-3)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dickeprobe.classical import expected_sigma_z, mean_excitations, metastable_population
+from dickeprobe.classical import expected_sigma_z, metastable_population
 from dickeprobe.distributions import (
     bose_einstein,
     metallic,
@@ -18,8 +18,13 @@ def sigma_z(dist, rotation_in, rotation_out, kappa, dt, spec):
     )
 
 
-def n_meta(dist, nbar, kappa, dt, spec):
-    return metastable_population(nbar, coherent_amplitude(dist, kappa, dt, spec))
+def n_meta(dist, alpha, kappa, dt, spec):
+    return metastable_population(dist, coherent_amplitude(dist, kappa, dt, spec), alpha)
+
+
+def first_pulse_excitations(dist, alpha):
+    """nbar = N alpha^2 / 4 from the distribution's atom total N."""
+    return dist.total_target * alpha**2 / 4.0
 
 
 class TestExpectedSigmaZ:
@@ -61,48 +66,44 @@ class TestExpectedSigmaZ:
 class TestMetastablePopulation:
     def test_zero_wait(self):
         spec = LatticeSpec(L=10)
-        nbar = mean_excitations(uniform(spec), 0.01)
-        assert n_meta(uniform(spec), nbar, Mode(1, 1), 0.0, spec) == pytest.approx(0.0, abs=1e-12)
+        assert n_meta(uniform(spec), 0.01, Mode(1, 1), 0.0, spec) == pytest.approx(0.0, abs=1e-12)
 
     def test_no_tunneling_is_perfectly_reversed(self):
         spec = LatticeSpec(L=10, J=0.0)
-        nbar = mean_excitations(uniform(spec), 0.01)
         for t in (0.0, 5.0, 50.0):
-            assert n_meta(uniform(spec), nbar, Mode(1, 1), t, spec) == pytest.approx(0.0, abs=1e-12)
+            assert n_meta(uniform(spec), 0.01, Mode(1, 1), t, spec) == pytest.approx(0.0, abs=1e-12)
 
     def test_L2_closed_form(self):
         spec = LatticeSpec(L=2)
-        nbar = mean_excitations(uniform(spec), 0.02)
+        nbar = first_pulse_excitations(uniform(spec), 0.02)
         for t in (0.3, 1.0, 2.4):
             expected = 2.0 * nbar * (1.0 - np.cos(t))
-            assert n_meta(uniform(spec), nbar, Mode(1, 0), t, spec) == pytest.approx(
+            assert n_meta(uniform(spec), 0.02, Mode(1, 0), t, spec) == pytest.approx(
                 expected, abs=1e-14
             )
 
     def test_upper_bound(self):
         spec = LatticeSpec(L=10)
-        nbar = mean_excitations(uniform(spec), 0.05)
+        nbar = first_pulse_excitations(uniform(spec), 0.05)
         for t in np.linspace(0, 40, 60):
-            value = n_meta(uniform(spec), nbar, Mode(5, 5), t, spec)
+            value = n_meta(uniform(spec), 0.05, Mode(5, 5), t, spec)
             assert 0.0 - 1e-12 <= value <= 4.0 * nbar + 1e-12
 
     def test_metallic_normalized_by_atom_total(self):
         # the half-filled diamond at L = 10 holds 82 atoms, not N = 100
         spec = LatticeSpec(L=10)
         dist = metallic(spec)
-        nbar = mean_excitations(dist, 0.01)
-        assert n_meta(dist, nbar, Mode(1, 1), 0.0, spec) == pytest.approx(0.0, abs=1e-15)
+        assert n_meta(dist, 0.01, Mode(1, 1), 0.0, spec) == pytest.approx(0.0, abs=1e-15)
         assert sigma_z(dist, 0.0, 0.0, Mode(1, 1), 1.0, spec) == pytest.approx(-41.0, abs=1e-12)
 
     def test_grid_matches_pointwise(self):
         spec = LatticeSpec(L=10)
         grid = np.linspace(0.0, 30.0, 13)
-        nbar = mean_excitations(uniform(spec), 0.05)
         for dist in (metallic(spec), bose_einstein(spec, 0.5)):
-            batched = n_meta(dist, nbar, Mode(2, -1), grid, spec)
+            batched = n_meta(dist, 0.05, Mode(2, -1), grid, spec)
             batched_sigma_z = sigma_z(dist, 0.3, -0.2, Mode(2, -1), grid, spec)
             for i, t in enumerate(grid):
-                assert batched[i] == n_meta(dist, nbar, Mode(2, -1), t, spec)
+                assert batched[i] == n_meta(dist, 0.05, Mode(2, -1), t, spec)
                 assert batched_sigma_z[i] == sigma_z(dist, 0.3, -0.2, Mode(2, -1), t, spec)
 
 
@@ -112,17 +113,18 @@ class TestSmallAngleAgreement:
         # mismatch is the O(alpha^2) factor sin^2(a)/a^2 - 1 ~ a^2/3
         spec = LatticeSpec(L=10)
         alpha = 0.01
-        nbar = mean_excitations(uniform(spec), alpha)
         dist = uniform(spec)
         for t in (0.5, 2.0, 7.0, 20.0):
             exact = sigma_z(dist, alpha, -alpha, Mode(1, 1), t, spec) + spec.sites / 2
-            approx = n_meta(dist, nbar, Mode(1, 1), t, spec)
+            approx = n_meta(dist, alpha, Mode(1, 1), t, spec)
             assert exact == pytest.approx(approx, rel=1e-3)
 
 
 class TestMeanExcitations:
+    """The count nbar = N alpha^2 / 4 that metastable_population forms itself."""
+
     @pytest.mark.parametrize("alpha", [1.3e154, 1e300, np.inf, np.nan])
     def test_rejects_non_finite_count(self, alpha):
         # N alpha^2 / 4 with N = 16: N alpha^2 overflows at 1.3e154, alpha^2 at 1e300
         with pytest.raises(ValueError, match="not finite"):
-            mean_excitations(uniform(LatticeSpec(L=4)), alpha)
+            n_meta(uniform(LatticeSpec(L=4)), alpha, Mode(1, 1), 1.0, LatticeSpec(L=4))

@@ -200,6 +200,19 @@ class TestBatchedKernel:
             assert batched.shape == grid.shape
             assert np.array_equal(batched, scalar)
 
+    def test_rejects_non_integral_kappa(self):
+        # truncating a fractional part would give (1.9, 0) the curve of (1, 0)
+        # unseen; integral modes outside the canonical range still wrap, as
+        # test_matches_direct_sum's (-3, 5) at L = 4 shows
+        spec = LatticeSpec(L=10)
+        dist = bose_einstein(spec, 1.0)
+        grid = np.linspace(0.0, 5.0, 4)
+        for kappa in ((1.5, 0.7), (1.9, 0), (1, 0.5), (np.inf, 0), (np.nan, 0)):
+            with pytest.raises(ValueError, match="not an integer"):
+                coherent_amplitude(dist, kappa, grid, spec)
+            with pytest.raises(ValueError, match="not an integer"):
+                dephasing_rates(spec, kappa)
+
     def test_rejects_2d_times(self, spec100):
         # and non-finite times: the kernel every caller shares rejects them
         dist, fermi = superfluid(spec100), uniform(spec100, Statistics.FERMI)
@@ -261,8 +274,9 @@ class TestNormalizedPeak:
         assert np.abs(a - b).max() < 1e-12
 
     def test_rejects_off_grid_kappa(self, spec100):
-        with pytest.raises(ValueError):
-            peak_curve(superfluid(spec100), Mode(51, 0), [1.0], spec100)
+        for kappa in (Mode(51, 0), (1.5, 0)):
+            with pytest.raises(ValueError):
+                peak_curve(superfluid(spec100), kappa, [1.0], spec100)
 
 
 class TestSeparablePeak:
@@ -282,6 +296,15 @@ class TestSeparablePeak:
     def test_rejects_empty_lattice(self):
         with pytest.raises(ValueError, match="positive number of atoms"):
             separable_peak(np.zeros((2, 2)), Mode(1, 1), Mode(1, 1))
+        # nor occupations no state can hold: inf makes the peak NaN, and
+        # [[1, -0.5], [0, 0]] would peak at 9 at dk = (0, 1), outside [0, 1]
+        for occ, reason in (
+            ([[np.inf, 0.0], [0.0, 0.0]], "finite"),
+            ([[np.nan, 1.0], [0.0, 0.0]], "finite"),
+            ([[1.0, -0.5], [0.0, 0.0]], "nonnegative"),
+        ):
+            with pytest.raises(ValueError, match=reason):
+                separable_peak(np.array(occ), Mode(0, 0), Mode(0, 1))
 
     def test_checkerboard_bragg_peak(self):
         L = 10

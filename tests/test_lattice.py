@@ -77,6 +77,8 @@ class TestModeGrid:
             validate_mode((3, 0), 4)
         with pytest.raises(ValueError):
             validate_mode((0, -2), 4)
+        with pytest.raises(ValueError, match="not an integer"):
+            validate_mode((1.5, 0), 4)
 
     @given(
         st.sampled_from([2, 4, 10]),

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dickeprobe.classical import mean_excitations, metastable_population
+from dickeprobe.classical import metastable_population
 from dickeprobe.distributions import (
     Statistics,
     bose_einstein,
@@ -58,8 +58,8 @@ def test_coherent_amplitude_bounded_and_one_at_zero(case):
 @given(lattice_states(), st.floats(1e-4, 0.3))
 def test_metastable_population_within_zero_and_four_nbar(case, alpha):
     spec, dist, kappa, times = case
-    nbar = mean_excitations(dist, alpha)
-    n_meta = metastable_population(nbar, coherent_amplitude(dist, kappa, times, spec))
+    nbar = dist.total_target * alpha**2 / 4.0
+    n_meta = metastable_population(dist, coherent_amplitude(dist, kappa, times, spec), alpha)
     tol = 2.0 * nbar * TOL
     assert n_meta[0] == 0.0
     assert np.all(n_meta >= -tol)

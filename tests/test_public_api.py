@@ -21,7 +21,6 @@ PACKAGE_API = [
     "expected_sigma_z",
     "fermi_dirac",
     "fermionic_four_point",
-    "mean_excitations",
     "metallic",
     "metastable_population",
     "mott_correlator",
