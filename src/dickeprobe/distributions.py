@@ -29,6 +29,7 @@ from .lattice import (
     LatticeSpec,
     Mode,
     _energy_levels,
+    _index_floor,
     energy_grid,
     mode_index,
 )
@@ -124,14 +125,10 @@ class MomentumDistribution:
         return self.occupations[channel, i, j]
 
 
-def _zero_mode_index(L: int) -> tuple[int, int]:
-    return mode_index(Mode(0, 0), L)
-
-
 def superfluid(spec: LatticeSpec) -> MomentumDistribution:
     """All N bosons condensed at k = 0: n(k) = N delta_{k,0}."""
     occ = np.zeros((1, spec.L, spec.L))
-    occ[(0, *_zero_mode_index(spec.L))] = float(spec.sites)
+    occ[(0, *mode_index(Mode(0, 0), spec.L))] = float(spec.sites)
     return MomentumDistribution(Statistics.BOSE, _Owned(occ), float(spec.sites))
 
 
@@ -150,7 +147,7 @@ def partial_condensation(
             f"got {n_condensed + n_distributed}"
         )
     occ = np.full((1, spec.L, spec.L), n_distributed / N, dtype=float)
-    occ[(0, *_zero_mode_index(spec.L))] += n_condensed
+    occ[(0, *mode_index(Mode(0, 0), spec.L))] += n_condensed
     return MomentumDistribution(Statistics.BOSE, _Owned(occ), float(N))
 
 
@@ -171,8 +168,7 @@ def metallic(spec: LatticeSpec) -> MomentumDistribution:
     N - 2(L-1) atoms (the non-degenerate ground-state filling).
     """
     L = spec.L
-    lo = -(L // 2) + 1
-    idx = np.arange(L) + lo
+    idx = np.arange(L) + _index_floor(L)
     inside = (np.abs(idx)[:, None] + np.abs(idx)[None, :]) < L // 2
     occ = np.broadcast_to(inside.astype(float), (2, L, L))
     total = float(spec.sites - 2 * (L - 1))

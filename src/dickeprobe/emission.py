@@ -113,8 +113,8 @@ def separable_peak(
     """Zero-tunneling peak |sum_mu exp(-i (kout - kin) r_mu) n_mu|^2 / (sum_mu n_mu)^2.
 
     site_occupations is an (L, L) array of finite, nonnegative per-site atom
-    numbers; the peak is normalized by their total, the atom count, and lies
-    in [0, 1].
+    numbers with a finite total; the peak is normalized by that total, the
+    atom count, and lies in [0, 1].
     """
     occ = np.asarray(site_occupations, dtype=float)
     if occ.ndim != 2 or occ.shape[0] != occ.shape[1]:
@@ -123,14 +123,17 @@ def separable_peak(
         raise ValueError("site_occupations must be finite")
     if np.any(occ < 0):
         raise ValueError("site_occupations must be nonnegative")
-    total = occ.sum()
+    with np.errstate(over="ignore"):
+        total = occ.sum()
+    if not math.isfinite(total):
+        raise ValueError("site_occupations must sum to a finite total")
     if not total > 0:
         raise ValueError("site_occupations must hold a positive number of atoms")
     L = occ.shape[0]
     dk = mode_sub(kappa_out, kappa_in, L)
     x = np.arange(L)
     phase = np.exp(-2j * np.pi * (dk.n * x[:, None] + dk.m * x[None, :]) / L)
-    return abs(np.sum(phase * occ)) ** 2 / total**2
+    return (abs(np.sum(phase * occ)) / total) ** 2
 
 
 def peak_curve(

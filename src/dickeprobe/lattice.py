@@ -4,7 +4,10 @@ Conventions used throughout the package: hbar = 1, periodic boundary
 conditions, and integer mode indices (n, m) standing for the wave vector
 k = (2*pi / L) * (n, m), that is in units of 2*pi/L, with n, m in
 {-L/2+1, ..., L/2}; lengths are in lattice spacings, so k*ell = 2*pi*n/L.
-Times are naturally measured in tunneling times 1/J.
+Times are naturally measured in tunneling times 1/J.  Every function that
+takes a mode applies canonical_mode's one rule: a part that is not an
+integer raises ValueError, and an integral mode outside that index range
+wraps onto it (validate_mode rejects it instead).
 """
 
 from __future__ import annotations
@@ -70,33 +73,36 @@ def _index_floor(L: int) -> int:
     return -(L // 2) + 1
 
 
-def canonical_mode(mode: tuple[int, int], L: int) -> Mode:
-    """Reduce an index pair into the canonical range (-L/2, L/2]."""
-    lo = _index_floor(L)
-    return Mode((mode[0] - lo) % L + lo, (mode[1] - lo) % L + lo)
-
-
-def _integral_mode(mode: tuple[int, int]) -> Mode:
-    """The index pair as ints; ValueError when a part is not an integer (1.5, inf, nan)."""
+def _integral_part(part, mode):
+    """An integer-array part unchanged, an integral scalar as a Python int."""
+    if isinstance(part, np.ndarray) and part.dtype.kind in "iu":
+        return part
     try:
-        n, m = int(mode[0]), int(mode[1])
-        if n == mode[0] and m == mode[1]:
-            return Mode(n, m)
-    except (OverflowError, ValueError):
+        if not isinstance(part, np.ndarray) and int(part) == part:
+            return int(part)
+    except (OverflowError, TypeError, ValueError):
         pass
     raise ValueError(f"mode {mode!r} has a part that is not an integer")
 
 
+def canonical_mode(mode: tuple[int, int], L: int) -> Mode:
+    """Reduce an index pair into the canonical range (-L/2, L/2].
+
+    The one gate for modes: a part that is not an integer (1.5, nan, inf, a
+    float array) raises ValueError; integer-array parts broadcast.
+    """
+    lo = _index_floor(L)
+    n, m = (_integral_part(part, mode) for part in mode)
+    return Mode((n - lo) % L + lo, (m - lo) % L + lo)
+
+
 def validate_mode(mode: tuple[int, int], L: int) -> Mode:
     """Return the mode unchanged if it already lies in the canonical range."""
-    n, m = _integral_mode(mode)
-    lo = _index_floor(L)
-    hi = L // 2
-    if not (lo <= n <= hi and lo <= m <= hi):
-        raise ValueError(
-            f"mode {mode!r} outside the canonical index range [{lo}, {hi}] for L={L}"
-        )
-    return Mode(n, m)
+    canonical = canonical_mode(mode, L)
+    if canonical.n != mode[0] or canonical.m != mode[1]:
+        lo, hi = _index_floor(L), L // 2
+        raise ValueError(f"mode {mode!r} outside the canonical index range [{lo}, {hi}] for L={L}")
+    return canonical
 
 
 def mode_sub(a: tuple[int, int], b: tuple[int, int], L: int) -> Mode:
@@ -111,8 +117,8 @@ def mode_grid(spec: LatticeSpec) -> list[Mode]:
 
 def mode_index(mode: tuple[int, int], L: int) -> tuple[int, int]:
     """Array indices (i, j) of a mode on the (L, L) grid used by this package."""
-    lo = _index_floor(L)
-    return (mode[0] - lo) % L, (mode[1] - lo) % L
+    n, m = canonical_mode(mode, L)
+    return n - _index_floor(L), m - _index_floor(L)
 
 
 def _cosines(L: int) -> np.ndarray:
@@ -167,15 +173,14 @@ def _dephasing_factors(
     a = (2J/Z)(roll(c, -kappa_x) - c) and b the same with kappa_y.  Indexed by
     the occupied mode q, the rates pair with n(q) directly, so no (L, L)
     occupation array has to be shifted by kappa.  Raises ValueError when
-    2J/Z overflows or a part of kappa is not an integer; an integral kappa
-    outside the canonical range wraps onto it.
+    2J/Z overflows or kappa breaks canonical_mode's rule.
     """
-    kappa = canonical_mode(_integral_mode(kappa), spec.L)
+    kappa_x, kappa_y = map(int, canonical_mode(kappa, spec.L))  # an array part: TypeError
     c = _cosines(spec.L)
     scale = 2.0 * spec.J / spec.Z
     if not math.isfinite(scale):
         raise ValueError(f"the dephasing rate 2J/Z overflows for J = {spec.J!r}")
-    return scale * (np.roll(c, -kappa.n) - c), scale * (np.roll(c, -kappa.m) - c)
+    return scale * (np.roll(c, -kappa_x) - c), scale * (np.roll(c, -kappa_y) - c)
 
 
 def dephasing_rates(spec: LatticeSpec, kappa: tuple[int, int]) -> np.ndarray:

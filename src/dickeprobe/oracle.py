@@ -167,10 +167,9 @@ class _Operator:
     """A sparse matrix as numpy triplets: entry (row[i], col[i]) holds data[i].
 
     No (row, col) pair repeats.  The triplets are kept sorted by row, so
-    `@` (on a vector or on every column of a (dim, T) block) reads each run
-    of equal rows as one slice: where every run is a single entry, as in
-    creations and diagonals, the product assigns each term to its row, and
-    otherwise it sums each run.
+    `@` (on a vector or on every column of a (dim, T) block) sums each run
+    of equal rows as one slice; a run of one entry, as in creations and
+    diagonals, sums to that entry exactly.
     """
 
     def __init__(self, row, col, data, shape):
@@ -184,10 +183,7 @@ class _Operator:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         terms = self.data.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.col]
         out = np.zeros((self.shape[0],) + x.shape[1:], dtype=terms.dtype)
-        if len(self._runs) == len(self.row):
-            out[self.row] = terms
-        else:
-            out[self.row[self._runs]] = np.add.reduceat(terms, self._runs, axis=0)
+        out[self.row[self._runs]] = np.add.reduceat(terms, self._runs, axis=0)
         return out
 
     def getH(self) -> _Operator:
@@ -320,19 +316,18 @@ def build_lattice_hamiltonian(basis: FockBasis, spec: LatticeSpec) -> _Operator:
     return _sum((basis.dimension, basis.dimension), parts)
 
 
-def _site_phases(basis: FockBasis, kappa: tuple[int, int]) -> np.ndarray:
-    kappa = canonical_mode(kappa, basis.spec.L)
+def _site_phases(basis: FockBasis, kappa: Mode) -> np.ndarray:
     coords = site_coordinates(basis.spec)
-    L = basis.spec.L
-    return np.exp(2j * np.pi * (kappa.n * coords[:, 0] + kappa.m * coords[:, 1]) / L)
+    return np.exp(2j * np.pi * (kappa.n * coords[:, 0] + kappa.m * coords[:, 1]) / basis.spec.L)
 
 
 def exciton_matrix(basis: FockBasis, kappa: tuple[int, int]) -> _Operator:
     """Sigma^+(kappa) = sum_{mu,s} a+_ex a_gr exp(i kappa r_mu); Sigma^- is its .getH()."""
     raise_level = np.kron(np.eye(basis.n_spins), [[0, 0], [1, 0]])  # a+_ex a_gr on each spin
+    kappa = canonical_mode(kappa, basis.spec.L)
     return _cached(
         basis,
-        ("exciton", canonical_mode(kappa, basis.spec.L)),
+        ("exciton", kappa),
         lambda: _one_body(basis, np.kron(np.diag(_site_phases(basis, kappa)), raise_level)),
     )
 

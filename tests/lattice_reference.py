@@ -5,13 +5,14 @@ evaluates the adjacency transform in place, and dephasing_rates); the
 plain-math versions here are written independently of those array paths, so
 comparing the two checks both.
 bessel_envelope is the paper's small-wave-number limit of the uniform phase
-sum, from scipy, which the package itself does not use.
+sum, and quench_amplitude that sum's exact closed form, both from scipy,
+which the package itself does not use.
 """
 
 import math
 
 import numpy as np
-from scipy.special import j0
+from scipy.special import j0, jv
 
 from dickeprobe.lattice import LatticeSpec, Mode, canonical_mode, mode_sub
 
@@ -47,3 +48,22 @@ def bessel_envelope(kappa: tuple[int, int], dt, spec: LatticeSpec):
     kx_ell = 2.0 * math.pi * kappa[0] / spec.L
     ky_ell = 2.0 * math.pi * kappa[1] / spec.L
     return j0(scale * kx_ell) * j0(scale * ky_ell)
+
+
+def quench_amplitude(kappa: tuple[int, int], dt, spec: LatticeSpec):
+    """The uniform state's C(dt), exact at every L, kappa and dt (Jacobi-Anger).
+
+    Along one axis the rate is -J sin(pi kappa / L) sin(2 pi q / L + pi kappa / L)
+    (Z = 4), so the axis average of its phases is sum_j J_{jL}(x) (-1)^{j kappa}
+    with x = J dt sin(pi kappa / L); C(dt) is the product of both axes'.  Orders
+    beyond |x| + 12 L add nothing at double precision.
+    """
+    t = np.asarray(dt, dtype=float)
+    L, amplitude = spec.L, 1.0
+    for k in kappa:
+        x = spec.J * t * math.sin(math.pi * k / L)
+        js = np.arange(1, int(np.abs(x).max()) // L + 13)
+        # J_{-n} = J_n for the even orders n = jL, so each j > 0 counts twice
+        terms = jv(js[:, None] * L, x) * np.where(js * k % 2, -1.0, 1.0)[:, None]
+        amplitude = amplitude * (jv(0, x) + 2.0 * terms.sum(axis=0))
+    return amplitude

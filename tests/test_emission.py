@@ -27,7 +27,7 @@ from dickeprobe.lattice import (
     mode_index,
     mode_sub,
 )
-from lattice_reference import adjacency_fourier, bessel_envelope
+from lattice_reference import adjacency_fourier, bessel_envelope, quench_amplitude
 
 
 def condensate_phase(kappa, t, spec):
@@ -212,6 +212,9 @@ class TestBatchedKernel:
                 coherent_amplitude(dist, kappa, grid, spec)
             with pytest.raises(ValueError, match="not an integer"):
                 dephasing_rates(spec, kappa)
+        # the kernel takes one mode; integer arrays broadcast only where modes are looked up
+        with pytest.raises(TypeError):
+            coherent_amplitude(dist, (np.array([1, 2]), 0), grid, spec)
 
     def test_rejects_2d_times(self, spec100):
         # and non-finite times: the kernel every caller shares rejects them
@@ -292,6 +295,8 @@ class TestSeparablePeak:
         # two atoms per site, and two atoms on the diagonal of 2 x 2: both peak at 1
         assert separable_peak(2.0 * np.ones((2, 2)), Mode(1, 1), Mode(1, 1)) == 1.0
         assert separable_peak(np.eye(2), Mode(1, 0), Mode(1, 0)) == 1.0
+        # one site at the origin peaks at 1 off forward too, even where total**2 overflows
+        assert separable_peak(np.array([[1e200, 0.0], [0.0, 0.0]]), Mode(0, 0), Mode(1, 0)) == 1.0
 
     def test_rejects_empty_lattice(self):
         with pytest.raises(ValueError, match="positive number of atoms"):
@@ -302,9 +307,19 @@ class TestSeparablePeak:
             ([[np.inf, 0.0], [0.0, 0.0]], "finite"),
             ([[np.nan, 1.0], [0.0, 0.0]], "finite"),
             ([[1.0, -0.5], [0.0, 0.0]], "nonnegative"),
+            # finite parts whose total overflows, which would give a NaN peak
+            ([[1e308, 1e308], [0.0, 0.0]], "finite total"),
         ):
             with pytest.raises(ValueError, match=reason):
                 separable_peak(np.array(occ), Mode(0, 0), Mode(0, 1))
+
+    def test_rejects_non_integral_modes(self):
+        # (1.5, 0) would be an off-grid phase sum, not a Bragg peak of the lattice
+        occ = np.ones((10, 10))
+        for mode in ((1.5, 0), (np.nan, 0), (0, np.inf)):
+            for kappa_in, kappa_out in ((Mode(0, 0), mode), (mode, Mode(0, 0))):
+                with pytest.raises(ValueError, match="not an integer"):
+                    separable_peak(occ, kappa_in, kappa_out)
 
     def test_checkerboard_bragg_peak(self):
         L = 10
@@ -312,6 +327,41 @@ class TestSeparablePeak:
         occ = 2.0 * ((x[:, None] + x[None, :]) % 2 == 0)
         peak = separable_peak(occ, Mode(0, 0), Mode(L // 2, L // 2))
         assert peak == pytest.approx(1.0, abs=1e-12)
+
+
+class TestQuenchClosedForm:
+    """C(dt) of the uniform state, and of states built on it, against Jacobi-Anger."""
+
+    TIMES = np.linspace(0.0, 1000.0, 101)
+
+    @staticmethod
+    def kappas(L):
+        # off axis, and both zone edges: the last index L/2 and the first -L/2 + 1
+        return ((1, 2), (3, -1), (L // 2, 0), (-(L // 2) + 1, L // 2), (L // 2, L // 2))
+
+    @pytest.mark.parametrize("L", [10, 100, 400])
+    def test_uniform_is_a_bessel_product(self, L):
+        spec = LatticeSpec(L=L)
+        for kappa in self.kappas(L):
+            expected = quench_amplitude(kappa, self.TIMES, spec)
+            for statistics in Statistics:
+                got = coherent_amplitude(uniform(spec, statistics), kappa, self.TIMES, spec)
+                assert np.abs(got - expected).max() < 1e-12, (kappa, statistics)
+
+    @pytest.mark.parametrize("L", [10, 100, 400])
+    def test_condensates_add_the_condensate_phase(self, L):
+        # the superfluid is e^{i r0 t}, with r0 the rate at q = 0; a partial
+        # condensate weighs that against the uniform amplitude by atom count
+        spec = LatticeSpec(L=L)
+        N, n0 = spec.sites, 0.3 * spec.sites
+        for kappa in self.kappas(L):
+            r0 = spec.J / spec.Z * (adjacency_fourier(kappa, spec) - adjacency_fourier((0, 0), spec))
+            condensate = np.exp(1j * r0 * self.TIMES)
+            got = coherent_amplitude(superfluid(spec), kappa, self.TIMES, spec)
+            assert np.abs(got - condensate).max() < 1e-12, kappa
+            expected = (n0 * condensate + (N - n0) * quench_amplitude(kappa, self.TIMES, spec)) / N
+            got = coherent_amplitude(partial_condensation(spec, n0, N - n0), kappa, self.TIMES, spec)
+            assert np.abs(got - expected).max() < 1e-12, kappa
 
 
 class TestTransitions:

@@ -8,8 +8,11 @@ arrays: any scipy module would add import time and memory to every
 `dickeprobe oracle` run.  Nor does it load numpy.ma, which numpy 2 imports
 on a plain np.unique(x) call (about 16 ms), nor numpy.random (about 16 ms
 and 5.7 MB of peak RSS): its check inputs come from the standard library's
-`random`, which numpy itself imports.  The checks run in a fresh
-interpreter, because this test session has imported all of them already.
+`random`, which numpy itself imports.  Every command pays for what
+`import dickeprobe.cli` loads, so that path adds nothing beyond the standard
+library, numpy and the seven package modules the curve commands need.  The
+checks run in a fresh interpreter, because this test session has imported
+all of them already.
 """
 
 import ast
@@ -110,3 +113,21 @@ def test_oracle_command_loads_no_numpy_ma():
 
 def test_oracle_command_loads_no_numpy_random():
     assert "numpy.random" not in _oracle_command_modules()
+
+
+CLI_IMPORT = """
+import sys
+bare = set(sys.modules)
+import dickeprobe.cli
+print("\\n".join(
+    name for name in set(sys.modules) - bare
+    if name.partition(".")[0] not in sys.stdlib_module_names
+    and name != "numpy" and not name.startswith("numpy.")
+))
+"""
+
+
+def test_cli_import_adds_only_stdlib_numpy_and_the_curve_modules():
+    package = ["classical", "cli", "correlators", "distributions", "emission", "lattice"]
+    expected = ["dickeprobe"] + [f"dickeprobe.{name}" for name in package]
+    assert sorted(_loaded_in_fresh_interpreter(CLI_IMPORT)) == expected

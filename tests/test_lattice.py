@@ -79,6 +79,48 @@ class TestModeGrid:
             validate_mode((0, -2), 4)
         with pytest.raises(ValueError, match="not an integer"):
             validate_mode((1.5, 0), 4)
+        # a list passes as a pair, and an integral float comes back as an int
+        assert validate_mode([1, -1], 4) == Mode(1, -1)
+        assert type(validate_mode((2.0, 0), 4).n) is int
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda mode: canonical_mode(mode, 10),
+            lambda mode: validate_mode(mode, 10),
+            lambda mode: mode_sub(mode, (0, 0), 10),
+            lambda mode: mode_sub((0, 0), mode, 10),
+            lambda mode: mode_index(mode, 10),
+        ],
+        ids=["canonical_mode", "validate_mode", "mode_sub-a", "mode_sub-b", "mode_index"],
+    )
+    @pytest.mark.parametrize(
+        "mode",
+        [(1.5, 0), (0, np.nan), (np.inf, 0), (np.array([1.0, 2.0]), 0), (np.float64(0.5), 1)],
+        ids=["fraction", "nan", "inf", "float-array", "numpy-fraction"],
+    )
+    def test_every_entry_rejects_non_integral_parts(self, entry, mode):
+        # mode_index((1.5, 0), 10) would otherwise be the array index (5.5, 4)
+        with pytest.raises(ValueError, match="has a part that is not an integer"):
+            entry(mode)
+
+    def test_integral_parts_wrap(self):
+        # a scalar part comes back as a Python int, whatever its type
+        for mode in ((7, -5), (7.0, -5.0), (np.int64(7), np.float64(-5.0))):
+            wrapped = canonical_mode(mode, 10)
+            assert wrapped == Mode(-3, 5)
+            assert type(wrapped.n) is int and type(wrapped.m) is int
+        assert mode_index((7.0, -5), 10) == (1, 9)
+
+    def test_integer_array_parts_broadcast(self):
+        n, m = np.arange(-6, 8)[:, None], np.array([[-4, 5, 6]])
+        wrapped = canonical_mode((n, m), 10)
+        assert wrapped.n.shape == (14, 1) and wrapped.m.shape == (1, 3)
+        assert np.array_equal(wrapped.n[:, 0], [4, 5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5, -4, -3])
+        assert np.array_equal(wrapped.m, [[-4, 5, -4]])
+        i, j = mode_index((n, m), 10)
+        assert np.array_equal(i[:, 0], wrapped.n[:, 0] + 4)
+        assert np.array_equal(mode_sub((n, m), (1, 1), 10).n, canonical_mode((n - 1, m), 10).n)
 
     @given(
         st.sampled_from([2, 4, 10]),

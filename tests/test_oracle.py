@@ -279,6 +279,24 @@ class TestOperator:
                 assert got.shape == (op.shape[0],) + x.shape[1:], name
                 assert np.abs(got - dense @ x).max() < 1e-12, name
 
+    def test_matmul_of_single_entry_rows_and_of_no_entries(self, spec2):
+        basis = FockBasis(spec2, Statistics.FERMI, 2)
+        rng = np.random.default_rng(6)
+        # a creation has one entry per row: each run sums to its one term exactly
+        op = _creation(basis, 3)
+        assert len(np.unique(op.row)) == len(op.row)
+        block = rng.normal(size=(op.shape[1], 3)) + 1j * rng.normal(size=(op.shape[1], 3))
+        expected = np.zeros((op.shape[0], 3), dtype=complex)
+        expected[op.row] = op.data[:, None] * block[op.col]
+        assert np.array_equal(op @ block, expected)
+        # the zero operator gives zeros of the product's shape
+        empty = np.zeros(0, dtype=np.intp)
+        zero = _Operator(empty, empty, np.zeros(0), (5, 4))
+        for x in (np.ones(4), np.ones((4, 3))):
+            got = zero @ x
+            assert got.shape == (5,) + x.shape[1:]
+            assert not got.any()
+
     @pytest.mark.parametrize(
         "statistics, n_particles",
         [(Statistics.BOSE, 4), (Statistics.FERMI, 2)],
