@@ -287,6 +287,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"dickeprobe: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate, e.g. an (L, L) grid at a huge --L
+        print(f"dickeprobe: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     except OSError as exc:
         reason = exc.strerror or exc
         print(f"dickeprobe: error: cannot write {args.output}: {reason}", file=sys.stderr)

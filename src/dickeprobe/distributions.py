@@ -5,11 +5,11 @@ Bosonic states carry one channel, fermionic states two spin channels
 and share one chemical-potential solve (_thermal), a bounded bisection.
 Each trial mu sums the occupation over the distinct band energies weighted
 by how many modes share each one (lattice._energy_levels: about L^2/8
-levels for L^2 modes); only the accepted mu is evaluated on the whole grid,
-in place in the energy grid's own buffer.  The bisection stops once its
-bracket has collapsed onto adjacent floats, where every further midpoint
-would repeat one already tried; what it leaves over goes to the modes of
-the level nearest mu.
+levels for L^2 modes); the accepted mu is evaluated in place on the band's
+table of (|n|, |m|) pairs (lattice._band, about L^2/4 entries) and gathered
+onto the grid.  The bisection stops once its bracket has collapsed onto
+adjacent floats, where every further midpoint would repeat one already
+tried; what it leaves over goes to the modes of the level nearest mu.
 
 The spin-symmetric Fermi states (fermi_dirac, metallic, uniform) store one
 channel, read-only and broadcast to both spins, so a state at L = 400 holds
@@ -25,14 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lattice import (
-    LatticeSpec,
-    Mode,
-    _energy_levels,
-    _index_floor,
-    energy_grid,
-    mode_index,
-)
+from .lattice import LatticeSpec, Mode, _band, _energy_levels, mode_index
 
 __all__ = [
     "ChemicalPotentialError",
@@ -168,8 +161,8 @@ def metallic(spec: LatticeSpec) -> MomentumDistribution:
     N - 2(L-1) atoms (the non-degenerate ground-state filling).
     """
     L = spec.L
-    idx = np.arange(L) + _index_floor(L)
-    inside = (np.abs(idx)[:, None] + np.abs(idx)[None, :]) < L // 2
+    axis = _band(spec)[1]  # |n| of each grid index
+    inside = axis[:, None] + axis[None, :] < L // 2
     occ = np.broadcast_to(inside.astype(float), (2, L, L))
     total = float(spec.sites - 2 * (L - 1))
     return MomentumDistribution(Statistics.FERMI, _Owned(occ), total)
@@ -234,33 +227,35 @@ def _thermal(
         raise ValueError("inverse_temperature must be finite and positive")
     channels = 1 if statistics is Statistics.BOSE else 2
     total = float(spec.sites)
-    levels, counts = _energy_levels(spec)
+    table, axis = _band(spec)
+    levels, counts = _energy_levels(table, axis)
 
     def occupation_sum(mu: float) -> float:
-        # At tiny beta, beta (E - mu) underflows near the Bose band bottom and
-        # the sum overflows to inf: the right limit there, not an error.
-        # numpy's own sum, not a BLAS dot, keeps mu independent of the
-        # thread count.
-        with np.errstate(over="ignore", divide="ignore"):
-            return channels * float((counts * occupations_at(levels, mu)).sum())
+        # numpy's own sum, not a BLAS dot, keeps mu independent of the thread count
+        return channels * float((counts * occupations_at(levels, mu)).sum())
 
-    lo, hi = bracket(levels, lambda mu: occupation_sum(mu) >= total)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(
-            f"inverse_temperature {beta!r} is too small: the chemical-potential "
-            "bracket overflows"
-        )
-    if occupation_sum(hi) < total:
-        mu, residual = hi, math.inf
-    else:
-        mu, residual = _bisect_mu(occupation_sum, total, lo, hi)
-    energies = energy_grid(spec)
-    shell = None
-    if residual > _TOTAL_RTOL * total:
-        # a bool mask, taken before the grid is overwritten with occupations
-        shell = energies == levels[np.argmin(np.abs(levels - mu))]
-    occ = occupations_at(energies, mu, out=energies)
+    # At tiny beta the Bose sum overflows to inf (beta (E - mu) underflows at the band
+    # bottom), the right limit; at a huge J, E - mu overflows and is clipped like any exponent.
+    with np.errstate(over="ignore", divide="ignore"):
+        lo, hi = bracket(levels, lambda mu: occupation_sum(mu) >= total)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(
+                f"inverse_temperature {beta!r} is too small: the chemical-potential "
+                "bracket overflows"
+            )
+        if occupation_sum(hi) < total:
+            mu, residual = hi, math.inf
+        else:
+            mu, residual = _bisect_mu(occupation_sum, total, lo, hi)
+        shell = None
+        if residual > _TOTAL_RTOL * total:  # a bool table, taken before it holds occupations
+            shell = table == levels[np.argmin(np.abs(levels - mu))]
+        occupations_at(table, mu, out=table)
+    del levels, counts  # one (L, L) array at the peak: the levels go before the gather
+    occ = table[np.ix_(axis, axis)]
+    del table  # and the table after it
     if shell is not None:
+        shell = shell[np.ix_(axis, axis)]
         share = (total / channels - occ.sum()) / np.count_nonzero(shell)
         filled = occ[shell] + share
         if filled.min() < 0 or (channels == 2 and filled.max() > 1):

@@ -127,40 +127,44 @@ def _cosines(L: int) -> np.ndarray:
     return np.cos(2.0 * np.pi * idx / L)
 
 
+def _band(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The dispersion on the (L/2 + 1)^2 pairs (|n|, |m|), and |n| of each grid index.
+
+    E depends on a mode only through c(|n|) + c(|m|), c(n) = cos(2 pi n / L),
+    so table[np.ix_(axis, axis)] is the whole grid.  The one place where the
+    package evaluates the dispersion.
+    """
+    c = _cosines(spec.L)[spec.L // 2 - 1 :]  # n = 0 ... L/2
+    table = c[:, None] + c[None, :]
+    table *= 2.0
+    table *= -(spec.J / spec.Z)
+    return table, np.abs(np.arange(spec.L) + _index_floor(spec.L))
+
+
 def energy_grid(spec: LatticeSpec) -> np.ndarray:
     """Single-particle dispersion E(k) = -(J/Z) T(k) over the whole grid.
 
     T(k) = 2[cos(kx*ell) + cos(ky*ell)] is the Fourier transform of the
     adjacency matrix, with kx*ell = 2*pi*n/L; entry [i, j] belongs to
-    mode_index inverse.  Evaluated in one (L, L) buffer, which the caller
-    owns.
+    mode_index inverse.  Gathered from _band's table into a fresh (L, L)
+    array, which the caller owns.
     """
-    c = _cosines(spec.L)
-    grid = c[:, None] + c[None, :]
-    grid *= 2.0
-    grid *= -(spec.J / spec.Z)
-    return grid
+    table, axis = _band(spec)
+    return table[np.ix_(axis, axis)]
 
 
-def _energy_levels(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The dispersion's values with their multiplicities on the mode grid.
+def _energy_levels(table: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_band's table entries with their multiplicities on the mode grid.
 
-    E(n, m) depends on the mode only through c(|n|) + c(|m|), with
-    c(n) = cos(2 pi n / L) and |n| in {0, ..., L/2}; n = 0 and n = L/2 occur
-    once along an axis, every other |n| twice.  One level per unordered pair
-    i <= j, computed with energy_grid's float expression, so that
-    np.repeat(levels, counts) holds exactly the values of energy_grid(spec):
-    about L^2/8 levels in place of L^2 modes.  counts is float, ready for a
-    weighted sum `(counts * f(levels)).sum()`.
+    One float count per pair a <= b (about L^2/8 levels for L^2 modes): how
+    often the axis holds a, times how often it holds b, twice when a != b, so
+    np.repeat(levels, counts) holds exactly the grid's values.
     """
-    c = _cosines(spec.L)[spec.L // 2 - 1 :]  # n = 0 ... L/2
-    n = np.arange(c.size)
-    once = (n == 0) | (n == spec.L // 2)
-    multiplicity = np.where(once, 1.0, 2.0)
-    i, j = np.triu_indices(n.size)
-    levels = -(spec.J / spec.Z) * (2.0 * (c[i] + c[j]))
-    counts = multiplicity[i] * multiplicity[j] * np.where(i == j, 1.0, 2.0)
-    return levels, counts
+    per_axis = np.bincount(axis).astype(float)
+    weights = np.outer(per_axis, per_axis)
+    weights += np.triu(weights, 1)
+    upper = np.triu(np.ones_like(weights, dtype=bool))
+    return table[upper], weights[upper]
 
 
 def _dephasing_factors(

@@ -1,9 +1,9 @@
 """Scalar, one-mode-at-a-time lattice formulas used as references by the tests.
 
 The package computes these quantities over whole grids (energy_grid, which
-evaluates the adjacency transform in place, and dephasing_rates); the
-plain-math versions here are written independently of those array paths, so
-comparing the two checks both.
+gathers the grid from one table of the dispersion over the pairs (|n|, |m|),
+and dephasing_rates); the plain-math versions here evaluate each mode's own
+(n, m) independently of those array paths, so comparing the two checks both.
 bessel_envelope is the paper's small-wave-number limit of the uniform phase
 sum, and quench_amplitude that sum's exact closed form, both from scipy,
 which the package itself does not use.

@@ -428,6 +428,23 @@ class TestErrors:
         assert not out.exists()
         assert "overflows" in capsys.readouterr().err
 
+    def test_thermal_state_at_overflowing_tunneling(self, capsys):
+        # E - mu overflows to inf in the mu solve, quietly; the kernel's 2J/Z
+        # check is the one message
+        argv = ["curve", "--statistics", "bose", "--state", "thermal:1", "--J", "1e308"]
+        assert main([*argv, "--L", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err == "dickeprobe: error: the dephasing rate 2J/Z overflows for J = 1e+308\n"
+
+    def test_grid_too_large_to_allocate(self, tmp_path, capsys):
+        # an (L, L) grid of 71 PiB, which the allocator refuses before touching any memory
+        out = tmp_path / "out.csv"
+        argv = ["curve", "--statistics", "bose", "--state", "superfluid", "--L", "100000000"]
+        assert main([*argv, "-o", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("dickeprobe: error: ") and err.count("\n") == 1
+
     def test_bad_thermal_parameter(self):
         assert (
             main(["curve", "--statistics", "bose", "--state", "thermal:-2",

@@ -18,7 +18,7 @@ from dickeprobe.distributions import (
     superfluid,
     uniform,
 )
-from dickeprobe.lattice import LatticeSpec, Mode, _energy_levels, energy_grid, mode_grid
+from dickeprobe.lattice import LatticeSpec, Mode, _band, _energy_levels, energy_grid, mode_grid
 from lattice_reference import mode_neg
 
 
@@ -344,7 +344,7 @@ class TestChemicalPotentialSolve:
     def test_energy_levels_hold_every_mode_energy(self):
         specs = [LatticeSpec(L=L) for L in (2, 4, 6, 10, 100)]
         for spec in specs + [LatticeSpec(L=10, J=0.37), LatticeSpec(L=6, J=0.0)]:
-            levels, counts = _energy_levels(spec)
+            levels, counts = _energy_levels(*_band(spec))
             assert counts.sum() == spec.sites
             expanded = np.repeat(levels, counts.astype(int))
             np.testing.assert_array_equal(np.sort(expanded), np.sort(energy_grid(spec).ravel()))
@@ -362,11 +362,19 @@ class TestChemicalPotentialSolve:
             np.testing.assert_array_equal(dist.occupations[0], occ_ref)
 
     def test_bose_matches_full_grid_reference_at_L400(self):
+        # the stalled bisection, and the benchmark's thermal inputs at seed 1:
+        # the pinned-mu (condensed) Bose branch and a Fermi gas
         spec = LatticeSpec(L=400)
-        mu_ref, occ_ref = reference_bose(spec, 13.32)
-        dist = bose_einstein(spec, 13.32)
-        assert dist.chemical_potential == mu_ref
-        np.testing.assert_array_equal(dist.occupations[0], occ_ref)
+        for build, reference, beta in [
+            (bose_einstein, reference_bose, 13.32),
+            (bose_einstein, reference_bose, 2.904e7),
+            (fermi_dirac, reference_fermi, 1.843),
+        ]:
+            mu_ref, occ_ref = reference(spec, beta)
+            dist = build(spec, beta)
+            assert dist.chemical_potential == mu_ref, beta
+            for channel in dist.occupations:
+                np.testing.assert_array_equal(channel, occ_ref)
 
     @pytest.mark.parametrize("L", [2, 4, 10, 100])
     def test_fermi_matches_full_grid_reference(self, L):
@@ -383,7 +391,7 @@ class TestChemicalPotentialSolve:
         # the iteration cap, and every later midpoint repeats one of them
         spec = LatticeSpec(L=400)
         beta, total = 13.32, float(spec.sites)
-        levels, counts = _energy_levels(spec)
+        levels, counts = _energy_levels(*_band(spec))
 
         def occupation_sum(mu):
             return float((counts * (1.0 / np.expm1(np.minimum(beta * (levels - mu), 700.0)))).sum())
