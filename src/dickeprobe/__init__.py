@@ -15,7 +15,6 @@ from .correlators import (
     neel_correlator,
 )
 from .distributions import (
-    ChemicalPotentialError,
     MomentumDistribution,
     Statistics,
     bose_einstein,
@@ -31,7 +30,6 @@ from .lattice import LatticeSpec, Mode
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChemicalPotentialError",
     "LatticeSpec",
     "Mode",
     "MomentumDistribution",

@@ -2,7 +2,10 @@
 
 All curve subcommands write `delta_t,normalized_peak` rows; `classical`
 writes `delta_t,sigma_z,n_meta`.  Values are printed with 12 decimal places
-so repeated runs are byte-identical.  Exit codes: 0 success, 1 usage error,
+so repeated runs are byte-identical.  Every command works in units of the
+tunneling rate J: waiting times are in 1/J and `thermal:x` is beta J.  At U = 0
+a curve depends on J only through J dt and beta J, so a run at J is the J = 1
+run with dt and beta multiplied by J.  Exit codes: 0 success, 1 usage error,
 2 numerical failure.
 """
 
@@ -113,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="second pulse angle, default -alpha (perfect-reversal sequence)",
             )
         cmd.add_argument("--L", type=int, default=100, help="sites per side (even), default 100")
-        cmd.add_argument("--J", type=float, default=1.0, help="tunneling rate, default 1")
         cmd.add_argument(
             "--kappa",
             default="1,1",
@@ -211,7 +213,7 @@ def _run_csv(args) -> int:
     in; the curve commands write the normalized peak, classical sigma_z and
     n_meta, both read from one coherent amplitude.
     """
-    spec = LatticeSpec(L=args.L, J=args.J)
+    spec = LatticeSpec(L=args.L)
     kappa = _parse_kappa(args.kappa, spec.L)
     grid = _time_grid(args)
     statistics = Statistics(args.statistics)

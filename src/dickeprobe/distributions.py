@@ -28,7 +28,6 @@ import numpy as np
 from .lattice import LatticeSpec, Mode, _band, _energy_levels, mode_index
 
 __all__ = [
-    "ChemicalPotentialError",
     "MomentumDistribution",
     "Statistics",
     "bose_einstein",
@@ -48,10 +47,6 @@ _EXP_CLIP = 700.0  # exp overflows just above this
 class Statistics(str, Enum):
     BOSE = "bose"
     FERMI = "fermi"
-
-
-class ChemicalPotentialError(RuntimeError):
-    """The chemical-potential bisection did not reach its tolerance."""
 
 
 class _Owned(NamedTuple):
@@ -74,7 +69,6 @@ class MomentumDistribution:
     statistics: Statistics
     occupations: np.ndarray
     total_target: float
-    inverse_temperature: float | None = None
     chemical_potential: float | None = None
 
     def __post_init__(self) -> None:
@@ -220,7 +214,7 @@ def _thermal(
     misses its tolerance, the remainder is spread evenly over the modes of
     the level nearest mu, which is k = 0 alone below the Bose band and the
     straddled level of a cold Fermi sea.  A share that would take such a
-    mode below 0, or a fermion mode above 1, raises ChemicalPotentialError.
+    mode below 0, or a fermion mode above 1, raises RuntimeError.
     A bracket that overflows (beta too small) raises ValueError.
     """
     if not (beta > 0 and math.isfinite(beta)):
@@ -259,7 +253,7 @@ def _thermal(
         share = (total / channels - occ.sum()) / np.count_nonzero(shell)
         filled = occ[shell] + share
         if filled.min() < 0 or (channels == 2 and filled.max() > 1):
-            raise ChemicalPotentialError(
+            raise RuntimeError(
                 f"mu bisection stalled with residual {residual:.3e} on target {total}"
             )
         occ[shell] = filled
@@ -267,7 +261,6 @@ def _thermal(
         statistics,
         _Owned(np.broadcast_to(occ, (channels, spec.L, spec.L))),
         total,
-        inverse_temperature=beta,
         chemical_potential=mu,
     )
 

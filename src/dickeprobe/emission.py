@@ -45,7 +45,8 @@ def _coherent_sum(weights: np.ndarray, kappa: tuple[int, int], dt, spec: Lattice
     weights is a real (L, L) array over the occupied modes q.  A scalar dt
     returns a Python complex, a 1-d dt an array of the same length.  Every
     caller of the kernel passes through here, so a NaN or infinite dt, and a
-    rate or rate * dt that overflows, are rejected once.
+    rate * dt that overflows, are rejected once (LatticeSpec keeps every rate
+    finite).
     """
     t = np.asarray(dt, dtype=float)
     if t.ndim > 1:

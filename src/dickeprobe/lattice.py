@@ -24,7 +24,6 @@ __all__ = [
     "adjacency_matrix",
     "canonical_mode",
     "dephasing_rates",
-    "energy_grid",
     "mode_grid",
     "mode_index",
     "mode_sub",
@@ -48,6 +47,7 @@ class LatticeSpec:
     U = 0 or holds the atoms frozen.  The coordination number Z is a class
     constant, 4; every adjacency row sums to Z, which at L = 2 is realized
     by double bonds (both hops in one direction reach the same neighbor).
+    J is finite, nonnegative and keeps 2J/Z finite (J below about 8.99e307).
     """
 
     L: int
@@ -60,6 +60,8 @@ class LatticeSpec:
             raise ValueError(f"L must be an even integer >= 2, got {self.L!r}")
         if not (math.isfinite(self.J) and self.J >= 0):
             raise ValueError("tunneling rate J must be finite and nonnegative")
+        if not math.isfinite(2.0 * self.J):
+            raise ValueError(f"tunneling rate J = {self.J!r} is too large: 2J/Z overflows")
         if not (math.isfinite(self.U) and self.U >= 0):
             raise ValueError("on-site interaction U must be finite and nonnegative")
 
@@ -141,18 +143,6 @@ def _band(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     return table, np.abs(np.arange(spec.L) + _index_floor(spec.L))
 
 
-def energy_grid(spec: LatticeSpec) -> np.ndarray:
-    """Single-particle dispersion E(k) = -(J/Z) T(k) over the whole grid.
-
-    T(k) = 2[cos(kx*ell) + cos(ky*ell)] is the Fourier transform of the
-    adjacency matrix, with kx*ell = 2*pi*n/L; entry [i, j] belongs to
-    mode_index inverse.  Gathered from _band's table into a fresh (L, L)
-    array, which the caller owns.
-    """
-    table, axis = _band(spec)
-    return table[np.ix_(axis, axis)]
-
-
 def _energy_levels(table: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_band's table entries with their multiplicities on the mode grid.
 
@@ -177,13 +167,11 @@ def _dephasing_factors(
     a = (2J/Z)(roll(c, -kappa_x) - c) and b the same with kappa_y.  Indexed by
     the occupied mode q, the rates pair with n(q) directly, so no (L, L)
     occupation array has to be shifted by kappa.  Raises ValueError when
-    2J/Z overflows or kappa breaks canonical_mode's rule.
+    kappa breaks canonical_mode's rule; LatticeSpec keeps 2J/Z finite.
     """
     kappa_x, kappa_y = map(int, canonical_mode(kappa, spec.L))  # an array part: TypeError
     c = _cosines(spec.L)
     scale = 2.0 * spec.J / spec.Z
-    if not math.isfinite(scale):
-        raise ValueError(f"the dephasing rate 2J/Z overflows for J = {spec.J!r}")
     return scale * (np.roll(c, -kappa_x) - c), scale * (np.roll(c, -kappa_y) - c)
 
 

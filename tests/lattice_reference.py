@@ -1,9 +1,10 @@
 """Scalar, one-mode-at-a-time lattice formulas used as references by the tests.
 
-The package computes these quantities over whole grids (energy_grid, which
-gathers the grid from one table of the dispersion over the pairs (|n|, |m|),
-and dephasing_rates); the plain-math versions here evaluate each mode's own
-(n, m) independently of those array paths, so comparing the two checks both.
+The package computes these quantities over whole grids (lattice._band, one
+table of the dispersion over the pairs (|n|, |m|), which band_grid gathers
+onto the grid, and dephasing_rates); the plain-math versions here evaluate
+each mode's own (n, m) independently of those array paths, so comparing the
+two checks both.
 bessel_envelope is the paper's small-wave-number limit of the uniform phase
 sum, and quench_amplitude that sum's exact closed form, both from scipy,
 which the package itself does not use.
@@ -14,7 +15,7 @@ import math
 import numpy as np
 from scipy.special import j0, jv
 
-from dickeprobe.lattice import LatticeSpec, Mode, canonical_mode, mode_sub
+from dickeprobe.lattice import LatticeSpec, Mode, _band, canonical_mode, mode_sub
 
 
 def mode_add(a: tuple[int, int], b: tuple[int, int], L: int) -> Mode:
@@ -34,6 +35,12 @@ def adjacency_fourier(mode: tuple[int, int], spec: LatticeSpec) -> float:
 def mode_energy(mode: tuple[int, int], spec: LatticeSpec) -> float:
     """Single-particle dispersion E(k) = -(J/Z) T(k)."""
     return -(spec.J / spec.Z) * adjacency_fourier(mode, spec)
+
+
+def band_grid(spec: LatticeSpec) -> np.ndarray:
+    """E(k) over the (L, L) grid in mode_index order: _band's table gathered by |n| and |m|."""
+    table, axis = _band(spec)
+    return table[np.ix_(axis, axis)]
 
 
 def hopping_phase(p: tuple[int, int], k: tuple[int, int], t: float, spec: LatticeSpec) -> float:

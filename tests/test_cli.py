@@ -65,9 +65,8 @@ class TestCurveCommand:
         [
             ("bose", ["--L", "100"], "1e308", "superfluid"),
             ("fermi", ["--L", "2"], "1e308", "thermal:1000"),
-            ("bose", ["--L", "10", "--J", "1e120"], "1e200", "superfluid"),
         ],
-        ids=["bose-L100", "fermi-L2", "bose-J1e120"],
+        ids=["bose-L100", "fermi-L2"],
     )
     def test_huge_inverse_temperature(
         self, statistics, lattice, beta, ground_state, tmp_path, capsys
@@ -289,7 +288,6 @@ class TestErrors:
         [
             ["curve", "--statistics", "bose", "--state", "uniform", "--tmax", "nan"],
             ["quench", "--statistics", "fermi", "--tmax", "inf"],
-            ["curve", "--statistics", "bose", "--state", "uniform", "--J", "nan"],
             ["curve", "--statistics", "bose", "--state", "thermal:nan"],
             ["curve", "--statistics", "fermi", "--state", "thermal:inf"],
             ["curve", "--statistics", "bose", "--state", "partial:nan,16"],
@@ -310,17 +308,23 @@ class TestErrors:
         if "--alpha" in argv or "--beta-rot" in argv:
             assert err == "dickeprobe: error: rotation angles must be finite\n"
 
-    @pytest.mark.parametrize("option", [["--U", "0.5"], ["--ell", "2"]], ids=["U", "ell"])
+    @pytest.mark.parametrize(
+        "option", [["--U", "0.5"], ["--ell", "2"], ["--J", "1"]], ids=["U", "ell", "J"]
+    )
     @pytest.mark.parametrize("command", ["curve", "quench", "adiabatic", "classical"])
     def test_removed_lattice_options(self, command, option, capsys):
-        # no curve depends on the spacing, and every curve is at U = 0 or frozen
+        # no curve depends on the spacing, every curve is at U = 0 or frozen, and
+        # times and inverse temperatures are in units of J (a run at J is the
+        # J = 1 run with dt and beta multiplied by J)
         argv = [command, "--statistics", "bose", "--L", "4", *option]
         if command in ("curve", "classical"):
             argv += ["--state", "uniform"]
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1
-        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dickeprobe ")
+        assert f"unrecognized arguments: {' '.join(option)}" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -407,34 +411,6 @@ class TestErrors:
             assert main([*argv, "-o", str(out)]) == 1
             assert capsys.readouterr().err.startswith(f"dickeprobe: error: cannot write {out}: ")
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            # 2J/Z overflows, so every rate is inf (the dt = 0 row would be inf * 0)
-            ["quench", "--statistics", "fermi", "--J", "1e308", "--tmax", "1"],
-            # the rates are finite, but rate * dt overflows from the second row on
-            ["curve", "--statistics", "bose", "--state", "uniform", "--J", "1e300", "--tmax", "1e10"],
-            # the bose slow ramp is the superfluid's curve, with the same phases
-            ["adiabatic", "--statistics", "bose", "--J", "1e300", "--tmax", "1e10"],
-            ["classical", "--statistics", "bose", "--state", "uniform", "--J", "1e300", "--tmax", "1e10"],
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_overflowing_dephasing_phase(self, argv, tmp_path, capsys):
-        # finite inputs whose phases overflow: exit 1 and no file, not NaN rows
-        out = tmp_path / "out.csv"
-        assert main([*argv, "--L", "20", "--steps", "3", "-o", str(out)]) == 1
-        assert not out.exists()
-        assert "overflows" in capsys.readouterr().err
-
-    def test_thermal_state_at_overflowing_tunneling(self, capsys):
-        # E - mu overflows to inf in the mu solve, quietly; the kernel's 2J/Z
-        # check is the one message
-        argv = ["curve", "--statistics", "bose", "--state", "thermal:1", "--J", "1e308"]
-        assert main([*argv, "--L", "4"]) == 1
-        err = capsys.readouterr().err
-        assert err == "dickeprobe: error: the dephasing rate 2J/Z overflows for J = 1e+308\n"
 
     def test_grid_too_large_to_allocate(self, tmp_path, capsys):
         # an (L, L) grid of 71 PiB, which the allocator refuses before touching any memory

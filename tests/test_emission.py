@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,27 @@ class TestCoherentAmplitude:
             assert coherent_amplitude(dist, Mode(1, 1), 0.0, spec100) == pytest.approx(
                 1.0, abs=1e-12
             )
+
+    @pytest.mark.parametrize("build", [uniform, superfluid], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("entry", [coherent_amplitude, peak_curve], ids=lambda f: f.__name__)
+    def test_overflowing_dephasing_phase(self, entry, build):
+        # finite inputs whose phases overflow: the rates are finite at J = 1e300,
+        # but rate * dt overflows from the second time on; a ValueError, not NaN
+        spec = LatticeSpec(L=20, J=1e300)
+        with pytest.raises(ValueError, match=r"rate \* dt overflows"):
+            entry(build(spec), Mode(1, 1), np.linspace(0.0, 1e10, 3), spec)
+
+    def test_huge_inverse_temperature_at_huge_tunneling(self):
+        # beta (E - mu) overflows to inf on part of the grid; the exp clip takes it
+        # like any other large exponent, with no warning.  The occupations are not
+        # bit-equal to the superfluid's, so its peaks are compared to 1e-12.
+        spec = LatticeSpec(L=10, J=1e120)
+        grid = np.linspace(0.0, 100.0, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            thermal = peak_curve(bose_einstein(spec, 1e200), Mode(1, 1), grid, spec)
+            condensed = peak_curve(superfluid(spec), Mode(1, 1), grid, spec)
+        np.testing.assert_allclose(thermal, condensed, rtol=0.0, atol=1e-12)
 
     def test_bound_on_random_distributions(self, spec100, rng):
         for _ in range(10):

@@ -11,14 +11,20 @@ from dickeprobe.lattice import (
     adjacency_matrix,
     canonical_mode,
     dephasing_rates,
-    energy_grid,
     mode_grid,
     mode_index,
     mode_sub,
     site_coordinates,
     validate_mode,
 )
-from lattice_reference import adjacency_fourier, hopping_phase, mode_add, mode_energy, mode_neg
+from lattice_reference import (
+    adjacency_fourier,
+    band_grid,
+    hopping_phase,
+    mode_add,
+    mode_energy,
+    mode_neg,
+)
 
 
 class TestLatticeSpec:
@@ -47,6 +53,19 @@ class TestLatticeSpec:
 
     def test_zero_tunneling_allowed(self):
         assert LatticeSpec(L=2, J=0.0).J == 0.0
+
+    @pytest.mark.parametrize("J", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_rejects_non_finite_tunneling(self, J):
+        with pytest.raises(ValueError, match="J must be finite"):
+            LatticeSpec(L=4, J=J)
+
+    def test_rejects_tunneling_whose_dephasing_scale_overflows(self):
+        # above about 8.99e307, 2J/Z overflows and every dephasing rate with it;
+        # the spec rejects such a J before any builder or kernel sees it
+        with pytest.raises(ValueError) as info:
+            LatticeSpec(L=4, J=1e308)
+        assert str(info.value) == "tunneling rate J = 1e+308 is too large: 2J/Z overflows"
+        assert LatticeSpec(L=4, J=8.98e307).J == 8.98e307
 
 
 class TestModeGrid:
@@ -134,7 +153,7 @@ class TestModeGrid:
 
     def test_mode_index_inverts_grid_order(self):
         spec = LatticeSpec(L=6)
-        grid = energy_grid(spec)
+        grid = band_grid(spec)
         for mode in mode_grid(spec):
             i, j = mode_index(mode, spec.L)
             assert grid[i, j] == pytest.approx(mode_energy(mode, spec), abs=1e-14)
@@ -160,7 +179,7 @@ class TestDispersion:
         # each cosine sums to zero over a full period
         for L in (2, 4, 10, 100):
             spec = LatticeSpec(L=L)
-            assert abs(energy_grid(spec).sum()) < 1e-12 * spec.sites
+            assert abs(band_grid(spec).sum()) < 1e-12 * spec.sites
 
     def test_energy_sign(self):
         spec = LatticeSpec(L=4, J=2.0)

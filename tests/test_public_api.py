@@ -1,4 +1,4 @@
-"""The exported names: each one resolves, and the package and the oracle export exactly these."""
+"""The exported names: each one resolves, and the package and every module export exactly these."""
 
 import importlib
 
@@ -9,7 +9,6 @@ import dickeprobe
 MODULES = ["classical", "cli", "correlators", "distributions", "emission", "lattice", "oracle"]
 
 PACKAGE_API = [
-    "ChemicalPotentialError",
     "LatticeSpec",
     "Mode",
     "MomentumDistribution",
@@ -31,6 +30,41 @@ PACKAGE_API = [
     "superfluid",
     "uniform",
 ]
+
+MODULE_API = {
+    "classical": ["expected_sigma_z", "metastable_population"],
+    "cli": ["build_parser", "entrypoint", "main"],
+    "correlators": [
+        "bosonic_four_point",
+        "dicke_ladder_factor",
+        "fermionic_four_point",
+        "mott_correlator",
+        "neel_correlator",
+    ],
+    "distributions": [
+        "MomentumDistribution",
+        "Statistics",
+        "bose_einstein",
+        "fermi_dirac",
+        "metallic",
+        "partial_condensation",
+        "superfluid",
+        "uniform",
+    ],
+    "emission": ["coherent_amplitude", "peak_curve", "separable_peak"],
+    "lattice": [
+        "LatticeSpec",
+        "Mode",
+        "adjacency_matrix",
+        "canonical_mode",
+        "dephasing_rates",
+        "mode_grid",
+        "mode_index",
+        "mode_sub",
+        "site_coordinates",
+        "validate_mode",
+    ],
+}
 
 ORACLE_API = [
     "BasisSizeError",
@@ -66,6 +100,13 @@ def test_oracle_exports_exactly_its_api():
     oracle = importlib.import_module("dickeprobe.oracle")
     assert sorted(oracle.__all__) == ORACLE_API
     assert len(set(oracle.__all__)) == len(oracle.__all__)
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_API))
+def test_module_exports_exactly_its_api(name):
+    module = importlib.import_module(f"dickeprobe.{name}")
+    assert sorted(module.__all__) == MODULE_API[name]
+    assert len(set(module.__all__)) == len(module.__all__)
 
 
 @pytest.mark.parametrize("name", ["dickeprobe"] + [f"dickeprobe.{m}" for m in MODULES])
