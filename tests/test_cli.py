@@ -1,7 +1,14 @@
+import gc
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from dickeprobe.cli import main
+from dickeprobe.cli import entrypoint, main
+from test_imports import _loaded_in_fresh_interpreter
 
 
 def read_rows(path):
@@ -455,3 +462,64 @@ class TestOracleCommand:
                 "PASS", row["name"], "max", "deviation", f"{row['deviation']:.3e}",
                 "tolerance", f"{row['tolerance']:.1e}",
             ]
+
+
+class TestConsoleEntry:
+    """`entrypoint`, the console script, freezes the collector after `main`; nothing else does."""
+
+    def test_entrypoint_freezes_the_collector_after_main(self, tmp_path, monkeypatch):
+        out = tmp_path / "curve.csv"
+        argv = ["curve", "--statistics", "bose", "--state", "uniform", "--L", "4", "--steps", "5"]
+        monkeypatch.setattr(sys, "argv", ["dickeprobe", *argv, "-o", str(out)])
+        assert gc.get_freeze_count() == 0
+        try:
+            with pytest.raises(SystemExit) as exit_info:
+                entrypoint()
+            assert exit_info.value.code == 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert out.read_text().startswith("delta_t,normalized_peak\n0.000000000000,")
+
+    def test_import_and_main_leave_the_collector_alone(self):
+        code = """
+import gc, os
+import dickeprobe.cli
+print(gc.get_freeze_count(), gc.isenabled())
+argv = ["curve", "--statistics", "bose", "--state", "thermal:1", "--L", "4", "-o", os.devnull]
+assert dickeprobe.cli.main(argv) == 0
+print(gc.get_freeze_count(), gc.isenabled())
+"""
+        assert _loaded_in_fresh_interpreter(code) == ["0", "True", "0", "True"]
+
+    @pytest.mark.parametrize(
+        ("argv", "to_stdout"),
+        [
+            (["curve", "--statistics", "bose", "--state", "thermal:0.7", "--L", "6"], True),
+            (["classical", "--statistics", "fermi", "--state", "metallic", "--L", "6"], False),
+            (["curve", "--statistics", "bose", "--state", "uniform", "--L", "3"], True),
+            (["oracle", "--json"], True),
+        ],
+        ids=["curve-stdout", "classical-file", "odd-L", "oracle-json"],
+    )
+    def test_console_output_matches_main(self, argv, to_stdout, tmp_path, capsys):
+        in_process = tmp_path / "main.out"
+        code = main([*argv, "-o", str(in_process)])
+        err = capsys.readouterr().err
+        expected = in_process.read_bytes() if in_process.exists() else b""
+
+        # without PYTHONUNBUFFERED, stdout is flushed at interpreter exit, after the freeze
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        console_out = tmp_path / "console.out"
+        target = "-" if to_stdout else str(console_out)
+        result = subprocess.run(
+            [sys.executable, "-m", "dickeprobe.cli", *argv, "-o", target],
+            env=env, capture_output=True, timeout=120,
+        )
+        written = result.stdout if to_stdout else console_out.read_bytes()
+        assert (result.returncode, result.stderr.decode()) == (code, err)
+        assert written == expected
+        if not to_stdout:
+            assert result.stdout == b""
