@@ -198,9 +198,14 @@ def _check_output(path: str) -> None:
 
 
 def _write(path: str, write) -> None:
-    """Call write(handle) on stdout for '-', else on the file at path, opened only now."""
+    """Call write(handle) on stdout for '-', else on the file at path, opened only now.
+
+    stdout is flushed here, so a closed pipe raises inside `main`, whose
+    OSError handler reports it, and not at interpreter exit.
+    """
     if path == "-":
         write(sys.stdout)
+        sys.stdout.flush()
     else:
         with open(path, "w", newline="") as handle:
             write(handle)
@@ -306,6 +311,16 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     code = main()
+    try:
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # main has reported the closed pipe; stdout goes to devnull so that
+        # interpreter exit does not retry the write still held in its buffer
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
     # Interpreter exit runs full collections over every tracked object (about
     # 21,000 after a curve, most of them made by the imports); frozen objects sit
     # in the permanent generation, which those collections skip.  main() and the

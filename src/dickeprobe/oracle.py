@@ -10,9 +10,15 @@ creation primitive, a+ from the basis one atom smaller.  A bilinear a+_c a_a
 is a+_c (a+_a)^H: one-body sums are assembled from these pairs once per basis
 (`_one_body`), and a single pair is applied as its two creation products.
 Every state is a product of one-atom orbital creations applied from the
-vacuum up (`orbital_state`), and Sigma^- is the adjoint of Sigma^+.
-Operators are numpy index triplets (`_Operator`); the oracle needs no
-sparse-matrix library.
+vacuum up (`orbital_state`): atoms held on one site each (Mott, Neel, the
+random separable states) pass one-site orbitals (`_site_orbitals`), and
+momentum Fock states, the condensate among them, pass plane waves
+(`momentum_fock_state`).  Sigma^- is the adjoint of Sigma^+, and Sigma^x
+is their mean.  Diagonal quantities are read from the occupation array
+alone: Sigma^z is the excited-level count minus n/2, and the site
+occupations n_mu give the on-site energy and the separable transfer
+amplitudes.  Operators are numpy index triplets (`_Operator`); the oracle
+needs no sparse-matrix library.
 
 Single-particle modes follow one fixed global order,
 mode_id = (site * n_spins + spin) * 2 + level, with level 0 = ground and
@@ -52,7 +58,6 @@ from .lattice import (
 )
 
 __all__ = [
-    "BasisSizeError",
     "CheckResult",
     "FockBasis",
     "GROUND",
@@ -69,18 +74,11 @@ __all__ = [
     "neel_state",
     "orbital_state",
     "separable_deviation",
-    "sigma_x_matrix",
-    "sigma_z_diagonal",
-    "superfluid_state",
     "verification_suite",
 ]
 
 GROUND, EXCITED = 0, 1
 _DIMENSION_CAP = 1_000_000
-
-
-class BasisSizeError(RuntimeError):
-    """Requested basis exceeds the oracle's size limits."""
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +93,9 @@ class FockBasis:
     run in `combinations` (fermions) or `combinations_with_replacement`
     (bosons) order of the atoms, so the occupations descend
     lexicographically.  A state's row is the lexicographic rank of its
-    atoms (`_rank`), found with one binomial-table lookup per atom.
+    atoms (`_rank`), found with one binomial-table lookup per atom.  A
+    negative atom count, more than 2 * sites fermions or a dimension above
+    10^6 raises ValueError, the last before any state is listed.
     """
 
     def __init__(self, spec: LatticeSpec, statistics: Statistics, n_particles: int):
@@ -109,7 +109,7 @@ class FockBasis:
         self.n_modes = spec.sites * self.n_spins * 2
         self.fermionic = statistics is Statistics.FERMI
         if self.fermionic and n_particles > 2 * spec.sites:
-            raise BasisSizeError(
+            raise ValueError(
                 f"fermionic oracle caps particles at 2 * sites = {2 * spec.sites}"
             )
 
@@ -118,7 +118,7 @@ class FockBasis:
         slots = self.n_modes + (0 if self.fermionic else n_particles - 1)
         self.dimension = math.comb(slots, n_particles)
         if self.dimension > _DIMENSION_CAP:
-            raise BasisSizeError(
+            raise ValueError(
                 f"basis dimension {self.dimension} exceeds cap {_DIMENSION_CAP}"
             )
         # rank of a strict combination c: dim - 1 - sum_i C(slots - 1 - c_i, n - i)
@@ -288,11 +288,16 @@ def _hopping(basis: FockBasis) -> _Operator:
     )
 
 
+def _site_counts(basis: FockBasis) -> np.ndarray:
+    """n_mu of each basis state, shape (dim, sites): atoms on site mu, both levels and spins."""
+    return basis.occupations.reshape(basis.dimension, basis.spec.sites, -1).sum(axis=2)
+
+
 def _onsite(basis: FockBasis) -> _Operator:
     """Diagonal sum_mu n_mu (n_mu - 1) / 2, built once per basis."""
 
     def build() -> _Operator:
-        n_site = basis.occupations.reshape(basis.dimension, basis.spec.sites, -1).sum(axis=2)
+        n_site = _site_counts(basis)
         states = np.arange(basis.dimension)
         pairs = (0.5 * n_site * (n_site - 1)).sum(axis=1)
         return _Operator(states, states, pairs, (basis.dimension,) * 2)
@@ -330,18 +335,6 @@ def exciton_matrix(basis: FockBasis, kappa: tuple[int, int]) -> _Operator:
         ("exciton", kappa),
         lambda: _one_body(basis, np.kron(np.diag(_site_phases(basis, kappa)), raise_level)),
     )
-
-
-def sigma_z_diagonal(basis: FockBasis) -> np.ndarray:
-    """Diagonal of Sigma^z = (1/2) sum (n_ex - n_gr)."""
-    occ = basis.occupations
-    return 0.5 * (occ[:, EXCITED::2].sum(axis=1) - occ[:, GROUND::2].sum(axis=1))
-
-
-def sigma_x_matrix(basis: FockBasis, kappa: tuple[int, int]) -> _Operator:
-    """Sigma^x(kappa) = (Sigma^+ + Sigma^-) / 2."""
-    plus = exciton_matrix(basis, kappa)
-    return _sum((basis.dimension, basis.dimension), [(0.5, plus), (0.5, plus.getH())])
 
 
 def _sector_labels(H: _Operator) -> np.ndarray:
@@ -435,12 +428,18 @@ class Propagator:
         `state` is one vector (dim,) or a block (dim, k) whose k columns
         evolve together; t is a scalar or an array of times.  A sector is
         evolved when any column has weight there; the rest of the result is
-        exactly zero, and so is every zero column.  A NaN or infinite time
-        raises ValueError.
+        exactly zero, and so is every zero column.  A NaN or infinite time,
+        a state of another shape, and a NaN or infinite entry of the state
+        raise ValueError.
         """
         times = np.asarray(t, dtype=float)
         if not np.isfinite(times).all():
             raise ValueError("evolution time must be finite")
+        dim = self._H.shape[0]
+        if state.ndim not in (1, 2) or state.shape[0] != dim:
+            raise ValueError(f"state of shape {state.shape}, need ({dim},) or ({dim}, k)")
+        if not np.isfinite(state).all():
+            raise ValueError("state must be finite")
         flat = times.reshape(1, -1, 1, 1)
         block = state[:, None] if state.ndim == 1 else state  # (dim, k)
         weighted = np.zeros(len(self._starts), dtype=bool)
@@ -511,29 +510,32 @@ def orbital_state(basis: FockBasis, orbitals) -> np.ndarray:
     return v / norm
 
 
-def _mott_orbitals(spec: LatticeSpec) -> np.ndarray:
-    """One boson per site: atom mu's orbital is site mu."""
-    return np.eye(spec.sites).reshape(spec.sites, spec.sites, 1)
+def _site_orbitals(spec: LatticeSpec, sites, spinors) -> np.ndarray:
+    """`orbital_state` orbitals of atoms held on one site each.
 
-
-def _neel_orbitals(spec: LatticeSpec) -> np.ndarray:
-    """One fermion per site, spin up where x + y is even and down where it is odd."""
-    sites = np.arange(spec.sites)
-    orbitals = np.zeros((spec.sites, spec.sites, 2))
-    orbitals[sites, sites, site_coordinates(spec).sum(axis=1) % 2] = 1.0
+    Atom j sits on site sites[j] with spin amplitudes spinors[j], an
+    (atoms, n_spins) array; listed in site order, fermions pick up no sign.
+    """
+    spinors = np.asarray(spinors, dtype=complex)
+    orbitals = np.zeros((len(spinors), spec.sites, spinors.shape[1]), dtype=complex)
+    orbitals[np.arange(len(spinors)), sites] = spinors
     return orbitals
 
 
 def mott_state(basis: FockBasis) -> np.ndarray:
+    """One boson on each site."""
     if basis.statistics is not Statistics.BOSE or basis.n_particles != basis.spec.sites:
         raise ValueError("Mott state needs a bosonic basis at unit filling")
-    return orbital_state(basis, _mott_orbitals(basis.spec))
+    N = basis.spec.sites
+    return orbital_state(basis, _site_orbitals(basis.spec, range(N), np.ones((N, 1))))
 
 
 def neel_state(basis: FockBasis) -> np.ndarray:
+    """One fermion on each site, spin up where x + y is even and down where it is odd."""
     if basis.statistics is not Statistics.FERMI or basis.n_particles != basis.spec.sites:
         raise ValueError("Neel state needs a fermionic basis at half filling")
-    return orbital_state(basis, _neel_orbitals(basis.spec))
+    spins = np.eye(2)[site_coordinates(basis.spec).sum(axis=1) % 2]
+    return orbital_state(basis, _site_orbitals(basis.spec, range(basis.spec.sites), spins))
 
 
 def momentum_fock_state(basis: FockBasis, occupations) -> np.ndarray:
@@ -576,13 +578,6 @@ def _momentum_case(basis: FockBasis, occupations) -> tuple[np.ndarray, MomentumD
     for (mode, spin), count in occupations.items():
         occ[(spin, *mode_index(mode, L))] += count
     return state, MomentumDistribution(basis.statistics, occ, float(basis.n_particles))
-
-
-def superfluid_state(basis: FockBasis) -> np.ndarray:
-    """All atoms condensed in the k = 0 ground-level mode."""
-    if basis.statistics is not Statistics.BOSE:
-        raise ValueError("the condensate state is bosonic")
-    return momentum_fock_state(basis, {(Mode(0, 0), 0): basis.n_particles})
 
 
 # ---------------------------------------------------------------------------
@@ -742,24 +737,19 @@ def separable_deviation(
     product formula is separable_peak of the single-site transfer
     amplitudes, summed with the spatial phase of kappa_out - kappa_in; it is
     exact at J = 0 and carries an O(J/U) residual otherwise.  Site mu's
-    amplitude sum_{s1,s2} <gr+ ex_{s1} ex+ gr_{s2}> is |R_mu psi|^2 with
-    R_mu = sum_s a+_{mu,s,ex} a_{mu,s,gr}, applied as the creation products
-    a+_{mu,s,ex} ((a+_{mu,s,gr})^H psi).  For the on-site interaction used
-    here the energy is constant within a fixed site occupation, so the time
-    dependence is a global phase and the equal-time value is exact at zero
-    tunneling.  Both sides are normalized by the atom count: the site
-    amplitudes sum to it.
+    amplitude sum_{s1,s2} <gr+ ex_{s1} ex+ gr_{s2}> is <R_mu^H R_mu> with
+    R_mu = sum_s a+_{mu,s,ex} a_{mu,s,gr}.  The state is excitation-free
+    (`exact_peak_curve` checks it first), so each raised atom finds its
+    excited level empty: a_{ex,s1} a+_{ex,s2} acts as delta_{s1 s2}, and
+    R_mu^H R_mu as the site occupation n_mu.  The amplitudes are therefore
+    the state's site occupations <n_mu>, read from the occupation array.
+    For the on-site interaction used here the energy is constant within a
+    fixed site occupation, so the time dependence is a global phase and the
+    equal-time value is exact at zero tunneling.  Both sides are normalized
+    by the atom count: the site occupations sum to it.
     """
     exact = exact_peak_curve(state, kappa_in, kappa_out, np.array([dt]), basis, spec)[0]
-
-    site_amps = np.empty(spec.sites)
-    for mu in range(spec.sites):
-        raised = sum(
-            _creation(basis, basis.mode_id(mu, s, EXCITED))
-            @ (_creation(basis, basis.mode_id(mu, s, GROUND)).getH() @ state)
-            for s in range(basis.n_spins)
-        )
-        site_amps[mu] = np.linalg.norm(raised) ** 2
+    site_amps = np.abs(state) ** 2 @ _site_counts(basis)
     predicted = separable_peak(site_amps.reshape(spec.L, spec.L), kappa_in, kappa_out)
     return abs(exact - predicted)
 
@@ -783,16 +773,18 @@ def classical_sequence_sigma_z(
     if spec.U != 0:
         raise ValueError("the classical sequence oracle requires U = 0")
     _check_excitation_free(state, basis)
-    pulse = _cached(
-        basis,
-        ("pulse", canonical_mode(kappa, spec.L)),
-        lambda: Propagator(sigma_x_matrix(basis, kappa)),
-    )
+
+    def build_pulse() -> Propagator:
+        # Sigma^x(kappa) = (Sigma^+ + Sigma^-) / 2
+        plus = exciton_matrix(basis, kappa)
+        return Propagator(_sum((basis.dimension,) * 2, [(0.5, plus), (0.5, plus.getH())]))
+
+    pulse = _cached(basis, ("pulse", canonical_mode(kappa, spec.L)), build_pulse)
     prop = _cached_propagator(basis, spec)
     waits = np.asarray(dt, dtype=float)
     v = prop.advance(pulse.advance(state, rotation_in), waits)  # waits.shape + state.shape
     v = pulse.advance(np.moveaxis(v, waits.ndim, 0).reshape(basis.dimension, -1), rotation_out)
-    values = sigma_z_diagonal(basis) @ np.abs(v) ** 2
+    values = (_excitations(basis) - basis.n_particles / 2) @ np.abs(v) ** 2
     return values.reshape(waits.shape + state.shape[1:])[()]
 
 
@@ -827,7 +819,7 @@ def _ladder_deviation(basis: FockBasis, ground: np.ndarray, kappa: Mode) -> floa
 def _commutator_deviation(basis: FockBasis, kappa: Mode, rng: random.Random) -> float:
     plus = exciton_matrix(basis, kappa)
     minus = plus.getH()
-    sz = sigma_z_diagonal(basis)
+    sz = _excitations(basis) - basis.n_particles / 2
     draw = rng.random
     worst = 0.0
     for _ in range(3):
@@ -895,17 +887,16 @@ def _metastable_deviation(
 def _random_bose_product(spec: LatticeSpec, rng: random.Random) -> np.ndarray:
     """Orbitals of as many bosons as sites, each on a uniformly drawn site."""
     picks = sorted(rng.choices(range(spec.sites), k=spec.sites))
-    return np.eye(spec.sites)[picks].reshape(spec.sites, spec.sites, 1)
+    return _site_orbitals(spec, picks, np.ones((spec.sites, 1)))
 
 
 def _random_fermi_product(spec: LatticeSpec, rng: random.Random) -> np.ndarray:
     """Orbitals of one fermion per site, each with a uniformly drawn spin direction."""
-    orbitals = np.zeros((spec.sites, spec.sites, 2), dtype=complex)
-    for site in range(spec.sites):
-        theta = rng.uniform(0, math.pi)
-        chi = rng.uniform(0, 2 * math.pi)
-        orbitals[site, site] = np.cos(theta / 2), np.exp(1j * chi) * np.sin(theta / 2)
-    return orbitals
+    spins = []
+    for _ in range(spec.sites):
+        theta, chi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+        spins.append((np.cos(theta / 2), np.exp(1j * chi) * np.sin(theta / 2)))
+    return _site_orbitals(spec, range(spec.sites), spins)
 
 
 def verification_suite() -> list[CheckResult]:
@@ -922,11 +913,12 @@ def verification_suite() -> list[CheckResult]:
     fermi = FockBasis(spec, Statistics.FERMI, spec.sites)
     kappa = Mode(1, 0)
     kappa_diag = Mode(1, 1)
+    # each state built once, a condensate and a uniform state beside their distributions
+    mott, neel = mott_state(bose), neel_state(fermi)
+    condensate = (momentum_fock_state(bose, {(Mode(0, 0), 0): spec.sites}), superfluid(spec))
+    uniform_case = _momentum_case(bose, {(mode, 0): 1 for mode in mode_grid(spec)})
 
-    dev = max(
-        _ladder_deviation(bose, mott_state(bose), kappa),
-        _ladder_deviation(fermi, neel_state(fermi), kappa),
-    )
+    dev = max(_ladder_deviation(bose, mott, kappa), _ladder_deviation(fermi, neel, kappa))
     results.append(CheckResult("dicke-ladder", dev, 1e-10))
 
     dev = max(
@@ -935,9 +927,8 @@ def verification_suite() -> list[CheckResult]:
     )
     results.append(CheckResult("quasispin-commutator", dev, 1e-12))
 
-    uniform_case = _momentum_case(bose, {(mode, 0): 1 for mode in mode_grid(spec)})
     bose_cases = [
-        (superfluid_state(bose), superfluid(spec)),
+        condensate,
         _momentum_case(bose, {(Mode(0, 0), 0): 2, (Mode(1, 0), 0): 1, (Mode(0, 1), 0): 1}),
         uniform_case,
     ]
@@ -952,33 +943,33 @@ def verification_suite() -> list[CheckResult]:
     dev = max(_four_point_deviation(b, *_momentum_case(b, occ)) for b, occ in fermi_cases)
     results.append(CheckResult("four-point-fermi", dev, 1e-10))
 
-    mott = _quench_correlator_residual(bose, mott_state(bose), mott_correlator)
-    results.append(CheckResult("mott-correlator", float(np.abs(mott).max()), 1e-10))
-    neel = _quench_correlator_residual(fermi, neel_state(fermi), neel_correlator)
+    residual = _quench_correlator_residual(bose, mott, mott_correlator)
+    results.append(CheckResult("mott-correlator", float(np.abs(residual).max()), 1e-10))
+    residual = _quench_correlator_residual(fermi, neel, neel_correlator)
     # the published closed form drops the checkerboard term at k - q = (L/2, L/2)
     half = mode_grid(spec).index(Mode(spec.L // 2, spec.L // 2))
     sublattice = _mode_difference(spec) == half  # over (k, q)
-    results.append(CheckResult("neel-correlator", float(np.abs(neel[~sublattice]).max()), 1e-10))
-    results.append(
-        CheckResult("neel-sublattice-gap", float(np.abs(neel[sublattice] + 0.5).max()), 1e-10)
-    )
+    dev = float(np.abs(residual[~sublattice]).max())
+    results.append(CheckResult("neel-correlator", dev, 1e-10))
+    dev = float(np.abs(residual[sublattice] + 0.5).max())
+    results.append(CheckResult("neel-sublattice-gap", dev, 1e-10))
 
     dts = np.linspace(0.0, 8.0, 9)
     dev = 0.0
     for kap in (kappa, kappa_diag):
-        curve = exact_peak_curve(superfluid_state(bose), kap, kap, dts, bose, spec)
+        curve = exact_peak_curve(condensate[0], kap, kap, dts, bose, spec)
         dev = max(dev, float(np.abs(curve - 1.0).max()))
     results.append(CheckResult("superfluid-peak", dev, 1e-8))
 
     dev = 0.0
     for kap in (kappa, kappa_diag):
-        curve = exact_peak_curve(mott_state(bose), kap, kap, dts, bose, spec)
+        curve = exact_peak_curve(mott, kap, kap, dts, bose, spec)
         target = peak_curve(uniform(spec), kap, dts, spec)
         dev = max(dev, float(np.abs(curve - target).max()))
     results.append(CheckResult("quench-dephasing-bose", dev, 1e-8))
 
     dts_f = np.array([0.0, 0.9, 2.3])
-    curve = exact_peak_curve(neel_state(fermi), kappa, kappa, dts_f, fermi, spec)
+    curve = exact_peak_curve(neel, kappa, kappa, dts_f, fermi, spec)
     target = peak_curve(uniform(spec), kappa, dts_f, spec)
     results.append(
         CheckResult("quench-dephasing-fermi", float(np.abs(curve - target).max()), 1e-8)
@@ -993,19 +984,15 @@ def verification_suite() -> list[CheckResult]:
     )
     results.append(CheckResult("separable-zero-cases", dev, 1e-12))
 
-    dev = separable_deviation(mott_state(bose), kappa, kappa, 1.3, bose, spec_sep)
+    dev = separable_deviation(mott, kappa, kappa, 1.3, bose, spec_sep)
     results.append(CheckResult("separable-amplitude-frozen", dev, 1e-12))
 
     spec_u = LatticeSpec(L=2, J=1.0, U=100.0)
-    dev = separable_deviation(mott_state(bose), kappa, kappa, 1.0, bose, spec_u)
+    dev = separable_deviation(mott, kappa, kappa, 1.0, bose, spec_u)
     results.append(CheckResult("separable-amplitude-residual", dev, 0.1))
 
     dev = 0.0
-    classical_cases = [
-        (superfluid_state(bose), superfluid(spec)),
-        uniform_case,
-        (mott_state(bose), uniform(spec)),
-    ]
+    classical_cases = [condensate, uniform_case, (mott, uniform(spec))]
     dts_c = np.array([0.0, 0.7, 1.4])
     amplitudes = [coherent_amplitude(dist, kappa_diag, dts_c, spec) for _, dist in classical_cases]
     states = np.stack([state for state, _ in classical_cases], axis=1)
@@ -1019,8 +1006,7 @@ def verification_suite() -> list[CheckResult]:
     # uniform occupations from a momentum Fock state and from the Mott state;
     # the deviation is 0.647 alpha^4 for both
     alpha = 0.05
-    uniform_states = [uniform_case[0], classical_cases[2][0]]
-    dev = _metastable_deviation(bose, uniform_states, uniform(spec), kappa_diag, alpha)
+    dev = _metastable_deviation(bose, [uniform_case[0], mott], uniform(spec), kappa_diag, alpha)
     results.append(CheckResult("metastable-population", dev, 6.25e-6))  # alpha^4
 
     return results

@@ -30,16 +30,18 @@ from dickeprobe.oracle import (
     exact_peak_curve,
     exciton_matrix,
     four_point_tensor,
+    momentum_fock_state,
     mott_state,
     neel_state,
     orbital_state,
-    superfluid_state,
     _momentum_case,
 )
 from lattice_reference import bessel_envelope
 
 KAPPA = Mode(1, 1)
 GRID = np.linspace(0.0, 100.0, 500)
+# the four bosons of the 2 x 2 oracle basis condensed at k = 0, as momentum_fock_state takes them
+CONDENSATE = {(Mode(0, 0), 0): 4}
 
 
 def report(criterion: int, detail: str, deviation: float, tolerance: float) -> None:
@@ -183,7 +185,7 @@ def test_criterion_7b_four_point_formulas(spec2, oracle_setup):
     bose, fermi = oracle_setup
     grid = mode_grid(spec2)
     bose_cases = [
-        (superfluid_state(bose), superfluid(spec2)),
+        (momentum_fock_state(bose, CONDENSATE), superfluid(spec2)),
         _momentum_case(bose, {(Mode(0, 0), 0): 2, (Mode(1, 0), 0): 1, (Mode(0, 1), 0): 1}),
     ]
     fermi_state, fermi_dist = _momentum_case(
@@ -209,9 +211,10 @@ def test_criterion_7b_four_point_formulas(spec2, oracle_setup):
 def test_criterion_7c_superfluid_oracle_peak(spec2, oracle_setup):
     bose, _ = oracle_setup
     dts = np.linspace(0.0, 8.0, 17)
+    condensate = momentum_fock_state(bose, CONDENSATE)
     dev = 0.0
     for kappa in (Mode(1, 0), Mode(1, 1)):
-        curve = exact_peak_curve(superfluid_state(bose), kappa, kappa, dts, bose, spec2)
+        curve = exact_peak_curve(condensate, kappa, kappa, dts, bose, spec2)
         dev = max(dev, float(np.abs(curve - 1.0).max()))
     report(7, "(c) superfluid oracle peak constant at 1", dev, 1e-8)
 
@@ -281,7 +284,7 @@ def test_criterion_8_classical_drive(spec2, spec100, oracle_setup):
     bose, _ = oracle_setup
     dev = 0.0
     cases = [
-        (superfluid_state(bose), superfluid(spec2)),
+        (momentum_fock_state(bose, CONDENSATE), superfluid(spec2)),
         (mott_state(bose), uniform(spec2)),
     ]
     for angles in ((0.2, -0.2), (0.3, 0.5)):

@@ -464,8 +464,23 @@ class TestOracleCommand:
             ]
 
 
+def _buffered_env():
+    """The environment with src importable and without PYTHONUNBUFFERED.
+
+    stdout on a pipe is then block-buffered, as for the console script in a
+    shell pipeline.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestConsoleEntry:
-    """`entrypoint`, the console script, freezes the collector after `main`; nothing else does."""
+    """`entrypoint`, the console script, freezes the collector after `main`; nothing else does.
+
+    It also keeps a closed stdout pipe to the one error line `main` prints.
+    """
 
     def test_entrypoint_freezes_the_collector_after_main(self, tmp_path, monkeypatch):
         out = tmp_path / "curve.csv"
@@ -508,18 +523,40 @@ print(gc.get_freeze_count(), gc.isenabled())
         err = capsys.readouterr().err
         expected = in_process.read_bytes() if in_process.exists() else b""
 
-        # without PYTHONUNBUFFERED, stdout is flushed at interpreter exit, after the freeze
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         console_out = tmp_path / "console.out"
         target = "-" if to_stdout else str(console_out)
         result = subprocess.run(
             [sys.executable, "-m", "dickeprobe.cli", *argv, "-o", target],
-            env=env, capture_output=True, timeout=120,
+            env=_buffered_env(), capture_output=True, timeout=120,
         )
         written = result.stdout if to_stdout else console_out.read_bytes()
         assert (result.returncode, result.stderr.decode()) == (code, err)
         assert written == expected
         if not to_stdout:
             assert result.stdout == b""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle"],
+            ["oracle", "--json"],
+            ["curve", "--statistics", "bose", "--state", "uniform", "--L", "6", "--steps", "5"],
+            # 500 rows overflow the 8 KiB buffer: the write fails inside main
+            ["curve", "--statistics", "bose", "--state", "uniform", "--L", "6"],
+        ],
+        ids=["oracle", "oracle-json", "short-curve", "long-curve"],
+    )
+    def test_closed_stdout_pipe_exits_1_with_one_line(self, argv):
+        # the read end is closed before the command starts, so every write fails;
+        # a short output fits the buffer and would otherwise fail at interpreter exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "dickeprobe.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=_buffered_env(), timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr.decode() == "dickeprobe: error: cannot write -: Broken pipe\n"

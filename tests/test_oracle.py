@@ -31,7 +31,6 @@ from dickeprobe.lattice import (
 )
 from dickeprobe import oracle as oracle_module
 from dickeprobe.oracle import (
-    BasisSizeError,
     FockBasis,
     Propagator,
     build_lattice_hamiltonian,
@@ -45,16 +44,12 @@ from dickeprobe.oracle import (
     neel_state,
     orbital_state,
     separable_deviation,
-    sigma_x_matrix,
-    sigma_z_diagonal,
-    superfluid_state,
     verification_suite,
     _Operator,
     _creation,
+    _excitations,
     _metastable_deviation,
     _momentum_case,
-    _mott_orbitals,
-    _neel_orbitals,
     _one_body,
     _random_bose_product,
     _random_fermi_product,
@@ -64,12 +59,21 @@ from dickeprobe.oracle import (
 )
 from lattice_reference import mode_energy
 
+# the four bosons of the 2 x 2 basis condensed at k = 0
+_CONDENSATE = {(Mode(0, 0), 0): 4}
+
 
 def _pair(basis, create_id, annihilate_id):
     """a+_{create} a_{annihilate}: the one-body operator of a one-hot matrix."""
     h = np.zeros((basis.n_modes, basis.n_modes))
     h[create_id, annihilate_id] = 1.0
     return _one_body(basis, h)
+
+
+def _sigma_x(basis, kappa):
+    """Sigma^x(kappa) = (Sigma^+ + Sigma^-) / 2, the generator of the classical pulses."""
+    plus = exciton_matrix(basis, kappa)
+    return _sum((basis.dimension,) * 2, [(0.5, plus), (0.5, plus.getH())])
 
 
 class TestBasis:
@@ -100,11 +104,11 @@ class TestBasis:
         assert set(np.unique(fermi_basis.occupations)) <= {0, 1}
 
     def test_boson_dimension_cap(self, spec2):
-        with pytest.raises(BasisSizeError):
+        with pytest.raises(ValueError, match="exceeds cap"):
             FockBasis(spec2, Statistics.BOSE, 23)  # C(30, 7) > 1e6
 
     def test_fermi_particle_cap(self, spec2):
-        with pytest.raises(BasisSizeError):
+        with pytest.raises(ValueError, match="caps particles"):
             FockBasis(spec2, Statistics.FERMI, 9)  # > 2 * sites
 
     def test_large_lattice_rejected(self, monkeypatch):
@@ -114,7 +118,7 @@ class TestBasis:
 
         monkeypatch.setattr(oracle_module, "combinations", enumerate_nothing)
         monkeypatch.setattr(oracle_module, "combinations_with_replacement", enumerate_nothing)
-        with pytest.raises(BasisSizeError, match="dimension"):
+        with pytest.raises(ValueError, match="dimension"):
             FockBasis(LatticeSpec(L=4), Statistics.FERMI, 8)
 
     @pytest.mark.parametrize(
@@ -202,7 +206,7 @@ class TestExciton:
 
     def test_ground_state_sigma_z(self, bose_basis):
         mott = mott_state(bose_basis)
-        sz = sigma_z_diagonal(bose_basis)
+        sz = _excitations(bose_basis) - bose_basis.n_particles / 2
         assert float(np.real(np.vdot(mott, sz * mott))) == pytest.approx(-2.0)
 
     def test_commutator_identity(self, bose_basis, fermi_basis, rng):
@@ -211,7 +215,7 @@ class TestExciton:
             for kappa in (Mode(1, 0), Mode(1, 1)):
                 plus = exciton_matrix(basis, kappa)
                 minus = plus.getH()
-                sz = sigma_z_diagonal(basis)
+                sz = _excitations(basis) - basis.n_particles / 2
                 v = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
                 v /= np.linalg.norm(v)
                 lhs = 0.5 * (plus @ (minus @ v) - minus @ (plus @ v))
@@ -254,7 +258,7 @@ def _operators(basis):
         "creation": _creation(basis, 3),
         "bilinear": _pair(basis, 3, 0),
         "exciton": exciton_matrix(basis, Mode(1, 1)),
-        "sigma-x": sigma_x_matrix(basis, Mode(1, 0)),
+        "sigma-x": _sigma_x(basis, Mode(1, 0)),
         "hamiltonian": build_lattice_hamiltonian(basis, LatticeSpec(L=2, J=1.0, U=3.0)),
     }
 
@@ -343,7 +347,7 @@ class TestOperator:
         H = build_lattice_hamiltonian(basis, LatticeSpec(L=2, J=1.0, U=3.0))
         shuffle = rng.permutation(len(H.row))
         summed = {
-            "sigma-x": sigma_x_matrix(basis, Mode(1, 0)),
+            "sigma-x": _sigma_x(basis, Mode(1, 0)),
             # an adjoint of a sum: its rows come from the sum's columns, unsorted
             "sigma-minus": exciton_matrix(basis, Mode(1, 1)).getH(),
             "hamiltonian": H,
@@ -438,7 +442,7 @@ class TestEvolve:
     def test_matches_dense_reference(self, statistics, n_particles, operator):
         basis = FockBasis(LatticeSpec(L=2), statistics, n_particles)
         if operator == "sigma-x":
-            H = sigma_x_matrix(basis, Mode(1, 1))
+            H = _sigma_x(basis, Mode(1, 1))
         else:
             J, U = _OPERATORS[operator]
             H = build_lattice_hamiltonian(basis, LatticeSpec(L=2, J=J, U=U))
@@ -459,7 +463,7 @@ class TestEvolve:
         assert len(sizes) == 35 and sizes.max() == 256 and sizes.sum() == 1820
         # Sigma^x conserves each site's occupation: at most four singly held (site, spin)
         _, sizes = np.unique(
-            _sector_labels(sigma_x_matrix(fermi_basis, Mode(1, 1))), return_counts=True
+            _sector_labels(_sigma_x(fermi_basis, Mode(1, 1))), return_counts=True
         )
         assert len(sizes) == 266 and sizes.max() == 16 and sizes.sum() == 1820
 
@@ -580,6 +584,24 @@ class TestBlockEvolution:
             assert np.abs(evolved[..., column] - single).max() < 1e-13
         assert len(sizes) == 3
 
+    @pytest.mark.parametrize(
+        "shape", [(), (329,), (331,), (329, 2), (330, 2, 1)],
+        ids=["scalar", "short", "long", "short-block", "three-axes"],
+    )
+    def test_rejects_state_of_wrong_shape(self, spec2, bose_basis, shape):
+        prop = Propagator(build_lattice_hamiltonian(bose_basis, spec2))
+        with pytest.raises(ValueError, match=r"need \(330,\) or \(330, k\)"):
+            prop.advance(np.ones(shape, dtype=complex), 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_non_finite_state(self, spec2, bose_basis, bad):
+        prop = Propagator(build_lattice_hamiltonian(bose_basis, spec2))
+        state = mott_state(bose_basis)
+        state[7] = bad
+        for x in (state, np.stack([mott_state(bose_basis), state], axis=1)):
+            with pytest.raises(ValueError, match="state must be finite"):
+                prop.advance(x, 0.5)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, np.array([0.0, -math.inf])])
     def test_rejects_non_finite_time(self, spec2, bose_basis, t):
         prop = Propagator(build_lattice_hamiltonian(bose_basis, spec2))
@@ -652,7 +674,7 @@ class TestReachedRows:
 
 class TestMomentumStates:
     def test_superfluid_occupations(self, bose_basis):
-        sf = superfluid_state(bose_basis)
+        sf = momentum_fock_state(bose_basis, _CONDENSATE)
         grid = mode_grid(bose_basis.spec)
         exact = four_point_tensor(sf, bose_basis)
         zero = grid.index(Mode(0, 0))
@@ -732,7 +754,7 @@ def _grid_queries(spec, ndim):
 class TestFourPointEquivalence:
     def test_bosonic_formula_matches_oracle(self, spec2, bose_basis):
         cases = [
-            (superfluid_state(bose_basis), superfluid(spec2)),
+            (momentum_fock_state(bose_basis, _CONDENSATE), superfluid(spec2)),
             _momentum_case(
                 bose_basis, {(Mode(0, 0), 0): 2, (Mode(1, 0), 0): 1, (Mode(0, 1), 0): 1}
             ),
@@ -935,7 +957,7 @@ class TestArrayFockLayer:
                 sigma_z.append(0.5 * (sum(occ[1::2]) - sum(occ[0::2])))
             H = build_lattice_hamiltonian(basis, spec)
             assert np.array_equal(H.toarray().diagonal(), interaction)
-            assert np.array_equal(sigma_z_diagonal(basis), sigma_z)
+            assert np.array_equal(_excitations(basis) - basis.n_particles / 2, sigma_z)
 
     def test_empty_bases(self, spec2):
         for statistics in Statistics:
@@ -985,7 +1007,7 @@ class TestEmissionOracle:
         assert off == pytest.approx(np.zeros(3), abs=1e-12)
 
     def test_superfluid_peak_constant(self, spec2, bose_basis):
-        sf = superfluid_state(bose_basis)
+        sf = momentum_fock_state(bose_basis, _CONDENSATE)
         dts = np.linspace(0.0, 8.0, 9)
         for kappa in (Mode(1, 0), Mode(1, 1)):
             curve = exact_peak_curve(sf, kappa, kappa, dts, bose_basis, spec2)
@@ -1041,6 +1063,13 @@ class TestEmissionOracle:
         mott = mott_state(bose_basis)
         with pytest.raises(ValueError, match="finite"):
             exact_peak_curve(mott, Mode(1, 0), Mode(1, 0), np.array(dts), bose_basis, spec2)
+
+    def test_rejects_nan_state(self, spec2, bose_basis):
+        # a NaN state passes the excitation check (NaN > tol is False) and must not
+        # evolve into a NaN curve
+        state = np.full(bose_basis.dimension, np.nan, dtype=complex)
+        with pytest.raises(ValueError, match="finite"):
+            exact_peak_curve(state, Mode(1, 0), Mode(1, 0), np.array([0.0, 1.0]), bose_basis, spec2)
 
     def test_rejects_empty_basis(self, spec2):
         basis = FockBasis(spec2, Statistics.BOSE, 0)
@@ -1191,6 +1220,46 @@ class TestSeparableCases:
             dev = separable_deviation(psi, kin, kout, 0.9, basis, spec)
             assert dev < 1e-12
 
+    def test_site_amplitudes_equal_creation_product_reference(
+        self, monkeypatch, spec2, bose_basis, fermi_basis
+    ):
+        # the transfer amplitude |R_mu psi|^2, R_mu = sum_s a+_{mu,s,ex} a_{mu,s,gr}, applied
+        # as creation products, against the site occupations separable_deviation reads
+        def reference(state, basis):
+            amplitudes = np.empty(basis.spec.sites)
+            for mu in range(basis.spec.sites):
+                raised = sum(
+                    _creation(basis, basis.mode_id(mu, s, 1))
+                    @ (_creation(basis, basis.mode_id(mu, s, 0)).getH() @ state)
+                    for s in range(basis.n_spins)
+                )
+                amplitudes[mu] = np.linalg.norm(raised) ** 2
+            return amplitudes
+
+        spec = LatticeSpec(L=2, J=0.0, U=0.8)
+        rng = random.Random(1905)
+        bose, fermi, two = bose_basis, fermi_basis, FockBasis(spec2, Statistics.BOSE, 2)
+        cases = {
+            "mott": (bose, mott_state(bose)),
+            "neel": (fermi, neel_state(fermi)),
+            "bose-product": (bose, orbital_state(bose, _random_bose_product(spec2, rng))),
+            "fermi-product": (fermi, orbital_state(fermi, _random_fermi_product(spec2, rng))),
+            "two-bosons": (two, orbital_state(two, _bose_orbitals([1, 0, 0, 1]))),
+        }
+        passed = []
+        monkeypatch.setattr(
+            oracle_module,
+            "separable_peak",
+            lambda amplitudes, kin, kout: passed.append(amplitudes.ravel()) or 0.0,
+        )
+        for name, (basis, state) in cases.items():
+            separable_deviation(state, Mode(1, 0), Mode(1, 0), 0.9, basis, spec)
+            expected = reference(state, basis)
+            assert np.abs(passed[-1] - expected).max() < 1e-14, name
+            assert passed[-1].sum() == pytest.approx(basis.n_particles, abs=1e-14), name
+        # the random Bose draw doubles up a site: not every amplitude is 1
+        assert passed[2].max() > 1
+
     def test_interaction_dominated_residual(self, bose_basis):
         # J/U = 0.01: the product formula holds up to a perturbative residual
         spec = LatticeSpec(L=2, J=1.0, U=100.0)
@@ -1202,7 +1271,7 @@ class TestSeparableCases:
 class TestClassicalSequenceOracle:
     def test_matches_closed_form(self, spec2, bose_basis):
         cases = [
-            (superfluid_state(bose_basis), superfluid(spec2)),
+            (momentum_fock_state(bose_basis, _CONDENSATE), superfluid(spec2)),
             (
                 momentum_fock_state(bose_basis, {(mode, 0): 1 for mode in mode_grid(spec2)}),
                 uniform(spec2),
@@ -1244,8 +1313,16 @@ class TestClassicalSequenceOracle:
                         expected_sigma_z(dist, amplitude, *angles), abs=1e-8
                     )
 
+    def test_pulses_are_generated_by_sigma_x(self, spec2, fermi_basis):
+        classical_sequence_sigma_z(
+            neel_state(fermi_basis), fermi_basis, spec2, 0.3, 0.5, Mode(1, 1), 0.7
+        )
+        pulse = fermi_basis._cache[("pulse", Mode(1, 1))]
+        plus = exciton_matrix(fermi_basis, Mode(1, 1)).toarray()
+        assert np.abs(pulse._H.toarray() - 0.5 * (plus + plus.conj().T)).max() < 1e-15
+
     def test_block_and_grid_match_single_calls(self, spec2, bose_basis):
-        states = [superfluid_state(bose_basis), mott_state(bose_basis)]
+        states = [momentum_fock_state(bose_basis, _CONDENSATE), mott_state(bose_basis)]
         dts = np.array([0.0, 0.7, 1.4])
         block = classical_sequence_sigma_z(
             np.stack(states, axis=1), bose_basis, spec2, 0.3, 0.5, Mode(1, 1), dts
@@ -1321,14 +1398,16 @@ def _site_product(basis, orbitals):
 class TestProductState:
     def test_orbital_states_equal_site_products(self, spec2, bose_basis, fermi_basis):
         rng = random.Random(7)
-        bose = [_mott_orbitals(spec2)] + [_random_bose_product(spec2, rng) for _ in range(3)]
+        mott = _bose_orbitals([1, 1, 1, 1])
+        assert np.array_equal(mott_state(bose_basis), _site_product(bose_basis, mott))
+        neel = _fermi_orbitals([(1, 0), (0, 1), (0, 1), (1, 0)])  # up where x + y is even
+        assert np.array_equal(neel_state(fermi_basis), _site_product(fermi_basis, neel))
+        bose = [_random_bose_product(spec2, rng) for _ in range(3)]
         for orbitals in bose:
             reference = _site_product(bose_basis, orbitals)
             assert np.array_equal(orbital_state(bose_basis, orbitals), reference)
         # the random draws put several bosons on one site
         assert max(np.abs(o).sum(axis=0).max() for o in bose) > 1
-        neel = _neel_orbitals(spec2)
-        assert np.array_equal(orbital_state(fermi_basis, neel), _site_product(fermi_basis, neel))
         for _ in range(2):
             orbitals = _random_fermi_product(spec2, rng)
             reference = _site_product(fermi_basis, orbitals)
@@ -1433,6 +1512,24 @@ def test_suite_builds_each_basis_once(monkeypatch):
     monkeypatch.setattr(FockBasis, "__init__", recording)
     verification_suite()
     assert sorted(built) == sorted((s.value, n) for s in Statistics for n in range(5))
+
+
+def test_suite_builds_each_state_once(monkeypatch):
+    # Mott, Neel and five momentum states: the condensate, the uniform state and
+    # the three other four-point cases; each named builder runs once per state
+    built = []
+
+    def recorder(name, build):
+        def recording(basis, *args):
+            built.append((name, basis.statistics.value, basis.n_particles, repr(args)))
+            return build(basis, *args)
+
+        return recording
+
+    for name in ("mott_state", "neel_state", "momentum_fock_state"):
+        monkeypatch.setattr(oracle_module, name, recorder(name, getattr(oracle_module, name)))
+    verification_suite()
+    assert len(built) == len(set(built)) == 7
 
 
 def test_report_deviations_keep_their_level(suite_results):

@@ -67,7 +67,6 @@ MODULE_API = {
 }
 
 ORACLE_API = [
-    "BasisSizeError",
     "CheckResult",
     "EXCITED",
     "FockBasis",
@@ -84,9 +83,6 @@ ORACLE_API = [
     "neel_state",
     "orbital_state",
     "separable_deviation",
-    "sigma_x_matrix",
-    "sigma_z_diagonal",
-    "superfluid_state",
     "verification_suite",
 ]
 
