@@ -15,11 +15,10 @@ import sys
 
 import numpy as np
 
-from dickeprobe.cli import _parse_kappa, _time_grid
 from dickeprobe.cli import main as dickeprobe
 from dickeprobe.distributions import uniform
 from dickeprobe.emission import coherent_amplitude
-from dickeprobe.lattice import LatticeSpec
+from dickeprobe.lattice import LatticeSpec, Mode
 
 
 def main():
@@ -62,8 +61,8 @@ def main():
 
     # the CLI runs above have already rejected a bad --kappa or time grid
     spec = LatticeSpec(L=args.L)
-    grid = _time_grid(args)
-    kappa = _parse_kappa(args.kappa, spec.L)
+    grid = np.linspace(0.0, args.tmax, args.steps)
+    kappa = Mode(*(int(part) for part in args.kappa.split(",")))
     envelope = np.abs(coherent_amplitude(uniform(spec), kappa, grid, spec).real)
     dips = np.flatnonzero((envelope[1:-1] < envelope[:-2]) & (envelope[1:-1] <= envelope[2:]))
     if dips.size:

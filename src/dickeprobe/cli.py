@@ -183,10 +183,12 @@ def _check_output(path: str) -> None:
     a distribution or running the oracle suite.  The file itself is opened
     only when its content is ready, so a run that fails leaves no file.
     """
-    if path == "-":
-        return
     parent = os.path.dirname(path) or "."
-    if not path or not os.path.isdir(parent):
+    if path == "-":
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            return
+        code = errno.EBADF
+    elif not path or not os.path.isdir(parent):
         code = errno.ENOENT
     elif os.path.isdir(path):
         code = errno.EISDIR

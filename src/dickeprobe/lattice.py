@@ -1,4 +1,4 @@
-"""Square-lattice geometry: Brillouin-zone mode grid, dispersion, dephasing rates.
+"""Square-lattice geometry: Brillouin-zone mode grid, dispersion, dephasing factors.
 
 Conventions used throughout the package: hbar = 1, periodic boundary
 conditions, and integer mode indices (n, m) standing for the wave vector
@@ -23,7 +23,6 @@ __all__ = [
     "Mode",
     "adjacency_matrix",
     "canonical_mode",
-    "dephasing_rates",
     "mode_grid",
     "mode_index",
     "mode_sub",
@@ -166,26 +165,15 @@ def _dephasing_factors(
     (J/Z)(T(q + kappa) - T(q)) = a(q_x) + b(q_y) exactly, with
     a = (2J/Z)(roll(c, -kappa_x) - c) and b the same with kappa_y.  Indexed by
     the occupied mode q, the rates pair with n(q) directly, so no (L, L)
-    occupation array has to be shifted by kappa.  Raises ValueError when
+    occupation array has to be shifted by kappa.  The one construction of the
+    rates: (a + b) t at p = q + kappa is minus the hopping phase
+    phi_p^kappa(t) = -(J/Z)(T(p) - T(p-kappa)) t.  Raises ValueError when
     kappa breaks canonical_mode's rule; LatticeSpec keeps 2J/Z finite.
     """
     kappa_x, kappa_y = map(int, canonical_mode(kappa, spec.L))  # an array part: TypeError
     c = _cosines(spec.L)
     scale = 2.0 * spec.J / spec.Z
     return scale * (np.roll(c, -kappa_x) - c), scale * (np.roll(c, -kappa_y) - c)
-
-
-def dephasing_rates(spec: LatticeSpec, kappa: tuple[int, int]) -> np.ndarray:
-    """(J/Z)(T(p) - T(p-kappa)) over the mode grid.
-
-    exp(i * rates * dt) is the dephasing factor entering coherent sums;
-    it equals exp(-i * phi_p^kappa(dt)) mode by mode, with
-    phi_p^kappa(t) = -(J/Z)(T(p) - T(p-kappa)) t the interaction-picture
-    hopping phase.
-    """
-    kappa = canonical_mode(kappa, spec.L)
-    a, b = _dephasing_factors(spec, kappa)
-    return np.roll(a, kappa.n)[:, None] + np.roll(b, kappa.m)[None, :]
 
 
 def site_coordinates(spec: LatticeSpec) -> np.ndarray:

@@ -4,6 +4,7 @@ Everything here exists to validate the closed-form kernels against exact
 quantum mechanics: occupation-number bases over (site, spin, level) modes,
 the two-level lattice Hamiltonian, collective exciton operators, exact
 unitary evolution by eigendecomposition, and first-order emission amplitudes.
+An oracle call has one lattice, its basis's; a LatticeSpec supplies J and U.
 
 A basis is one occupation array; every operator and state derives from one
 creation primitive, a+ from the basis one atom smaller.  A bilinear a+_c a_a
@@ -93,9 +94,10 @@ class FockBasis:
     run in `combinations` (fermions) or `combinations_with_replacement`
     (bosons) order of the atoms, so the occupations descend
     lexicographically.  A state's row is the lexicographic rank of its
-    atoms (`_rank`), found with one binomial-table lookup per atom.  A
-    negative atom count, more than 2 * sites fermions or a dimension above
-    10^6 raises ValueError, the last before any state is listed.
+    atoms (`_rank`), found with one binomial-table lookup per atom.  The
+    basis reads only L from its spec.  A negative atom count, more than
+    2 * sites fermions or a dimension above 10^6 raises ValueError, the
+    last before any state is listed.
     """
 
     def __init__(self, spec: LatticeSpec, statistics: Statistics, n_particles: int):
@@ -369,6 +371,15 @@ def _check_hermitian(H: _Operator) -> None:
         raise ValueError("hamiltonian is not Hermitian")
 
 
+def _check_state(state: np.ndarray, dim: int, block: bool) -> None:
+    """Raise ValueError unless `state` is a finite (dim,) vector, or a (dim, k) block if allowed."""
+    need = f"({dim},) or ({dim}, k)" if block else f"({dim},)"
+    if state.ndim not in (1, 1 + block) or state.shape[0] != dim:
+        raise ValueError(f"state of shape {state.shape}, need {need}")
+    if not np.isfinite(state).all():
+        raise ValueError("state must be finite")
+
+
 class Propagator:
     """Exact evolution exp(-i H t), for any time grid.
 
@@ -435,11 +446,7 @@ class Propagator:
         times = np.asarray(t, dtype=float)
         if not np.isfinite(times).all():
             raise ValueError("evolution time must be finite")
-        dim = self._H.shape[0]
-        if state.ndim not in (1, 2) or state.shape[0] != dim:
-            raise ValueError(f"state of shape {state.shape}, need ({dim},) or ({dim}, k)")
-        if not np.isfinite(state).all():
-            raise ValueError("state must be finite")
+        _check_state(state, self._H.shape[0], block=True)
         flat = times.reshape(1, -1, 1, 1)
         block = state[:, None] if state.ndim == 1 else state  # (dim, k)
         weighted = np.zeros(len(self._starts), dtype=bool)
@@ -467,10 +474,9 @@ class Propagator:
 
 
 def _cached_propagator(basis: FockBasis, spec: LatticeSpec) -> Propagator:
+    """exp(-i H t), cached per spec: one of another L always meets the L check."""
     return _cached(
-        basis,
-        ("propagator", spec.J, spec.U),
-        lambda: Propagator(build_lattice_hamiltonian(basis, spec)),
+        basis, ("propagator", spec), lambda: Propagator(build_lattice_hamiltonian(basis, spec))
     )
 
 
@@ -659,8 +665,10 @@ def four_point_tensor(state: np.ndarray, basis: FockBasis) -> np.ndarray:
     site-mode image is two creation products, a+_{mu,s} ((a+_{nu,s})^H state):
     2 S N of them in place of S N^2 pair operators.  The images keep the
     excitation count of the state, so they are held only on the rows with one
-    of its counts (70 of the 1820 for the Neel state).
+    of its counts (70 of the 1820 for the Neel state).  `state` is one
+    finite (dim,) vector; anything else raises ValueError.
     """
+    _check_state(state, basis.dimension, block=False)
     N, S = basis.spec.sites, basis.n_spins
     rows = _reached_rows(state, basis)
     # W[:, (s, mu, nu)] = a+_{mu,s} a_{nu,s} |state>, in site modes, on the reached rows
@@ -695,14 +703,14 @@ def correlator_cases(
     the rows with an excitation count of the state, where H and the
     raise-then-lower pair leave them.
     """
-    N, S = spec.sites, basis.n_spins
+    prop = _cached_propagator(basis, spec)
+    N, S = basis.spec.sites, basis.n_spins
     # channel c = site * S + s: its ground- and excited-level creations
     channels = [
         [_creation(basis, basis.mode_id(site, s, level)) for level in (GROUND, EXCITED)]
         for site in range(N)
         for s in range(S)
     ]
-    prop = _cached_propagator(basis, spec)
     base = prop.advance(state, t_absorb)
     # column c: e^{-iH(t' - t)} ex+ gr (c) e^{-iH t} |state>
     raised = prop.advance(
@@ -750,7 +758,7 @@ def separable_deviation(
     """
     exact = exact_peak_curve(state, kappa_in, kappa_out, np.array([dt]), basis, spec)[0]
     site_amps = np.abs(state) ** 2 @ _site_counts(basis)
-    predicted = separable_peak(site_amps.reshape(spec.L, spec.L), kappa_in, kappa_out)
+    predicted = separable_peak(site_amps.reshape(basis.spec.L, -1), kappa_in, kappa_out)
     return abs(exact - predicted)
 
 
@@ -779,8 +787,8 @@ def classical_sequence_sigma_z(
         plus = exciton_matrix(basis, kappa)
         return Propagator(_sum((basis.dimension,) * 2, [(0.5, plus), (0.5, plus.getH())]))
 
-    pulse = _cached(basis, ("pulse", canonical_mode(kappa, spec.L)), build_pulse)
     prop = _cached_propagator(basis, spec)
+    pulse = _cached(basis, ("pulse", canonical_mode(kappa, basis.spec.L)), build_pulse)
     waits = np.asarray(dt, dtype=float)
     v = prop.advance(pulse.advance(state, rotation_in), waits)  # waits.shape + state.shape
     v = pulse.advance(np.moveaxis(v, waits.ndim, 0).reshape(basis.dimension, -1), rotation_out)
@@ -860,7 +868,7 @@ def _quench_correlator_residual(basis: FockBasis, state, closed) -> np.ndarray:
 def _zero_case_deviation(
     basis: FockBasis, states, spec: LatticeSpec, t_absorb: float, t_emit: float
 ) -> float:
-    same = np.eye(spec.sites, dtype=bool)
+    same = np.eye(basis.spec.sites, dtype=bool)
     surviving = same[:, :, None, None] & same[None, None, :, :]  # mu = nu and rho = eta
     return max(
         float(np.abs(correlator_cases(state, basis, spec, t_absorb, t_emit)[~surviving]).max())
@@ -869,7 +877,7 @@ def _zero_case_deviation(
 
 
 def _metastable_deviation(
-    basis: FockBasis, states, dist: MomentumDistribution, kappa: Mode, alpha: float
+    basis: FockBasis, states, spec: LatticeSpec, dist: MomentumDistribution, kappa: Mode, alpha
 ) -> float:
     """max |<Sigma^z> + n/2 - metastable_population| over the states, at angles (alpha, -alpha).
 
@@ -877,10 +885,10 @@ def _metastable_deviation(
     the formula's (alpha^2 / 2)(n - S): they part at O(alpha^4).
     """
     dts = np.array([0.0, 0.4, 0.7, 1.4, 2.0])
-    amplitudes = coherent_amplitude(dist, kappa, dts, basis.spec)
+    amplitudes = coherent_amplitude(dist, kappa, dts, spec)
     formulas = metastable_population(dist, amplitudes, alpha)
     block = np.stack(states, axis=1)
-    exact = classical_sequence_sigma_z(block, basis, basis.spec, alpha, -alpha, kappa, dts)
+    exact = classical_sequence_sigma_z(block, basis, spec, alpha, -alpha, kappa, dts)
     return float(np.abs(exact + basis.n_particles / 2 - formulas[:, None]).max())
 
 
@@ -1006,7 +1014,8 @@ def verification_suite() -> list[CheckResult]:
     # uniform occupations from a momentum Fock state and from the Mott state;
     # the deviation is 0.647 alpha^4 for both
     alpha = 0.05
-    dev = _metastable_deviation(bose, [uniform_case[0], mott], uniform(spec), kappa_diag, alpha)
+    metastable = [uniform_case[0], mott]
+    dev = _metastable_deviation(bose, metastable, spec, uniform(spec), kappa_diag, alpha)
     results.append(CheckResult("metastable-population", dev, 6.25e-6))  # alpha^4
 
     return results

@@ -2,9 +2,11 @@
 
 The package computes these quantities over whole grids (lattice._band, one
 table of the dispersion over the pairs (|n|, |m|), which band_grid gathers
-onto the grid, and dephasing_rates); the plain-math versions here evaluate
-each mode's own (n, m) independently of those array paths, so comparing the
-two checks both.
+onto the grid, and lattice._dephasing_factors, the x and y parts of the
+dephasing rate that the C(dt) kernel builds); the plain-math versions here
+evaluate each mode's own (n, m) independently of those array paths, so
+comparing the two checks both.  hopping_phase is the one reference for the
+rates: minus the phase per unit time is the rate at p.
 bessel_envelope is the paper's small-wave-number limit of the uniform phase
 sum, and quench_amplitude that sum's exact closed form, both from scipy,
 which the package itself does not use.

@@ -560,3 +560,22 @@ print(gc.get_freeze_count(), gc.isenabled())
             os.close(write_end)
         assert result.returncode == 1
         assert result.stderr.decode() == "dickeprobe: error: cannot write -: Broken pipe\n"
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_started_with_fd_1_closed(self, to_file, tmp_path):
+        # started by a shell with fd 1 closed (`>&-`): sys.stdout is None
+        out = tmp_path / "curve.csv"
+        argv = ["curve", "--statistics", "bose", "--state", "uniform", "--L", "6", "--steps", "5"]
+        command = [sys.executable, "-m", "dickeprobe.cli", *argv, "-o", str(out) if to_file else "-"]
+        result = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", *command],
+            stderr=subprocess.PIPE, env=_buffered_env(), timeout=120,
+        )
+        if to_file:
+            assert (result.returncode, result.stderr) == (0, b"")
+            assert out.read_text().startswith("delta_t,normalized_peak\n0.000000000000,")
+        else:
+            assert result.returncode == 1
+            assert result.stderr.decode() == (
+                "dickeprobe: error: cannot write -: Bad file descriptor\n"
+            )

@@ -23,17 +23,15 @@ from dickeprobe.lattice import (
     LatticeSpec,
     Mode,
     canonical_mode,
-    dephasing_rates,
     mode_grid,
-    mode_index,
     mode_sub,
 )
-from lattice_reference import adjacency_fourier, bessel_envelope, quench_amplitude
+from lattice_reference import adjacency_fourier, bessel_envelope, hopping_phase, quench_amplitude
 
 
 def condensate_phase(kappa, t, spec):
-    """Phase of an exciton on the condensate: the dephasing rate at p = kappa, times t."""
-    return dephasing_rates(spec, kappa)[mode_index(kappa, spec.L)] * t
+    """Phase of an exciton on the condensate: minus the hopping phase at p = kappa."""
+    return -hopping_phase(kappa, kappa, t, spec)
 
 
 def uniform_amplitude(spec, kappa, dt):
@@ -197,7 +195,9 @@ class TestBatchedKernel:
             k = canonical_mode(kappa, L)
             w = np.roll(occ.sum(axis=0), shift=(k.n, k.m), axis=(0, 1))
             w = w / w.sum()
-            rates = dephasing_rates(spec, kappa)
+            # the rate at p, mode by mode: minus the hopping phase per unit time
+            rates = -np.array([hopping_phase(p, kappa, 1.0, spec) for p in mode_grid(spec)])
+            rates = rates.reshape(L, L)
             reference = np.array([np.sum(w * np.exp(1j * rates * t)) for t in grid])
             batched = coherent_amplitude(dist, kappa, grid, spec)
             assert np.abs(batched - reference).max() < 1e-13
@@ -232,8 +232,6 @@ class TestBatchedKernel:
         for kappa in ((1.5, 0.7), (1.9, 0), (1, 0.5), (np.inf, 0), (np.nan, 0)):
             with pytest.raises(ValueError, match="not an integer"):
                 coherent_amplitude(dist, kappa, grid, spec)
-            with pytest.raises(ValueError, match="not an integer"):
-                dephasing_rates(spec, kappa)
         # the kernel takes one mode; integer arrays broadcast only where modes are looked up
         with pytest.raises(TypeError):
             coherent_amplitude(dist, (np.array([1, 2]), 0), grid, spec)

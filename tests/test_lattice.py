@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from dickeprobe.lattice import (
     LatticeSpec,
     Mode,
+    _dephasing_factors,
     adjacency_matrix,
     canonical_mode,
-    dephasing_rates,
     mode_grid,
     mode_index,
     mode_sub,
@@ -210,12 +210,13 @@ class TestHoppingPhase:
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_dephasing_rates_match_phase(self):
+        # the kernel's split: the rate at p is a(q_x) + b(q_y) at q = p - kappa
         spec = LatticeSpec(L=6, J=1.3)
         kappa = Mode(2, -1)
-        rates = dephasing_rates(spec, kappa)
+        a, b = _dephasing_factors(spec, kappa)
         for p in mode_grid(spec):
-            i, j = mode_index(p, spec.L)
-            assert rates[i, j] * 0.9 == pytest.approx(
+            i, j = mode_index(mode_sub(p, kappa, spec.L), spec.L)
+            assert (a[i] + b[j]) * 0.9 == pytest.approx(
                 -hopping_phase(p, kappa, 0.9, spec), abs=1e-12
             )
 

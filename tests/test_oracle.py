@@ -805,6 +805,51 @@ class TestFourPointEquivalence:
         formula = neel_correlator(spec2, k, q, kin, kout)
         assert exact.real == pytest.approx(formula - 0.5, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        ("state", "message"),
+        [
+            (np.full(330, np.nan), "state must be finite"),
+            (np.ones(5), r"need \(330,\)$"),
+            (np.ones((330, 2)), r"need \(330,\)$"),  # one vector, not a block
+        ],
+        ids=["nan", "wrong-length", "block"],
+    )
+    def test_rejects_a_bad_state(self, bose_basis, state, message):
+        with pytest.raises(ValueError, match=message):
+            four_point_tensor(state, bose_basis)
+
+
+def _observables_at(spec, basis, state):
+    """Each exact observable on `basis` and `state`, called with `spec`."""
+    kappa, dts = Mode(1, 0), np.array([0.0, 0.7])
+    return {
+        "exact_peak_curve": lambda: exact_peak_curve(state, kappa, kappa, dts, basis, spec),
+        "correlator_cases": lambda: correlator_cases(state, basis, spec, 0.4, 1.1),
+        "separable_deviation": lambda: separable_deviation(state, kappa, kappa, 0.7, basis, spec),
+        # kappa = (3, 0) is (1, 0) at L = 2 and (-1, 0) at L = 4
+        "classical_sequence_sigma_z": lambda: classical_sequence_sigma_z(
+            state, basis, spec, 0.3, -0.3, Mode(3, 0), dts
+        ),
+    }
+
+
+class TestOneLattice:
+    """An oracle call computes on its basis's lattice: its spec supplies J and U alone."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["exact_peak_curve", "correlator_cases", "separable_deviation", "classical_sequence_sigma_z"],
+    )
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_spec_of_another_L_raises(self, name, warm):
+        # a fresh basis: its cache holds only what this test puts there
+        basis = FockBasis(LatticeSpec(L=2), Statistics.BOSE, 4)
+        state = mott_state(basis)
+        if warm:
+            _observables_at(basis.spec, basis, state)[name]()
+        with pytest.raises(ValueError, match="does not match"):
+            _observables_at(LatticeSpec(L=4), basis, state)[name]()
+
 
 def _create(occ, mode, fermionic):
     """Reference a+ on one occupation tuple: (new occupation, amplitude), or None."""
@@ -1340,7 +1385,9 @@ class TestClassicalSequenceOracle:
         # exact (sin^2 a / 2)(n - S) against the formula's (a^2 / 2)(n - S)
         state = momentum_fock_state(bose_basis, {(mode, 0): 1 for mode in mode_grid(spec2)})
         deviations = {
-            alpha: _metastable_deviation(bose_basis, [state], uniform(spec2), Mode(1, 1), alpha)
+            alpha: _metastable_deviation(
+                bose_basis, [state], spec2, uniform(spec2), Mode(1, 1), alpha
+            )
             for alpha in (0.1, 0.05)
         }
         for alpha, dev in deviations.items():

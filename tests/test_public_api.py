@@ -57,7 +57,6 @@ MODULE_API = {
         "Mode",
         "adjacency_matrix",
         "canonical_mode",
-        "dephasing_rates",
         "mode_grid",
         "mode_index",
         "mode_sub",
