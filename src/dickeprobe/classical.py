@@ -14,12 +14,22 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .distributions import MomentumDistribution
 
 __all__ = [
     "expected_sigma_z",
     "metastable_population",
 ]
+
+
+def _real_part(amplitude):
+    """Re C, once every C is checked finite with |C| <= 1 + 1e-12 (else ValueError)."""
+    magnitude = np.abs(amplitude)
+    if not (np.isfinite(magnitude).all() and (magnitude <= 1.0 + 1e-12).all()):
+        raise ValueError("the coherent amplitude C must be finite with |C| <= 1")
+    return amplitude.real
 
 
 def expected_sigma_z(
@@ -32,13 +42,13 @@ def expected_sigma_z(
     initial state with the given momentum occupations, N being the
     distribution's atom total.  The sum is the distribution's total times
     Re C(dt), with amplitude = coherent_amplitude(dist, kappa, dt, spec),
-    a scalar or a 1-d array.
+    a scalar or a 1-d array, finite with |C| <= 1.
     """
     if not (math.isfinite(rotation_in) and math.isfinite(rotation_out)):
         raise ValueError("rotation angles must be finite")
     a, b = rotation_in, rotation_out
     N = dist.total_target
-    S = dist.total() * amplitude.real
+    S = dist.total() * _real_part(amplitude)
     return -(N / 2.0) * math.cos(a) * math.cos(b) + 0.5 * math.sin(a) * math.sin(b) * S
 
 
@@ -53,9 +63,9 @@ def metastable_population(dist: MomentumDistribution, amplitude, rotation_in: fl
     differs from for metallic.  Valid for rotation_out = -rotation_in and
     nbar << N.  Bounded by [0, 4 nbar]; 0 at dt = 0 or J = 0 (perfect
     back-rotation).  amplitude is coherent_amplitude's C, a scalar or a 1-d
-    array.  Raises ValueError when nbar is not finite.
+    array.  Raises ValueError when nbar or C is not finite, or |C| > 1.
     """
     nbar = dist.total_target * (rotation_in * rotation_in) / 4.0
     if not math.isfinite(nbar):
         raise ValueError(f"N alpha^2 / 4 is not finite for alpha = {rotation_in!r}")
-    return 2.0 * nbar * (1.0 - amplitude.real)
+    return 2.0 * nbar * (1.0 - _real_part(amplitude))

@@ -32,7 +32,7 @@ from .distributions import (
     uniform,
 )
 from .emission import coherent_amplitude, peak_curve
-from .lattice import LatticeSpec, Mode, validate_mode
+from .lattice import LatticeSpec, Mode, canonical_mode
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
@@ -139,11 +139,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_kappa(text: str, L: int) -> Mode:
+    """The mode `--kappa n,m` names; one that canonical_mode would wrap is an error here."""
     try:
         n, m = (int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"--kappa expects two integers 'n,m', got {text!r}") from None
-    return validate_mode((n, m), L)
+    if canonical_mode((n, m), L) != (n, m):
+        span = f"[{1 - L // 2}, {L // 2}] for L={L}"
+        raise ValueError(f"mode {(n, m)!r} outside the canonical index range {span}")
+    return Mode(n, m)
 
 
 def _build_state(

@@ -5,15 +5,16 @@ collapse the O(N^2) double mode sum into a single coherent sum.
 
 Each four-point form takes its modes k, q, kappa_in, kappa_out as `Mode`s or
 (n, m) pairs whose parts may be integer arrays, and fermionic spins
-(0 = up, 1 = down) as integers or integer arrays.  All arguments broadcast
-like numpy, so one call evaluates a whole grid of queries; a single query
-returns a 0-d value.  Index pairs outside the canonical range wrap around
-the Brillouin zone.
+(0 = up, 1 = down; any other raises ValueError) as integers or integer
+arrays.  All arguments broadcast like numpy, so one call evaluates a whole
+grid of queries; a single query returns a 0-d value.  Index pairs outside
+the canonical range wrap around the Brillouin zone.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -63,8 +64,6 @@ def fermionic_four_point(dist: MomentumDistribution, k, q, kappa_in, kappa_out, 
     """
     if dist.statistics is not Statistics.FERMI:
         raise ValueError("fermionic_four_point needs a fermionic distribution")
-    if not (np.isin(s1, (0, 1)).all() and np.isin(s2, (0, 1)).all()):
-        raise ValueError("fermionic queries need spin indices 0 (up) or 1 (down)")
     L = dist.L
     d_kappa = _delta(kappa_in, kappa_out, L)
     d_pauli = _delta(k, q, L) * np.equal(s1, s2)
@@ -98,9 +97,9 @@ def neel_correlator(spec: LatticeSpec, k, q, kappa_in, kappa_out):
 def dicke_ladder_factor(n_atoms: int, n_excitations: int) -> float:
     """Matrix element sqrt((N - n)(n + 1)) of the collective raising operator at n.
 
-    By Hermiticity it is also the lowering element at n + 1.
+    By Hermiticity it is also the lowering element at n + 1; N and n are integers.
     """
     N, n = n_atoms, n_excitations
-    if not 0 <= n < N:
-        raise ValueError(f"raising needs 0 <= n < N, got n={n}, N={N}")
+    if not (isinstance(N, numbers.Integral) and isinstance(n, numbers.Integral) and 0 <= n < N):
+        raise ValueError(f"raising needs integers 0 <= n < N, got n={n!r}, N={N!r}")
     return math.sqrt((N - n) * (n + 1))

@@ -79,14 +79,14 @@ class MomentumDistribution:
             raise ValueError(
                 f"occupations must have shape ({channels}, L, L), got {occ.shape}"
             )
-        if not np.all(np.isfinite(occ)):
-            raise ValueError("occupations must be finite")
-        if np.any(occ < 0):
-            raise ValueError("occupations must be nonnegative")
+        if not (np.isfinite(occ).all() and (occ >= 0).all()):
+            raise ValueError("occupations must be finite and nonnegative")
         if self.statistics is Statistics.FERMI and np.any(occ > 1.0 + 1e-12):
             raise ValueError("fermionic occupations may not exceed 1")
         if not math.isfinite(self.total_target):
             raise ValueError(f"total_target must be finite, got {self.total_target}")
+        if self.chemical_potential is not None and not math.isfinite(self.chemical_potential):
+            raise ValueError(f"chemical_potential must be finite, got {self.chemical_potential}")
         total = float(occ.sum())
         scale = max(abs(self.total_target), 1.0)
         if abs(total - self.total_target) > _TOTAL_RTOL * scale:
@@ -108,6 +108,9 @@ class MomentumDistribution:
 
         The mode's parts and the channel may be integer arrays; they broadcast.
         """
+        channels = range(len(self.occupations))
+        if np.asarray(channel).dtype.kind not in "iu" or not np.isin(channel, channels).all():
+            raise ValueError(f"channel {channel!r} outside {channels}")
         i, j = mode_index(mode, self.L)
         return self.occupations[channel, i, j]
 
@@ -124,10 +127,8 @@ def partial_condensation(
 ) -> MomentumDistribution:
     """n_condensed bosons at k = 0 plus n_distributed spread evenly over all modes."""
     N = spec.sites
-    if not (math.isfinite(n_condensed) and math.isfinite(n_distributed)):
-        raise ValueError("atom counts must be finite")
-    if n_condensed < 0 or n_distributed < 0:
-        raise ValueError("atom counts must be nonnegative")
+    if not all(math.isfinite(n) and n >= 0 for n in (n_condensed, n_distributed)):
+        raise ValueError("atom counts must be finite and nonnegative")
     if abs(n_condensed + n_distributed - N) > _TOTAL_RTOL * N:
         raise ValueError(
             f"n_condensed + n_distributed must equal N = {N}, "

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .distributions import MomentumDistribution
-from .lattice import LatticeSpec, _dephasing_factors, mode_sub, validate_mode
+from .lattice import LatticeSpec, _dephasing_factors, mode_sub
 
 __all__ = ["coherent_amplitude", "peak_curve", "separable_peak"]
 
@@ -42,24 +42,24 @@ def _cos_sin_rows(rates: np.ndarray, times: np.ndarray, out: np.ndarray) -> np.n
 def _coherent_sum(weights: np.ndarray, kappa: tuple[int, int], dt, spec: LatticeSpec):
     """sum_q weights(q) exp(i (J/Z)(T(q + kappa) - T(q)) dt) / sum_q weights(q).
 
-    weights is a real (L, L) array over the occupied modes q.  A scalar dt
-    returns a Python complex, a 1-d dt an array of the same length.  Every
-    caller of the kernel passes through here, so a NaN or infinite dt, and a
-    rate * dt that overflows, are rejected once (LatticeSpec keeps every rate
-    finite).
+    weights is a real (L, L) array over the occupied modes q.  Every caller
+    of the kernel passes through here, so the one rule for waiting times is
+    checked here: dt is a finite, nonnegative scalar (returns a Python
+    complex) or a nonempty 1-d array of them in any order (returns an array);
+    a rate * dt that overflows is rejected too (LatticeSpec keeps rates finite).
     """
     t = np.asarray(dt, dtype=float)
-    if t.ndim > 1:
-        raise ValueError("dt must be a scalar or a 1-d array")
-    if not np.isfinite(t).all():
-        raise ValueError("dt must be finite")
+    if t.ndim > 1 or t.size == 0:
+        raise ValueError("dt must be a scalar or a nonempty 1-d array")
+    if not (np.isfinite(t).all() and (t >= 0).all()):
+        raise ValueError("dt must be finite and nonnegative")
     a, b = _dephasing_factors(spec, kappa)
     # Row 0 is dt = 0, the sum of the weights taken by the same products as
     # every other row, so the value at dt = 0 is exactly 1.
     times = np.concatenate(([0.0], t.ravel()))
     # Python floats: an overflowing product is inf here, not a numpy warning.
     peak_rate = max(float(np.abs(a).max()), float(np.abs(b).max()))
-    if not math.isfinite(peak_rate * float(np.abs(times).max())):
+    if not math.isfinite(peak_rate * float(times.max())):
         raise ValueError("the dephasing phase rate * dt overflows")
     rows = np.empty((min(times.size, _TIME_BLOCK), 2, spec.L))
     projected = np.empty_like(rows)
@@ -120,10 +120,8 @@ def separable_peak(
     occ = np.asarray(site_occupations, dtype=float)
     if occ.ndim != 2 or occ.shape[0] != occ.shape[1]:
         raise ValueError("site_occupations must be a square (L, L) array")
-    if not np.all(np.isfinite(occ)):
-        raise ValueError("site_occupations must be finite")
-    if np.any(occ < 0):
-        raise ValueError("site_occupations must be nonnegative")
+    if not (np.isfinite(occ).all() and (occ >= 0).all()):
+        raise ValueError("site_occupations must be finite and nonnegative")
     with np.errstate(over="ignore"):
         total = occ.sum()
     if not math.isfinite(total):
@@ -143,11 +141,5 @@ def peak_curve(
     dt_grid: np.ndarray,
     spec: LatticeSpec,
 ) -> np.ndarray:
-    """|C(dt)|^2 on a nonnegative, nondecreasing time grid for the photon mode kappa."""
-    validate_mode(kappa, spec.L)
-    dts = np.asarray(dt_grid, dtype=float)
-    if dts.ndim != 1 or dts.size == 0:
-        raise ValueError("dt grid must be a nonempty 1-d array")
-    if np.any(dts < 0) or np.any(dts[1:] < dts[:-1]):
-        raise ValueError("dt grid must be nonnegative and nondecreasing")
-    return np.abs(coherent_amplitude(dist, kappa, dts, spec)) ** 2
+    """|C(dt)|^2 for the photon mode kappa, under coherent_amplitude's rules."""
+    return np.abs(coherent_amplitude(dist, kappa, dt_grid, spec)) ** 2

@@ -7,7 +7,7 @@ k = (2*pi / L) * (n, m), that is in units of 2*pi/L, with n, m in
 Times are naturally measured in tunneling times 1/J.  Every function that
 takes a mode applies canonical_mode's one rule: a part that is not an
 integer raises ValueError, and an integral mode outside that index range
-wraps onto it (validate_mode rejects it instead).
+wraps onto it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "mode_index",
     "mode_sub",
     "site_coordinates",
-    "validate_mode",
 ]
 
 
@@ -95,15 +94,6 @@ def canonical_mode(mode: tuple[int, int], L: int) -> Mode:
     lo = _index_floor(L)
     n, m = (_integral_part(part, mode) for part in mode)
     return Mode((n - lo) % L + lo, (m - lo) % L + lo)
-
-
-def validate_mode(mode: tuple[int, int], L: int) -> Mode:
-    """Return the mode unchanged if it already lies in the canonical range."""
-    canonical = canonical_mode(mode, L)
-    if canonical.n != mode[0] or canonical.m != mode[1]:
-        lo, hi = _index_floor(L), L // 2
-        raise ValueError(f"mode {mode!r} outside the canonical index range [{lo}, {hi}] for L={L}")
-    return canonical
 
 
 def mode_sub(a: tuple[int, int], b: tuple[int, int], L: int) -> Mode:

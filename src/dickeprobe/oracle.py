@@ -95,15 +95,15 @@ class FockBasis:
     (bosons) order of the atoms, so the occupations descend
     lexicographically.  A state's row is the lexicographic rank of its
     atoms (`_rank`), found with one binomial-table lookup per atom.  The
-    basis reads only L from its spec.  A negative atom count, more than
-    2 * sites fermions or a dimension above 10^6 raises ValueError, the
-    last before any state is listed.
+    basis reads only L from its spec.  An atom count that is not a
+    nonnegative integer, more than 2 * sites fermions or a dimension above
+    10^6 raises ValueError, the last before any state is listed.
     """
 
     def __init__(self, spec: LatticeSpec, statistics: Statistics, n_particles: int):
         statistics = Statistics(statistics)
-        if n_particles < 0:
-            raise ValueError("particle number must be nonnegative")
+        if not (isinstance(n_particles, numbers.Integral) and n_particles >= 0):
+            raise ValueError(f"particle number {n_particles!r} is not a nonnegative integer")
         self.spec = spec
         self.statistics = statistics
         self.n_particles = n_particles
@@ -492,7 +492,7 @@ def orbital_state(basis: FockBasis, orbitals) -> np.ndarray:
     the vacuum up through the 1, 2, ... atom bases, the last row first, so
     fermions on distinct sites listed in site order pick up no sign.  A wrong
     shape or atom count, a non-finite entry, or a product that vanishes
-    (Pauli blocking) raises ValueError.
+    (Pauli blocking) raises ValueError, each with its own message.
     """
     orbitals = np.asarray(orbitals, dtype=complex)
     shape = (basis.spec.sites, basis.n_spins)
@@ -500,6 +500,8 @@ def orbital_state(basis: FockBasis, orbitals) -> np.ndarray:
         raise ValueError(f"orbitals of shape {orbitals.shape}, need (atoms, *{shape})")
     if len(orbitals) != basis.n_particles:
         raise ValueError(f"{len(orbitals)} orbitals, basis expects {basis.n_particles} atoms")
+    if not np.isfinite(orbitals).all():
+        raise ValueError("orbitals must be finite")
     bases = [basis]  # bases[n] holds n atoms
     while bases[0].n_particles > 0:
         bases.insert(0, _smaller(bases[0]))
@@ -596,7 +598,8 @@ def _excitations(basis: FockBasis) -> np.ndarray:
 
 
 def _check_excitation_free(state: np.ndarray, basis: FockBasis) -> None:
-    """Raise if the vector, or any column of a (dim, k) block, has excited weight."""
+    """Raise ValueError unless `state` passes _check_state and no column has excited weight."""
+    _check_state(state, basis.dimension, block=True)
     if np.max(_excitations(basis) @ np.abs(state) ** 2) > 1e-9:
         raise ValueError("initial state carries excited-level population")
 

@@ -63,6 +63,28 @@ class TestExpectedSigmaZ:
                 sigma_z(uniform(spec), *angles, Mode(0, 0), 1.0, spec)
 
 
+class TestAmplitudeCheck:
+    """Both observables take C(dt) as an argument and check it: finite, |C| <= 1."""
+
+    @pytest.mark.parametrize(
+        "amplitude",
+        [np.nan, complex(np.nan, 0.0), complex(0.0, np.inf), 5.0, np.array([1.0, 0.6 + 0.9j])],
+        ids=["nan", "complex-nan", "inf", "five", "array-above-one"],
+    )
+    def test_rejects_amplitude_outside_the_unit_disk(self, amplitude):
+        dist = uniform(LatticeSpec(L=4))
+        with pytest.raises(ValueError, match=r"finite with \|C\| <= 1"):
+            expected_sigma_z(dist, amplitude, 0.1, -0.1)
+        with pytest.raises(ValueError, match=r"finite with \|C\| <= 1"):
+            metastable_population(dist, amplitude, 0.1)
+
+    def test_accepts_the_unit_circle_to_rounding(self):
+        dist = uniform(LatticeSpec(L=4))
+        for amplitude in (1.0 + 1e-13, np.exp(0.3j) * (1.0 + 5e-13), np.array([0.0, -1.0])):
+            assert np.all(np.isfinite(expected_sigma_z(dist, amplitude, 0.1, -0.1)))
+            assert np.all(np.isfinite(metastable_population(dist, amplitude, 0.1)))
+
+
 class TestMetastablePopulation:
     def test_zero_wait(self):
         spec = LatticeSpec(L=10)

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from dickeprobe.cli import entrypoint, main
+from dickeprobe.cli import _parse_kappa, entrypoint, main
+from dickeprobe.lattice import Mode
 from test_imports import _loaded_in_fresh_interpreter
 
 
@@ -224,10 +225,39 @@ class TestErrors:
     def test_statistics_state_mismatch(self):
         assert main(["curve", "--statistics", "fermi", "--state", "superfluid", "--L", "10"]) == 1
 
-    def test_kappa_out_of_range(self):
-        assert (
-            main(["curve", "--statistics", "bose", "--state", "uniform",
-                  "--L", "10", "--kappa", "6,0"]) == 1
+    def test_kappa_out_of_range(self, capsys):
+        # the CLI is the one place a mode outside (-L/2, L/2] is an error; every
+        # CSV subcommand gives the same single line, and writes nothing
+        for command in ("curve", "quench", "adiabatic", "classical"):
+            state = ["--state", "uniform"] if command in ("curve", "classical") else []
+            for L, kappa, bounds in (
+                (10, "6,0", "[-4, 5] for L=10"),
+                (4, "3,0", "[-1, 2] for L=4"),
+                (4, "0,-2", "[-1, 2] for L=4"),
+                (100, "51,0", "[-49, 50] for L=100"),
+            ):
+                argv = [command, "--statistics", "bose", *state, "--L", str(L), "--kappa", kappa]
+                assert main(argv) == 1
+                out, err = capsys.readouterr()
+                mode = "(" + kappa.replace(",", ", ") + ")"
+                assert out == ""
+                assert err == (
+                    f"dickeprobe: error: mode {mode} outside the canonical index range {bounds}\n"
+                )
+
+    def test_kappa_in_range_passes_unchanged(self):
+        # both ends of the range at L = 4, as the integers typed
+        for text, mode in (("1,-1", Mode(1, -1)), ("2,-1", Mode(2, -1)), (" -1, 2", Mode(-1, 2))):
+            parsed = _parse_kappa(text, 4)
+            assert parsed == mode
+            assert type(parsed) is Mode and type(parsed.n) is int and type(parsed.m) is int
+
+    @pytest.mark.parametrize("kappa", ["1.5,0", "0,nan", "inf,0", "0.5,1", "2.0,0"])
+    def test_non_integral_kappa(self, kappa, capsys):
+        argv = ["curve", "--statistics", "bose", "--state", "uniform", "--L", "10"]
+        assert main([*argv, "--kappa", kappa]) == 1
+        assert capsys.readouterr().err == (
+            f"dickeprobe: error: --kappa expects two integers 'n,m', got {kappa!r}\n"
         )
 
     def test_malformed_kappa(self):

@@ -111,6 +111,10 @@ class TestFermionicFourPoint:
             fermionic_four_point(
                 dist, Mode(0, 0), Mode(0, 0), Mode(0, 0), Mode(0, 0), None, None
             )
+        # a spin outside (0, 1) meets the distribution's channel check
+        for s1, s2 in ((2, 0), (0, -1), (np.array([0, 1, 2]), 0)):
+            with pytest.raises(ValueError, match="outside range"):
+                fermionic_four_point(dist, Mode(0, 0), Mode(0, 0), Mode(1, 0), Mode(1, 0), s1, s2)
 
 
 class TestQuenchCorrelators:
@@ -204,3 +208,8 @@ class TestDickeLadder:
             dicke_ladder_factor(4, 4)
         with pytest.raises(ValueError):
             dicke_ladder_factor(4, -1)
+
+    @pytest.mark.parametrize("N, n", [(4.5, 1), (4, 1.0), (np.nan, 0)], ids=["N", "n", "nan"])
+    def test_rejects_counts_that_are_not_integers(self, N, n):
+        with pytest.raises(ValueError, match="needs integers"):
+            dicke_ladder_factor(N, n)

@@ -52,6 +52,22 @@ class TestContainer:
         with pytest.raises(ValueError):
             MomentumDistribution(Statistics.FERMI, np.ones((1, 2, 2)), 4.0)
 
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_chemical_potential(self, mu):
+        with pytest.raises(ValueError, match="chemical_potential must be finite"):
+            MomentumDistribution(Statistics.BOSE, np.ones((1, 2, 2)), 4.0, chemical_potential=mu)
+        dist = MomentumDistribution(Statistics.BOSE, np.ones((1, 2, 2)), 4.0)
+        assert dist.chemical_potential is None
+
+    def test_rejects_channel_outside_the_channels(self):
+        bose, fermi = uniform(LatticeSpec(L=4)), uniform(LatticeSpec(L=4), Statistics.FERMI)
+        for dist, channel in (
+            (bose, 5), (bose, 1), (bose, -1), (fermi, 2), (fermi, np.array([0, 2])), (fermi, 0.0)
+        ):
+            with pytest.raises(ValueError, match=r"outside range\("):
+                dist.occupation(Mode(1, 0), channel=channel)
+        assert fermi.occupation(Mode(1, 0), channel=np.array([0, 1])).tolist() == [0.5, 0.5]
+
     def test_array_is_readonly(self):
         dist = uniform(LatticeSpec(L=2))
         with pytest.raises(ValueError):

@@ -244,7 +244,17 @@ class TestBatchedKernel:
             lambda dt: coherent_amplitude(fermi, Mode(1, 1), dt, spec100),
             lambda dt: coherent_amplitude(dist, Mode(1, 1), dt, spec100),
         ):
-            for dt in (np.zeros((2, 2)), np.nan, np.inf, -np.inf, np.array([0.0, np.nan])):
+            for dt in (
+                np.zeros((2, 2)),
+                np.nan,
+                np.inf,
+                -np.inf,
+                np.array([0.0, np.nan]),
+                -1.0,
+                np.array([0.0, -5e-324]),
+                np.array([]),
+                [],
+            ):
                 with pytest.raises(ValueError, match="dt must be"):
                     fn(dt)
 
@@ -297,9 +307,21 @@ class TestNormalizedPeak:
         assert np.abs(a - b).max() < 1e-12
 
     def test_rejects_off_grid_kappa(self, spec100):
-        for kappa in (Mode(51, 0), (1.5, 0)):
-            with pytest.raises(ValueError):
+        # a part that is not an integer names no grid mode
+        for kappa in ((1.5, 0), (0, np.nan)):
+            with pytest.raises(ValueError, match="not an integer"):
                 peak_curve(superfluid(spec100), kappa, [1.0], spec100)
+
+    def test_wrapped_kappa_gives_the_canonical_curve(self, spec100):
+        # a mode outside (-L/2, L/2] is the same lattice mode as its wrapped twin
+        dist = bose_einstein(spec100, 1.0)
+        grid = np.linspace(0.0, 100.0, 40)
+        for wrapped, canonical in ((Mode(51, 0), Mode(-49, 0)), ((103, -250), (3, 50))):
+            assert canonical_mode(wrapped, spec100.L) == canonical
+            assert np.array_equal(
+                peak_curve(dist, wrapped, grid, spec100),
+                peak_curve(dist, canonical, grid, spec100),
+            )
 
 
 class TestSeparablePeak:
@@ -465,16 +487,24 @@ class TestEmissionCurve:
     def test_grid_validation(self, spec100):
         dist = superfluid(spec100)
         for grid, message in (
-            ([1.0, 0.5], "dt grid"),
-            ([-1.0, 0.5], "dt grid"),
-            ([], "dt grid"),
-            ([[0.0, 1.0]], "dt grid"),
+            ([-1.0, 0.5], "dt must be finite and nonnegative"),
+            ([], "dt must be a scalar or a nonempty 1-d array"),
+            ([[0.0, 1.0]], "dt must be a scalar or a nonempty 1-d array"),
             ([0.0, np.nan], "dt must be finite"),
             ([0.0, np.inf], "dt must be finite"),
             ([np.inf, np.inf], "dt must be finite"),
         ):
             with pytest.raises(ValueError, match=message):
                 peak_curve(dist, Mode(1, 1), np.array(grid), spec100)
+
+    def test_reversed_grid_gives_the_reversed_curve(self, spec100):
+        # each time is computed on its own, so a grid needs no order
+        dist = bose_einstein(spec100, 1.0)
+        grid = np.linspace(0.0, 100.0, 3 * _TIME_BLOCK + 5)
+        curve = peak_curve(dist, Mode(1, 1), grid, spec100)
+        assert np.array_equal(peak_curve(dist, Mode(1, 1), grid[::-1], spec100), curve[::-1])
+        order = np.random.default_rng(17).permutation(grid.size)
+        assert np.array_equal(peak_curve(dist, Mode(1, 1), grid[order], spec100), curve[order])
 
     def test_scenario_discrimination(self, spec100):
         # at the envelope zero the bose quench and adiabatic curves split by ~1

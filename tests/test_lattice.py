@@ -15,7 +15,6 @@ from dickeprobe.lattice import (
     mode_index,
     mode_sub,
     site_coordinates,
-    validate_mode,
 )
 from lattice_reference import (
     adjacency_fourier,
@@ -90,28 +89,15 @@ class TestModeGrid:
         modes = mode_grid(LatticeSpec(L=6))
         assert len(set(modes)) == 36
 
-    def test_validate_mode(self):
-        assert validate_mode((1, -1), 4) == Mode(1, -1)
-        with pytest.raises(ValueError):
-            validate_mode((3, 0), 4)
-        with pytest.raises(ValueError):
-            validate_mode((0, -2), 4)
-        with pytest.raises(ValueError, match="not an integer"):
-            validate_mode((1.5, 0), 4)
-        # a list passes as a pair, and an integral float comes back as an int
-        assert validate_mode([1, -1], 4) == Mode(1, -1)
-        assert type(validate_mode((2.0, 0), 4).n) is int
-
     @pytest.mark.parametrize(
         "entry",
         [
             lambda mode: canonical_mode(mode, 10),
-            lambda mode: validate_mode(mode, 10),
             lambda mode: mode_sub(mode, (0, 0), 10),
             lambda mode: mode_sub((0, 0), mode, 10),
             lambda mode: mode_index(mode, 10),
         ],
-        ids=["canonical_mode", "validate_mode", "mode_sub-a", "mode_sub-b", "mode_index"],
+        ids=["canonical_mode", "mode_sub-a", "mode_sub-b", "mode_index"],
     )
     @pytest.mark.parametrize(
         "mode",

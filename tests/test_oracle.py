@@ -111,6 +111,13 @@ class TestBasis:
         with pytest.raises(ValueError, match="caps particles"):
             FockBasis(spec2, Statistics.FERMI, 9)  # > 2 * sites
 
+    @pytest.mark.parametrize("n_particles", [2.5, 2.0, -1], ids=["fraction", "float", "negative"])
+    def test_rejects_atom_count_that_is_not_a_nonnegative_integer(self, spec2, n_particles):
+        # momentum_fock_state's numbers.Integral rule: a ValueError, not math.comb's TypeError
+        with pytest.raises(ValueError, match="not a nonnegative integer"):
+            FockBasis(spec2, Statistics.BOSE, n_particles)
+        assert FockBasis(spec2, Statistics.BOSE, np.int64(1)).dimension == 8
+
     def test_large_lattice_rejected(self, monkeypatch):
         # 8 fermions on 4 x 4: C(64, 8) ~ 4.4e9 states, refused before any is listed
         def enumerate_nothing(*args):
@@ -1116,6 +1123,14 @@ class TestEmissionOracle:
         with pytest.raises(ValueError, match="finite"):
             exact_peak_curve(state, Mode(1, 0), Mode(1, 0), np.array([0.0, 1.0]), bose_basis, spec2)
 
+    def test_rejects_state_of_wrong_length_before_the_excitation_check(self, spec2, bose_basis):
+        # both excitation-free entry points check the shape first, with advance's message
+        message = r"^state of shape \(5,\), need \(330,\) or \(330, k\)$"
+        with pytest.raises(ValueError, match=message):
+            exact_peak_curve(np.ones(5), Mode(1, 0), Mode(1, 0), np.array([0.0]), bose_basis, spec2)
+        with pytest.raises(ValueError, match=message):
+            classical_sequence_sigma_z(np.ones(5), bose_basis, spec2, 0.1, -0.1, Mode(1, 0), 1.0)
+
     def test_rejects_empty_basis(self, spec2):
         basis = FockBasis(spec2, Statistics.BOSE, 0)
         with pytest.raises(ValueError):
@@ -1474,6 +1489,14 @@ class TestProductState:
     def test_rejects_wrong_atom_total(self, bose_basis):
         with pytest.raises(ValueError, match="5 orbitals"):
             orbital_state(bose_basis, _bose_orbitals([2, 1, 1, 1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_orbital(self, bose_basis, bad):
+        # checked before any creation, so the norm never blames Pauli blocking
+        orbitals = _bose_orbitals([1, 1, 1, 1]).astype(complex)
+        orbitals[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="^orbitals must be finite$"):
+            orbital_state(bose_basis, orbitals)
 
     def test_rejects_empty_orbital(self, bose_basis):
         # an all-zero row creates no atom: the product vanishes

@@ -61,7 +61,6 @@ MODULE_API = {
         "mode_index",
         "mode_sub",
         "site_coordinates",
-        "validate_mode",
     ],
 }
 
