@@ -3,7 +3,9 @@
 
 For each state, writes delta_t, sigma_z and the metastable population of the
 reversed small-angle sequence (rotation_out = -rotation_in) by running
-`dickeprobe classical`, so each file is byte-identical to that command.
+`dickeprobe classical`, passing every option except --outdir and --L
+unchanged to each call, so each file is byte-identical to that command.
+Prints only the paths of the files it wrote.
 """
 
 import argparse
@@ -16,12 +18,8 @@ from dickeprobe.cli import main as dickeprobe
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="classical", help="output directory")
-    parser.add_argument("--L", type=int, default=100)
-    parser.add_argument("--alpha", type=float, default=0.01)
-    parser.add_argument("--tmax", type=float, default=100.0)
-    parser.add_argument("--steps", type=int, default=500)
-    parser.add_argument("--kappa", default="1,1", metavar="N,M")
-    args = parser.parse_args()
+    parser.add_argument("--L", type=int, default=100, help="sites per side, default 100")
+    args, passed = parser.parse_known_args()
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -32,20 +30,13 @@ def main():
         "distributed": "uniform",
         "thermal_bJ1": "thermal:1",
     }
-    common = [
-        "--L", str(args.L), "--tmax", str(args.tmax), "--steps", str(args.steps),
-        f"--alpha={args.alpha}", f"--kappa={args.kappa}",
-    ]
     for stem, state in states.items():
         path = outdir / f"{stem}.csv"
-        argv = ["classical", "--statistics", "bose", "--state", state, *common]
-        code = dickeprobe([*argv, "-o", str(path)])
+        argv = ["classical", *passed, "--statistics", "bose", "--state", state]
+        code = dickeprobe([*argv, "--L", str(args.L), "-o", str(path)])
         if code:
             return code
         print(f"wrote {path}")
-    # every state above holds N = L^2 atoms, and the first pulse excites N alpha^2 / 4
-    nbar = float(args.L * args.L) * (args.alpha * args.alpha) / 4.0
-    print(f"mean excitations per pulse: {nbar:.4f}")
     return 0
 
 

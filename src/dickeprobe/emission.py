@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .distributions import MomentumDistribution
-from .lattice import LatticeSpec, _dephasing_factors, mode_sub
+from .lattice import LatticeSpec, _dephasing_factors, canonical_mode, mode_sub
 
 __all__ = ["coherent_amplitude", "peak_curve", "separable_peak"]
 
@@ -129,7 +129,8 @@ def separable_peak(
     if not total > 0:
         raise ValueError("site_occupations must hold a positive number of atoms")
     L = occ.shape[0]
-    dk = mode_sub(kappa_out, kappa_in, L)
+    # each mode is checked as passed, so a bad one is named, not the difference
+    dk = mode_sub(canonical_mode(kappa_out, L), canonical_mode(kappa_in, L), L)
     x = np.arange(L)
     phase = np.exp(-2j * np.pi * (dk.n * x[:, None] + dk.m * x[None, :]) / L)
     return (abs(np.sum(phase * occ)) / total) ** 2

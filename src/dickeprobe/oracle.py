@@ -491,8 +491,8 @@ def orbital_state(basis: FockBasis, orbitals) -> np.ndarray:
     orbitals an (n_particles, sites, n_spins) array.  The creations run from
     the vacuum up through the 1, 2, ... atom bases, the last row first, so
     fermions on distinct sites listed in site order pick up no sign.  A wrong
-    shape or atom count, a non-finite entry, or a product that vanishes
-    (Pauli blocking) raises ValueError, each with its own message.
+    shape or atom count, a non-finite entry, a product that vanishes (Pauli
+    blocking) and one that overflows raise ValueError, each with its own message.
     """
     orbitals = np.asarray(orbitals, dtype=complex)
     shape = (basis.spec.sites, basis.n_spins)
@@ -506,15 +506,19 @@ def orbital_state(basis: FockBasis, orbitals) -> np.ndarray:
     while bases[0].n_particles > 0:
         bases.insert(0, _smaller(bases[0]))
     v = np.ones(1, dtype=complex)
-    for target, orbital in zip(bases[1:], orbitals[::-1]):
-        created = np.zeros(target.dimension, dtype=complex)
-        for site, spin in zip(*np.nonzero(orbital)):
-            a_plus = _creation(target, target.mode_id(site, spin, GROUND))
-            created += orbital[site, spin] * (a_plus @ v)
-        v = created
-    norm = np.linalg.norm(v)
-    if not 0 < norm < math.inf:
+    # finite orbitals can still overflow the product; the norm below reports that
+    with np.errstate(over="ignore", invalid="ignore"):
+        for target, orbital in zip(bases[1:], orbitals[::-1]):
+            created = np.zeros(target.dimension, dtype=complex)
+            for site, spin in zip(*np.nonzero(orbital)):
+                a_plus = _creation(target, target.mode_id(site, spin, GROUND))
+                created += orbital[site, spin] * (a_plus @ v)
+            v = created
+        norm = np.linalg.norm(v)
+    if norm == 0:
         raise ValueError(f"the orbital product has norm {norm} (Pauli blocked?)")
+    if not math.isfinite(norm):
+        raise ValueError(f"the orbital product overflows: its norm is {norm}")
     return v / norm
 
 
@@ -597,9 +601,9 @@ def _excitations(basis: FockBasis) -> np.ndarray:
     return basis.occupations[:, EXCITED::2].sum(axis=1)
 
 
-def _check_excitation_free(state: np.ndarray, basis: FockBasis) -> None:
+def _check_excitation_free(state: np.ndarray, basis: FockBasis, block: bool) -> None:
     """Raise ValueError unless `state` passes _check_state and no column has excited weight."""
-    _check_state(state, basis.dimension, block=True)
+    _check_state(state, basis.dimension, block)
     if np.max(_excitations(basis) @ np.abs(state) ** 2) > 1e-9:
         raise ValueError("initial state carries excited-level population")
 
@@ -629,11 +633,13 @@ def exact_peak_curve(
     unit filling.
 
     This is the leading-order normalized emission peak under resonance, with
-    the pulse integrals cancelled against the single-atom reference.
+    the pulse integrals cancelled against the single-atom reference.  `state`
+    is one finite, excitation-free (dim,) vector; anything else raises
+    ValueError.
     """
     if basis.n_particles == 0:
         raise ValueError("the basis holds no atoms")
-    _check_excitation_free(state, basis)
+    _check_excitation_free(state, basis, block=False)
     prop = _cached_propagator(basis, spec)
     excited = exciton_matrix(basis, kappa_in) @ state
     minus = exciton_matrix(basis, kappa_out).getH()
@@ -704,8 +710,10 @@ def correlator_cases(
     ex+ gr = a+_ex (a+_gr)^H and gr+ ex = a+_gr (a+_ex)^H.  All N * S raised
     vectors evolve as one block, and their lowered images are held only on
     the rows with an excitation count of the state, where H and the
-    raise-then-lower pair leave them.
+    raise-then-lower pair leave them.  `state` is one finite (dim,) vector;
+    anything else raises ValueError.
     """
+    _check_state(state, basis.dimension, block=False)
     prop = _cached_propagator(basis, spec)
     N, S = basis.spec.sites, basis.n_spins
     # channel c = site * S + s: its ground- and excited-level creations
@@ -783,7 +791,7 @@ def classical_sequence_sigma_z(
     """
     if spec.U != 0:
         raise ValueError("the classical sequence oracle requires U = 0")
-    _check_excitation_free(state, basis)
+    _check_excitation_free(state, basis, block=True)
 
     def build_pulse() -> Propagator:
         # Sigma^x(kappa) = (Sigma^+ + Sigma^-) / 2

@@ -362,6 +362,9 @@ class TestSeparablePeak:
             for kappa_in, kappa_out in ((Mode(0, 0), mode), (mode, Mode(0, 0))):
                 with pytest.raises(ValueError, match="not an integer"):
                     separable_peak(occ, kappa_in, kappa_out)
+        # the error names the mode passed, not the difference kappa_out - kappa_in
+        with pytest.raises(ValueError, match=r"^mode \(0\.5, 0\) has a part"):
+            separable_peak(np.ones((2, 2)), (1, 0), (0.5, 0))
 
     def test_checkerboard_bragg_peak(self):
         L = 10

@@ -1124,12 +1124,32 @@ class TestEmissionOracle:
             exact_peak_curve(state, Mode(1, 0), Mode(1, 0), np.array([0.0, 1.0]), bose_basis, spec2)
 
     def test_rejects_state_of_wrong_length_before_the_excitation_check(self, spec2, bose_basis):
-        # both excitation-free entry points check the shape first, with advance's message
-        message = r"^state of shape \(5,\), need \(330,\) or \(330, k\)$"
-        with pytest.raises(ValueError, match=message):
+        # both excitation-free entry points check the shape first; only the classical
+        # sequence takes a block, with advance's message
+        message = r"^state of shape \(5,\), need \(330,\)"
+        with pytest.raises(ValueError, match=message + "$"):
             exact_peak_curve(np.ones(5), Mode(1, 0), Mode(1, 0), np.array([0.0]), bose_basis, spec2)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message + r" or \(330, k\)$"):
             classical_sequence_sigma_z(np.ones(5), bose_basis, spec2, 0.1, -0.1, Mode(1, 0), 1.0)
+
+    @pytest.mark.parametrize(
+        "observable",
+        [
+            lambda state, basis, spec: exact_peak_curve(
+                state, Mode(1, 0), Mode(1, 0), np.array([0.5]), basis, spec
+            ),
+            lambda state, basis, spec: separable_deviation(
+                state, Mode(1, 0), Mode(0, 1), 0.5, basis, spec
+            ),
+            lambda state, basis, spec: correlator_cases(state, basis, spec, 0.2, 0.5),
+        ],
+        ids=["exact_peak_curve", "separable_deviation", "correlator_cases"],
+    )
+    def test_single_state_observables_reject_a_block(self, spec2, bose_basis, observable):
+        # an excitation-free (330, 2) block, checked as one vector before any work
+        block = np.stack([mott_state(bose_basis)] * 2, axis=1)
+        with pytest.raises(ValueError, match=r"^state of shape \(330, 2\), need \(330,\)$"):
+            observable(block, bose_basis, spec2)
 
     def test_rejects_empty_basis(self, spec2):
         basis = FockBasis(spec2, Statistics.BOSE, 0)
@@ -1502,6 +1522,13 @@ class TestProductState:
         # an all-zero row creates no atom: the product vanishes
         orbitals = np.concatenate([np.zeros((1, 4, 1)), _bose_orbitals([0, 1, 1, 1])])
         with pytest.raises(ValueError, match="norm 0"):
+            orbital_state(bose_basis, orbitals)
+
+    @pytest.mark.parametrize("magnitude", [1e80, 1e100])
+    def test_rejects_an_overflowing_product(self, bose_basis, magnitude):
+        # finite orbitals whose four-atom product overflows: no warning, no Pauli blame
+        orbitals = magnitude * _bose_orbitals([1, 1, 1, 1])
+        with pytest.raises(ValueError, match="^the orbital product overflows"):
             orbital_state(bose_basis, orbitals)
 
     def test_rejects_double_fermion_occupation(self, fermi_basis):
