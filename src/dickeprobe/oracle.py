@@ -189,10 +189,13 @@ class _Operator:
         return out
 
     def getH(self) -> _Operator:
-        """The conjugate transpose, built once per operator."""
+        """The conjugate transpose, built once per operator.
+
+        The adjoint holds no link back, so the two form no reference cycle and
+        are freed with their last reference, not at the next cyclic collection.
+        """
         if self._adjoint is None:
             self._adjoint = _Operator(self.col, self.row, self.data.conj(), self.shape[::-1])
-            self._adjoint._adjoint = self
         return self._adjoint
 
     def toarray(self) -> np.ndarray:
@@ -202,10 +205,14 @@ class _Operator:
 
 
 def _sum(shape: tuple[int, int], parts) -> _Operator:
-    """sum coeff * op over (coeff, op) parts, merged by `_merged` in the parts' order."""
-    row = np.concatenate([op.row for _, op in parts])
-    col = np.concatenate([op.col for _, op in parts])
-    data = np.concatenate([coeff * op.data for coeff, op in parts])
+    """sum coeff * op over (coeff, op) parts, merged by `_merged` in the parts' order.
+
+    No parts give the zero operator.
+    """
+    empty = np.zeros(0, dtype=np.intp)
+    row = np.concatenate([empty] + [op.row for _, op in parts])
+    col = np.concatenate([empty] + [op.col for _, op in parts])
+    data = np.concatenate([np.zeros(0)] + [coeff * op.data for coeff, op in parts])
     return _merged(shape, row, col, data)
 
 
@@ -314,12 +321,14 @@ def build_lattice_hamiltonian(basis: FockBasis, spec: LatticeSpec) -> _Operator:
         + (U/2) sum_mu n_mu (n_mu - 1),   n_mu counting both levels and spins.
 
     Hermitian; conserves total particle number and total excited-level count.
-    Both terms are cached per basis, so each (J, U) costs one sum; at J = 0
-    the operator is diagonal.
+    Both terms are cached per basis, so each (J, U) costs one sum; a term
+    whose coefficient is 0 is neither built nor summed, so at J = 0 the
+    operator is diagonal and at J = U = 0 it is the zero operator.
     """
     if spec.L != basis.spec.L:
         raise ValueError("spec lattice size does not match the basis")
-    parts = [(-spec.J / spec.Z, _hopping(basis)), (spec.U, _onsite(basis))]
+    terms = [(-spec.J / spec.Z, _hopping), (spec.U, _onsite)]
+    parts = [(coeff, term(basis)) for coeff, term in terms if coeff != 0]
     return _sum((basis.dimension, basis.dimension), parts)
 
 
@@ -358,16 +367,26 @@ def _sector_labels(H: _Operator) -> np.ndarray:
 
 
 def _check_hermitian(H: _Operator) -> None:
-    """Raise unless H - H^H vanishes, to 1e-12 of the largest entry of H.
+    """Raise unless every H[r, c] - conj(H[c, r]) vanishes, to 1e-12 of the largest entry of H.
 
     The check reads the triplets, so it covers the entries of every sector,
-    diagonalized or not.
+    diagonalized or not.  Each entry finds its mirror by binary search in the
+    sorted (row, col) codes, so no second copy of H is built; an entry whose
+    mirror is absent counts with its own size.
     """
-    # H^H built here, not by getH(), which would cache it on the H a Propagator keeps
-    adjoint = _Operator(H.col, H.row, H.data.conj(), H.shape[::-1])
-    residual = _sum(H.shape, [(1.0, H), (-1.0, adjoint)]).data
+    if not len(H.data):
+        return  # the zero operator
+    n = H.shape[1]
+    codes = H.row * n + H.col
+    data = H.data
+    if np.any(codes[1:] <= codes[:-1]):  # not row-major: sort a copy
+        order = np.argsort(codes)
+        codes, data = codes[order], data[order]
+    mirrors = H.col * n + H.row
+    at = np.minimum(np.searchsorted(codes, mirrors), len(codes) - 1)
+    mirrored = np.where(codes[at] == mirrors, data[at], 0)
     tolerance = 1e-12 * max(1.0, float(np.abs(H.data).max(initial=0.0)))
-    if np.abs(residual).max(initial=0.0) > tolerance:
+    if np.abs(H.data - mirrored.conj()).max() > tolerance:
         raise ValueError("hamiltonian is not Hermitian")
 
 
@@ -389,7 +408,8 @@ class Propagator:
     diagonalized the first time `advance` meets a state with weight on it,
     so sectors no state reaches cost nothing.  Sectors first met together
     and of equal size share one stacked eigh.  Hermiticity is checked on
-    every entry up front.
+    every entry up front, each against its mirror entry, with no second copy
+    of H.  The oracle's observables hold one per basis (`_cached_propagator`).
     """
 
     def __init__(self, H: _Operator):
@@ -474,10 +494,17 @@ class Propagator:
 
 
 def _cached_propagator(basis: FockBasis, spec: LatticeSpec) -> Propagator:
-    """exp(-i H t), cached per spec: one of another L always meets the L check."""
-    return _cached(
-        basis, ("propagator", spec), lambda: Propagator(build_lattice_hamiltonian(basis, spec))
-    )
+    """exp(-i H t) at `spec`, one per basis: the propagator of the last spec asked.
+
+    A scan over U or J thus holds one propagator, not one per value.  Another
+    spec drops the held one before its own is built, so one of another L
+    always meets the L check.
+    """
+    held = basis._cache.get("propagator")
+    if held is None or held[0] != spec:
+        basis._cache.pop("propagator", None)
+        basis._cache["propagator"] = (spec, Propagator(build_lattice_hamiltonian(basis, spec)))
+    return basis._cache["propagator"][1]
 
 
 # ---------------------------------------------------------------------------
@@ -608,15 +635,24 @@ def _check_excitation_free(state: np.ndarray, basis: FockBasis, block: bool) -> 
         raise ValueError("initial state carries excited-level population")
 
 
-def _reached_rows(state: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """The rows sharing an excitation count with some row of the state's support.
+def _reached_rows(state: np.ndarray, basis: FockBasis, per_spin: bool = False) -> np.ndarray:
+    """The rows sharing atom counts with some row of the state's support.
 
-    Ground-level bilinears and H keep the excitation count, so every image
-    of `state` under them lies on these rows: W of `four_point_tensor` and
-    `lowered` of `correlator_cases` need no others.
+    The counts are the excitation count, which H and a pair that raises an
+    atom of one spin and lowers one of any spin keep, or with `per_spin`
+    each spin's ground and excited counts, which ground-level bilinears keep
+    too.  Every image of `state` under them lies on these rows: W of
+    `four_point_tensor` needs only the per-spin rows (36 of the 1820 for the
+    Neel state, against 70 sharing its excitation count), and `lowered` of
+    `correlator_cases` the others.
     """
-    excitations = _excitations(basis)
-    return np.flatnonzero(np.isin(excitations, excitations[np.flatnonzero(state)]))
+    if per_spin:
+        # one integer per row: the (spin, level) counts as digits in base n + 1
+        counts = basis.occupations.reshape(basis.dimension, basis.spec.sites, -1).sum(axis=1)
+        codes = counts @ (basis.n_particles + 1) ** np.arange(counts.shape[1])
+    else:
+        codes = _excitations(basis)
+    return np.flatnonzero(np.isin(codes, codes[np.flatnonzero(state)]))
 
 
 def exact_peak_curve(
@@ -672,14 +708,14 @@ def four_point_tensor(state: np.ndarray, basis: FockBasis) -> np.ndarray:
     <B(c, d) B(a, b)> = <B(d, c) state | B(a, b) state> is one entry of the
     Gram matrix V^H V, which is read from the site-mode images alone.  Each
     site-mode image is two creation products, a+_{mu,s} ((a+_{nu,s})^H state):
-    2 S N of them in place of S N^2 pair operators.  The images keep the
-    excitation count of the state, so they are held only on the rows with one
-    of its counts (70 of the 1820 for the Neel state).  `state` is one
-    finite (dim,) vector; anything else raises ValueError.
+    2 S N of them in place of S N^2 pair operators.  The images keep each
+    spin's ground and excited counts, so they are held only on the rows with
+    the counts of some row of the state (36 of the 1820 for the Neel state).
+    `state` is one finite (dim,) vector; anything else raises ValueError.
     """
     _check_state(state, basis.dimension, block=False)
     N, S = basis.spec.sites, basis.n_spins
-    rows = _reached_rows(state, basis)
+    rows = _reached_rows(state, basis, per_spin=True)
     # W[:, (s, mu, nu)] = a+_{mu,s} a_{nu,s} |state>, in site modes, on the reached rows
     W = np.empty((len(rows), S, N, N), dtype=complex)
     for s in range(S):
@@ -1002,6 +1038,9 @@ def verification_suite() -> list[CheckResult]:
         _zero_case_deviation(fermi, fermi_states, spec_sep, 0.4, 1.1),
     )
     results.append(CheckResult("separable-zero-cases", dev, 1e-12))
+    # the last fermion check: dropping the fermion bases, states and cases frees
+    # their creations, exciton matrices, hopping sum and propagators
+    del fermi, fermi2, fermi_cases, neel, fermi_states
 
     dev = separable_deviation(mott, kappa, kappa, 1.3, bose, spec_sep)
     results.append(CheckResult("separable-amplitude-frozen", dev, 1e-12))

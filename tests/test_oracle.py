@@ -1,9 +1,11 @@
+import gc
 import itertools
 import json
 import math
 import pathlib
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -174,6 +176,14 @@ class TestHamiltonian:
         H = build_lattice_hamiltonian(basis, LatticeSpec(L=2, J=0.5, U=3.0)).toarray()
         assert basis._cache["hopping"] is pieces[0] and basis._cache["onsite"] is pieces[1]
         assert np.abs(H - (0.5 * hopping + 3.0 * onsite)).max() < 1e-14
+
+    def test_zero_coefficient_terms_are_not_built(self, spec2):
+        basis = FockBasis(spec2, Statistics.BOSE, 2)
+        free = build_lattice_hamiltonian(basis, LatticeSpec(L=2, J=0.0, U=0.0))
+        assert len(free.data) == 0 and "hopping" not in basis._cache
+        assert "onsite" not in basis._cache
+        build_lattice_hamiltonian(basis, LatticeSpec(L=2, J=1.0, U=0.0))
+        assert "hopping" in basis._cache and "onsite" not in basis._cache
 
     def test_single_particle_dispersion(self, spec2):
         basis = FockBasis(spec2, Statistics.BOSE, 1)
@@ -388,6 +398,32 @@ class TestOperator:
         op = _Operator(np.array([0, 1]), np.array([0, 1]), np.array([1.0, 0.5j]), (2, 2))
         with pytest.raises(ValueError, match="not Hermitian"):
             Propagator(op)
+
+    @pytest.mark.parametrize("gap, hermitian", [(0.9e-12, True), (1.1e-12, False)])
+    def test_propagator_hermitian_tolerance(self, gap, hermitian):
+        # the largest entry is 1, so the pair may differ by 1e-12
+        op = _Operator(np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0 - gap]), (2, 2))
+        if hermitian:
+            Propagator(op)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                Propagator(op)
+
+    def test_propagator_accepts_triplets_out_of_row_major_order(self):
+        # row 0 lists column 1 before column 0
+        op = _Operator(np.array([0, 0, 1]), np.array([1, 0, 0]), np.array([2j, 1.0, -2j]), (2, 2))
+        v = np.array([1.0, 0.0])
+        dense = np.array([[1.0, 2j], [-2j, 0.0]])
+        energies, vectors = np.linalg.eigh(dense)
+        expected = vectors @ (np.exp(-0.7j * energies) * (vectors.conj().T @ v))
+        assert np.abs(Propagator(op).advance(v, 0.7) - expected).max() < 1e-13
+
+    def test_hermitian_check_holds_no_second_copy(self, spec2, fermi_basis):
+        build_lattice_hamiltonian(fermi_basis, spec2)  # the hopping sum is built once, here
+        peak, _ = _traced(lambda: Propagator(build_lattice_hamiltonian(fermi_basis, spec2)))
+        # measured 1.09 MB, most of it building H's 11,648 entries; a check that
+        # builds H^H and merges H - H^H peaks at 2.0 MB
+        assert peak <= 1.4 * 2**20
 
     def test_propagator_rejects_non_square(self):
         op = _Operator(np.array([0, 1]), np.array([0, 2]), np.array([1.0, 1.0]), (2, 3))
@@ -617,18 +653,38 @@ class TestBlockEvolution:
             prop.advance(block, t)
 
 
-def _traced_peak(call) -> int:
-    """Bytes tracemalloc sees `call()` hold at its peak, beyond what was held before."""
+def _traced(call) -> tuple[int, int]:
+    """Bytes tracemalloc sees `call()` hold at its peak and leave held, beyond what was held before."""
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         call()
-        return tracemalloc.get_traced_memory()[1] - base
+        held, peak = tracemalloc.get_traced_memory()
+        return peak - base, held - base
     finally:
         if not was_tracing:
             tracemalloc.stop()
+
+
+class TestPropagatorCache:
+    def test_a_U_scan_holds_one_propagator(self, spec2):
+        basis = FockBasis(spec2, Statistics.FERMI, 4)
+        neel = neel_state(basis)
+        dts = np.linspace(0.0, 8.0, 9)
+
+        def scan(values):
+            for U in values:
+                spec = LatticeSpec(L=2, J=1.0, U=float(U))
+                exact_peak_curve(neel, Mode(1, 0), Mode(1, 0), dts, basis, spec)
+
+        scan([9.0])  # creations, Sigma^+ and both Hamiltonian terms are built here
+        _, one = _traced(lambda: scan([0.5]))
+        _, eight = _traced(lambda: scan(0.5 * np.arange(1, 9)))
+        # measured: one U leaves 0.65 MB (its propagator), eight leave 0.66 MB;
+        # a propagator kept per U would leave 5.2 MB
+        assert eight <= one + 0.25 * 2**20
 
 
 class TestReachedRows:
@@ -639,12 +695,23 @@ class TestReachedRows:
         assert len(rows) == 70  # 4 fermions on the 8 ground-level modes
         assert np.all(fermi_basis.occupations[rows, 1::2] == 0)
 
+    def test_neel_per_spin_rows_keep_its_spin_composition(self, fermi_basis):
+        rows = _reached_rows(neel_state(fermi_basis), fermi_basis, per_spin=True)
+        assert len(rows) == 36  # 2 up and 2 down fermions, each on 4 ground-level modes
+        # mode_id = (site * 2 + spin) * 2 + level: spin s ground is column 2 s of each site's 4
+        per_site = fermi_basis.occupations[rows].reshape(len(rows), 4, 4)
+        assert np.all(per_site[:, :, [0, 2]].sum(axis=1) == 2)
+        assert np.all(per_site[:, :, [1, 3]] == 0)
+
     def test_full_rows_give_the_same_arrays(self, monkeypatch, bose_basis, fermi_basis):
         spec = LatticeSpec(L=2, J=1.0, U=0.8)
         momentum = {(Mode(0, 0), 0): 2, (Mode(1, 0), 0): 1, (Mode(0, 1), 0): 1}
         product = _random_fermi_product(spec, random.Random(8))
+        raised = exciton_matrix(fermi_basis, Mode(1, 0)) @ neel_state(fermi_basis)
         cases = [
             ("neel", fermi_basis, neel_state(fermi_basis)),
+            # one excitation on either spin: rows of two per-spin compositions
+            ("neel-raised", fermi_basis, raised / np.linalg.norm(raised)),
             ("mott", bose_basis, mott_state(bose_basis)),
             ("momentum", bose_basis, momentum_fock_state(bose_basis, momentum)),
             ("fermi-product", fermi_basis, orbital_state(fermi_basis, product)),
@@ -655,7 +722,9 @@ class TestReachedRows:
         }
         # the reference: every row of the basis, the full-dimension W and lowered vectors
         monkeypatch.setattr(
-            oracle_module, "_reached_rows", lambda state, basis: np.arange(basis.dimension)
+            oracle_module,
+            "_reached_rows",
+            lambda state, basis, per_spin=False: np.arange(basis.dimension),
         )
         for name, basis, state in cases:
             tensor, values = reached[name]
@@ -676,7 +745,7 @@ class TestReachedRows:
         }
         for name, (call, bound_mb) in calls.items():
             call()  # creations, the propagator and its sectors are built once, here
-            assert _traced_peak(call) <= bound_mb * 2**20, name
+            assert _traced(call)[0] <= bound_mb * 2**20, name
 
 
 class TestMomentumStates:
@@ -1609,6 +1678,39 @@ def test_suite_builds_each_basis_once(monkeypatch):
     monkeypatch.setattr(FockBasis, "__init__", recording)
     verification_suite()
     assert sorted(built) == sorted((s.value, n) for s in Statistics for n in range(5))
+
+
+def test_suite_frees_the_fermion_state_after_its_last_check(monkeypatch):
+    # the fermion bases, their cached operators and their propagators; refcounting
+    # alone must free them, so the cyclic collector is off for the run
+    held, alive = [], []
+
+    def recorder(build):
+        def recording(basis, *args):
+            value = build(basis, *args)
+            if basis.fermionic:
+                held.extend([weakref.ref(basis), weakref.ref(value)])
+            return value
+
+        return recording
+
+    for name in ("_cached", "_cached_propagator"):
+        monkeypatch.setattr(oracle_module, name, recorder(getattr(oracle_module, name)))
+    deviation = oracle_module.separable_deviation  # the first check after separable-zero-cases
+
+    def counting(*args):
+        alive.append(sum(ref() is not None for ref in held))
+        return deviation(*args)
+
+    monkeypatch.setattr(oracle_module, "separable_deviation", counting)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        verification_suite()
+    finally:
+        if enabled:
+            gc.enable()
+    assert held and alive == [0, 0]
 
 
 def test_suite_builds_each_state_once(monkeypatch):
